@@ -13,9 +13,9 @@ from .baselines import DeParams, PsoParams, run_de, run_pso, run_random_search
 from .core import (
     Bounds,
     ConfigurationError,
+    Extremes,
     Individual,
     OptimizerConfig,
-    Population,
     RunResult,
     best_worst,
     clamp,

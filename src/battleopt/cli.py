@@ -295,6 +295,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_arnas(args) -> int:
+    if args.trials < 1:
+        raise ConfigurationError("--trials must be at least 1")
     if args.algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {args.algorithm!r}")
     table = load_table(args.table)

@@ -15,7 +15,6 @@ __all__ = [
     "ConfigurationError",
     "Bounds",
     "Individual",
-    "Population",
     "OptimizerConfig",
     "RunResult",
     "EvaluationBudget",
@@ -25,6 +24,7 @@ __all__ = [
     "clamp",
     "greedy_replace",
     "best_worst",
+    "Extremes",
 ]
 
 
@@ -106,11 +106,6 @@ class Individual:
         return Individual(self.position.copy(), self.fitness)
 
 
-# A population is an ordered list of individuals; order is stable across
-# an iteration so index-based enemy selection is well defined.
-Population = list
-
-
 def init_population(
     n: int, bounds: Bounds, rng: np.random.Generator
 ) -> list[Individual]:
@@ -134,6 +129,35 @@ def best_worst(pop: list[Individual]) -> tuple[Individual, Individual]:
     best_idx = min(range(len(pop)), key=fitnesses.__getitem__)
     worst_idx = max(range(len(pop)), key=fitnesses.__getitem__)
     return pop[best_idx], pop[worst_idx]
+
+
+class Extremes:
+    """Best and worst indices of a population under greedy replacement.
+
+    Holds a float64 copy of the fitnesses and picks the same members as
+    :func:`best_worst` (lowest index on ties). Greedy replacement only
+    ever lowers a slot, so :meth:`replaced` moves ``best`` in O(1) and
+    rescans for ``worst`` only when the worst slot itself improved.
+    """
+
+    __slots__ = ("fit", "best", "worst")
+
+    def __init__(self, pop: list[Individual]):
+        self.fit = np.array([ind.fitness for ind in pop], dtype=np.float64)
+        if np.isnan(self.fit).any():
+            raise ValueError("population contains unevaluated individuals")
+        self.best = int(np.argmin(self.fit))
+        self.worst = int(np.argmax(self.fit))
+
+    def replaced(self, i: int, f: float) -> None:
+        """Record that slot ``i`` now holds fitness ``f``, no higher than before."""
+        fit = self.fit
+        fit[i] = f
+        best = self.best
+        if f < fit[best] or (f == fit[best] and i < best):
+            self.best = i
+        if i == self.worst:
+            self.worst = int(np.argmax(fit))
 
 
 @dataclass(frozen=True)

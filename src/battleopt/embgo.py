@@ -17,6 +17,7 @@ from .core import (
     Bounds,
     ConfigurationError,
     EvaluationBudget,
+    Extremes,
     Individual,
     OptimizerConfig,
     RunResult,
@@ -106,7 +107,10 @@ def run_embgo(
 
     The population centroid is recomputed once per iteration; the safe
     zone is recomputed from the current best/worst on each movement-branch
-    entry. ``branch_hook`` (instrumentation only) receives "movement" or
+    entry. Best and worst are tracked incrementally
+    (:class:`~battleopt.core.Extremes`), so selection costs O(1) amortized
+    per candidate; the population is rescanned only when its worst member
+    improves. ``branch_hook`` (instrumentation only) receives "movement" or
     "battle" per dispatched candidate.
     """
     if config.pop_size < 2:
@@ -126,7 +130,8 @@ def run_embgo(
         budget.take()
         ind.fitness = evaluate(ind.position)
 
-    trace = [(budget.used, min(ind.fitness for ind in pop))]
+    ext = Extremes(pop)
+    trace = [(budget.used, pop[ext.best].fitness)]
     diversity = [(0, population_diversity(pop, bounds))]
     iteration = 0
 
@@ -140,7 +145,7 @@ def run_embgo(
             if rng.random() < 0.5:
                 if branch_hook is not None:
                     branch_hook("movement")
-                best, worst = best_worst(pop)
+                best, worst = pop[ext.best], pop[ext.worst]
                 zone = safe_zone_radius(
                     best, worst, rng, params.delta_low, params.delta_high
                 )
@@ -160,8 +165,10 @@ def run_embgo(
                 else:
                     candidate = battle_vs_weaker(ind, direction, rng, bounds)
             budget.take()
-            pop[i] = greedy_replace(ind, Individual(candidate, evaluate(candidate)))
-        trace.append((budget.used, min(ind.fitness for ind in pop)))
+            kept = pop[i] = greedy_replace(ind, Individual(candidate, evaluate(candidate)))
+            if kept is not ind:
+                ext.replaced(i, kept.fitness)
+        trace.append((budget.used, pop[ext.best].fitness))
         diversity.append((iteration, population_diversity(pop, bounds)))
 
     best, _ = best_worst(pop)

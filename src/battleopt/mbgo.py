@@ -16,6 +16,7 @@ from .core import (
     Bounds,
     ConfigurationError,
     EvaluationBudget,
+    Extremes,
     Individual,
     OptimizerConfig,
     RunResult,
@@ -172,6 +173,9 @@ def run_mbgo(
 
     The safe zone is recomputed from the current best/worst before each
     individual's movement step, and enemies are redrawn per battle step.
+    Best and worst are tracked incrementally (:class:`~battleopt.core.Extremes`),
+    so selection costs O(1) amortized per candidate; the population is
+    rescanned only when its worst member improves.
     The phase flags exist for ablation studies only.
     """
     if config.pop_size < 2:
@@ -189,7 +193,8 @@ def run_mbgo(
         budget.take()
         ind.fitness = evaluate(ind.position)
 
-    trace = [(budget.used, min(ind.fitness for ind in pop))]
+    ext = Extremes(pop)
+    trace = [(budget.used, pop[ext.best].fitness)]
     diversity = [(0, population_diversity(pop, bounds))]
     iteration = 0
 
@@ -200,14 +205,16 @@ def run_mbgo(
                 if budget.exhausted:
                     break
                 ind = pop[i]
-                best, worst = best_worst(pop)
+                best, worst = pop[ext.best], pop[ext.worst]
                 zone = safe_zone_radius(best, worst, rng, delta_low, delta_high)
                 if in_safe_zone(ind, zone):
                     candidate = move_inside(ind, best, rng, bounds)
                 else:
                     candidate = move_outside(ind, best, rng, bounds)
                 budget.take()
-                pop[i] = greedy_replace(ind, Individual(candidate, evaluate(candidate)))
+                kept = pop[i] = greedy_replace(ind, Individual(candidate, evaluate(candidate)))
+                if kept is not ind:
+                    ext.replaced(i, kept.fitness)
         if battle_phase:
             for i in range(len(pop)):
                 if budget.exhausted:
@@ -220,8 +227,10 @@ def run_mbgo(
                 else:
                     candidate = battle_vs_weaker(ind, direction, rng, bounds)
                 budget.take()
-                pop[i] = greedy_replace(ind, Individual(candidate, evaluate(candidate)))
-        trace.append((budget.used, min(ind.fitness for ind in pop)))
+                kept = pop[i] = greedy_replace(ind, Individual(candidate, evaluate(candidate)))
+                if kept is not ind:
+                    ext.replaced(i, kept.fitness)
+        trace.append((budget.used, pop[ext.best].fitness))
         diversity.append((iteration, population_diversity(pop, bounds)))
 
     best, _ = best_worst(pop)

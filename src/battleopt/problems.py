@@ -287,6 +287,10 @@ def resolve_problem(spec: str, dim: int) -> Problem:
         raise ConfigurationError(f"unknown problem suffix {suffix!r} in {spec!r}")
     digits = suffix[2:]
     if digits:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ConfigurationError(
+                f"transform seed {digits!r} in {spec!r} must be a non-negative integer"
+            )
         seed = int(digits)
     else:
         seed = zlib.crc32(f"{name}/{dim}".encode()) & 0xFFFF

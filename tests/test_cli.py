@@ -75,6 +75,14 @@ def test_unknown_problem_is_configuration_error(tmp_path):
     ) == 2
 
 
+def test_malformed_transform_seed_is_configuration_error(tmp_path, capsys):
+    assert run_cli(
+        "run", "--problem", "sphere:srX", "--algorithm", "embgo",
+        "--out", str(tmp_path),
+    ) == 2
+    assert "'sphere:srX'" in capsys.readouterr().err
+
+
 def test_env_var_default_out(tmp_path, monkeypatch):
     monkeypatch.setenv("BATTLEOPT_OUT", str(tmp_path / "envout"))
     assert run_cli(
@@ -169,6 +177,15 @@ def test_arnas_rejects_incomplete_table(tmp_path):
     table_path = tmp_path / "partial.csv"
     table_path.write_text("code,accuracy\n000000,50.0\n")
     assert run_cli("arnas", "--table", str(table_path), "--out", str(tmp_path)) == 2
+
+
+def test_arnas_rejects_zero_trials_before_loading_table(tmp_path, capsys):
+    table_path = tmp_path / "table.csv"
+    save_table(synthetic_table(seed=3), table_path)
+    assert run_cli("arnas", "--table", str(table_path), "--trials", "0", "--out", str(tmp_path)) == 2
+    missing = tmp_path / "missing.csv"
+    assert run_cli("arnas", "--table", str(missing), "--trials", "0", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err.count("--trials must be at least 1") == 2
 
 
 def test_trials_are_order_independent(tmp_path):

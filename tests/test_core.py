@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from battleopt import (
     Bounds,
     ConfigurationError,
+    Extremes,
     Individual,
     OptimizerConfig,
     best_worst,
@@ -97,6 +102,33 @@ def test_best_worst_requires_evaluation():
     pop = [Individual(np.zeros(1), 1.0), Individual(np.zeros(1))]
     with pytest.raises(ValueError):
         best_worst(pop)
+
+
+# Ties, signed zeros and the truss penalty's +inf all occur in real runs.
+_FITNESS = st.sampled_from([-3.5, -1.0, -0.0, 0.0, 1.0, 2.0, 2.0, 1e300, math.inf])
+
+
+@given(
+    initial=st.lists(_FITNESS, min_size=2, max_size=8),
+    offers=st.lists(st.tuples(st.integers(0, 7), _FITNESS), max_size=40),
+)
+def test_extremes_tracks_best_worst_under_greedy_replacement(initial, offers):
+    pop = [Individual(np.zeros(1), f) for f in initial]
+    ext = Extremes(pop)
+    for i, f in offers:
+        i %= len(pop)
+        parent = pop[i]
+        kept = pop[i] = greedy_replace(parent, Individual(np.zeros(1), f))
+        if kept is not parent:
+            ext.replaced(i, f)
+        best, worst = best_worst(pop)
+        assert pop[ext.best] is best and pop[ext.worst] is worst
+
+
+def test_extremes_requires_evaluation():
+    pop = [Individual(np.zeros(1), 1.0), Individual(np.zeros(1))]
+    with pytest.raises(ValueError, match="unevaluated"):
+        Extremes(pop)
 
 
 def test_rng_streams_are_reproducible():

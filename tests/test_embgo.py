@@ -10,7 +10,7 @@ from battleopt import (
     make_problem,
     run_embgo,
 )
-from battleopt.core import make_rng
+from battleopt.core import best_worst, make_rng
 from battleopt.levy import levy_sample
 
 from conftest import FixedRng, make_individual as ind
@@ -97,6 +97,17 @@ def test_per_iteration_cost_is_n():
     fes = [f for f, _ in result.trace]
     assert fes[0] == n
     assert all(b - a == n for a, b in zip(fes, fes[1:]))
+
+
+def test_best_worst_calls_do_not_grow_with_population(monkeypatch):
+    # guards against a per-candidate O(N) best/worst scan coming back
+    sizes = []
+    monkeypatch.setattr(
+        "battleopt.embgo.best_worst", lambda pop: sizes.append(len(pop)) or best_worst(pop)
+    )
+    for n in (20, 200):
+        run_embgo(make_problem("sphere", 3), OptimizerConfig(pop_size=n, budget=n + n * 5))
+    assert sizes.count(200) <= sizes.count(20)
 
 
 def test_branch_choice_is_balanced():

@@ -15,7 +15,7 @@ from battleopt import (
     run_mbgo,
     safe_zone_radius,
 )
-from battleopt.core import make_rng
+from battleopt.core import best_worst, make_rng
 from battleopt.mbgo import RADIUS_EPSILON, SafeZone, pick_enemy
 
 from conftest import FixedRng, RecordingRng, make_individual as ind
@@ -191,6 +191,17 @@ def test_per_iteration_cost_is_two_n():
     fes = [f for f, _ in result.trace]
     assert fes[0] == n
     assert all(b - a == 2 * n for a, b in zip(fes, fes[1:]))
+
+
+def test_best_worst_calls_do_not_grow_with_population(monkeypatch):
+    # guards against a per-candidate O(N) best/worst scan coming back
+    sizes = []
+    monkeypatch.setattr(
+        "battleopt.mbgo.best_worst", lambda pop: sizes.append(len(pop)) or best_worst(pop)
+    )
+    for n in (20, 200):
+        run_mbgo(make_problem("sphere", 3), OptimizerConfig(pop_size=n, budget=n + 2 * n * 5))
+    assert sizes.count(200) <= sizes.count(20)
 
 
 def test_beats_random_search_on_sphere(random_sphere_finals):
