@@ -17,6 +17,7 @@ errors, 1 on runtime errors. The default output directory comes from
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -42,39 +43,30 @@ ENV_OUT_DIR = "BATTLEOPT_OUT"
 _FALLBACK_OUT = "battleopt-out"
 
 
+def _given(params: dict, spec) -> dict:
+    """The keys of ``params`` that the dataclass ``spec`` declares, as its field types.
+
+    Keys the user did not set are left out, so their defaults come from
+    ``spec`` alone; other keys are ignored.
+    """
+    return {f.name: f.type(params[f.name]) for f in fields(spec) if f.name in params}
+
+
 def _run_mbgo(problem, config, rng, params):
-    return run_mbgo(
-        problem,
-        config,
-        rng,
-        delta_low=params.get("delta_low", 0.8),
-        delta_high=params.get("delta_high", 1.2),
-    )
+    deltas = {key: params[key] for key in ("delta_low", "delta_high") if key in params}
+    return run_mbgo(problem, config, rng, **deltas)
 
 
 def _run_embgo(problem, config, rng, params):
-    ep = EmbgoParams(
-        delta_low=params.get("delta_low", 0.8),
-        delta_high=params.get("delta_high", 1.2),
-        beta=params.get("beta", 1.5),
-        independent_r=bool(params.get("independent_r", 1.0)),
-    )
-    return run_embgo(problem, config, rng, ep)
+    return run_embgo(problem, config, rng, EmbgoParams(**_given(params, EmbgoParams)))
 
 
 def _run_de(problem, config, rng, params):
-    dp = DeParams(F=params.get("F", 0.8), Cr=params.get("Cr", 0.9))
-    return run_de(problem, config, dp, rng)
+    return run_de(problem, config, DeParams(**_given(params, DeParams)), rng)
 
 
 def _run_pso(problem, config, rng, params):
-    pp = PsoParams(
-        w=params.get("w", 1.0),
-        c1=params.get("c1", 2.05),
-        c2=params.get("c2", 2.05),
-        v_max=params.get("v_max", 2.0),
-    )
-    return run_pso(problem, config, pp, rng)
+    return run_pso(problem, config, PsoParams(**_given(params, PsoParams)), rng)
 
 
 def _run_random(problem, config, rng, params):
@@ -393,7 +385,7 @@ def main(argv=None) -> int:
         args.budget = 10000
     try:
         return args.func(args)
-    except (ConfigurationError, TableError, KeyError) as exc:
+    except (ConfigurationError, TableError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

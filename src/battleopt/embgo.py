@@ -9,34 +9,18 @@ iteration, half the original's per-iteration cost.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    Bounds,
-    ConfigurationError,
-    EvaluationBudget,
-    Extremes,
-    Individual,
-    OptimizerConfig,
-    RunResult,
-    best_worst,
-    clamp,
-    greedy_replace,
-    init_population,
-    make_rng,
-)
+from .core import Bounds, ConfigurationError, Individual, OptimizerConfig, RunResult, clamp
 from .levy import DEFAULT_BETA, levy_sample
-from .mbgo import (
-    battle_dir,
-    battle_vs_stronger,
-    battle_vs_weaker,
-    in_safe_zone,
-    pick_enemy,
-    safe_zone_radius,
-)
-from .stats import population_diversity
+from .mbgo import battle, battle_game, in_safe_zone, safe_zone_radius
+
+# Not called here (the run loop and the battle step live in battleopt.mbgo),
+# but kept as module attributes: perfbench/spans.py TRACE_POINTS rebinds them.
+from .core import best_worst, greedy_replace, init_population  # noqa: F401
+from .mbgo import battle_vs_stronger, battle_vs_weaker, pick_enemy  # noqa: F401
+from .stats import population_diversity  # noqa: F401
 
 __all__ = ["EmbgoParams", "diff_mutation", "levy_move", "run_embgo"]
 
@@ -100,82 +84,29 @@ def run_embgo(
     config: OptimizerConfig,
     rng: np.random.Generator = None,
     params: EmbgoParams = None,
-    *,
-    branch_hook: Optional[Callable[[str], None]] = None,
 ) -> RunResult:
-    """Merged-phase run until the evaluation budget is exhausted.
+    """Merged-phase :func:`~battleopt.mbgo.battle_game`: one coin-flip pass.
 
     The population centroid is recomputed once per iteration; the safe
     zone is recomputed from the current best/worst on each movement-branch
-    entry. Best and worst are tracked incrementally
-    (:class:`~battleopt.core.Extremes`), so selection costs O(1) amortized
-    per candidate; the population is rescanned only when its worst member
-    improves. ``branch_hook`` (instrumentation only) receives "movement" or
-    "battle" per dispatched candidate.
+    entry, and the battle branch is MBGO's :func:`~battleopt.mbgo.battle`.
     """
-    if config.pop_size < 2:
-        raise ConfigurationError("embgo needs a population of at least 2")
-    if config.budget < config.pop_size:
-        raise ConfigurationError("budget must cover the initial evaluations")
-    if rng is None:
-        rng = make_rng(config.seed)
     if params is None:
         params = EmbgoParams()
     bounds = problem.bounds
-    evaluate = problem.evaluate
 
-    pop = init_population(config.pop_size, bounds, rng)
-    budget = EvaluationBudget(config.budget)
-    for ind in pop:
-        budget.take()
-        ind.fitness = evaluate(ind.position)
-
-    ext = Extremes(pop)
-    trace = [(budget.used, pop[ext.best].fitness)]
-    diversity = [(0, population_diversity(pop, bounds))]
-    iteration = 0
-
-    while not budget.exhausted:
-        iteration += 1
+    def sweeps(pop, rng):
         x_mean = np.mean([ind.position for ind in pop], axis=0)
-        for i in range(len(pop)):
-            if budget.exhausted:
-                break
-            ind = pop[i]
-            if rng.random() < 0.5:
-                if branch_hook is not None:
-                    branch_hook("movement")
-                best, worst = pop[ext.best], pop[ext.worst]
-                zone = safe_zone_radius(
-                    best, worst, rng, params.delta_low, params.delta_high
-                )
-                if in_safe_zone(ind, zone):
-                    candidate = diff_mutation(
-                        ind, best, x_mean, rng, bounds, params.independent_r
-                    )
-                else:
-                    candidate = levy_move(ind, params.beta, rng, bounds)
-            else:
-                if branch_hook is not None:
-                    branch_hook("battle")
-                enemy = pop[pick_enemy(i, len(pop), rng)]
-                direction = battle_dir(ind, enemy)
-                if enemy.fitness < ind.fitness:
-                    candidate = battle_vs_stronger(ind, enemy, direction, rng, bounds)
-                else:
-                    candidate = battle_vs_weaker(ind, direction, rng, bounds)
-            budget.take()
-            kept = pop[i] = greedy_replace(ind, Individual(candidate, evaluate(candidate)))
-            if kept is not ind:
-                ext.replaced(i, kept.fitness)
-        trace.append((budget.used, pop[ext.best].fitness))
-        diversity.append((iteration, population_diversity(pop, bounds)))
 
-    best, _ = best_worst(pop)
-    return RunResult(
-        best=best.copy(),
-        trace=trace,
-        diversity_trace=diversity,
-        seed=config.seed,
-        fes_used=budget.used,
-    )
+        def merged(i, best, worst):
+            if rng.random() >= 0.5:
+                return battle(pop, i, rng, bounds)
+            ind = pop[i]
+            zone = safe_zone_radius(best, worst, rng, params.delta_low, params.delta_high)
+            if in_safe_zone(ind, zone):
+                return diff_mutation(ind, best, x_mean, rng, bounds, params.independent_r)
+            return levy_move(ind, params.beta, rng, bounds)
+
+        return [merged]
+
+    return battle_game(problem, config, rng, "embgo", sweeps)

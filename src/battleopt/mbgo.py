@@ -6,6 +6,9 @@ centered on the current best; the battle pass confronts every member
 with one random enemy. Every candidate is clamped to the box, evaluated,
 and kept only on strict improvement, so two evaluations per member are
 consumed per full iteration.
+
+The run loop, :func:`battle_game`, and the battle step, :func:`battle`,
+are shared with the merged-phase variant in :mod:`battleopt.embgo`.
 """
 
 import math
@@ -39,6 +42,8 @@ __all__ = [
     "battle_vs_stronger",
     "battle_vs_weaker",
     "pick_enemy",
+    "battle",
+    "battle_game",
     "run_mbgo",
 ]
 
@@ -159,27 +164,37 @@ def pick_enemy(i: int, n: int, rng: np.random.Generator) -> int:
     return j + 1 if j >= i else j
 
 
-def run_mbgo(
-    problem,
-    config: OptimizerConfig,
-    rng: np.random.Generator = None,
-    *,
-    delta_low: float = 0.8,
-    delta_high: float = 1.2,
-    movement_phase: bool = True,
-    battle_phase: bool = True,
-) -> RunResult:
-    """Full two-phase run until the evaluation budget is exhausted.
+def battle(pop: list, i: int, rng: np.random.Generator, bounds: Bounds) -> np.ndarray:
+    """Battle step of member ``i`` against one random enemy.
 
-    The safe zone is recomputed from the current best/worst before each
-    individual's movement step, and enemies are redrawn per battle step.
-    Best and worst are tracked incrementally (:class:`~battleopt.core.Extremes`),
-    so selection costs O(1) amortized per candidate; the population is
-    rescanned only when its worst member improves.
-    The phase flags exist for ablation studies only.
+    The enemy is drawn first; a stronger enemy gets the per-dimension
+    step, a weaker or equal one the cosine step. EMBGO reuses it unchanged.
+    """
+    ind = pop[i]
+    enemy = pop[pick_enemy(i, len(pop), rng)]
+    direction = battle_dir(ind, enemy)
+    if enemy.fitness < ind.fitness:
+        return battle_vs_stronger(ind, enemy, direction, rng, bounds)
+    return battle_vs_weaker(ind, direction, rng, bounds)
+
+
+def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> RunResult:
+    """Run loop shared by MBGO and EMBGO until the evaluation budget is exhausted.
+
+    It evaluates a uniform initial population, then repeats iterations.
+    Each iteration starts with ``sweeps(pop, rng)``, which returns that
+    iteration's passes; a pass is ``propose(i, best, worst) -> candidate``
+    and visits the members in index order. Every candidate costs one
+    evaluation and replaces member ``i`` only on strict improvement, in
+    place, so later proposals in the same iteration see it. ``best`` and
+    ``worst`` are tracked incrementally (:class:`~battleopt.core.Extremes`):
+    selection costs O(1) amortized per candidate, and the population is
+    rescanned only when its worst member improves. One trace point and
+    one diversity point are recorded per iteration. ``name`` labels the
+    configuration errors; ``rng`` defaults to ``make_rng(config.seed)``.
     """
     if config.pop_size < 2:
-        raise ConfigurationError("mbgo needs a population of at least 2")
+        raise ConfigurationError(f"{name} needs a population of at least 2")
     if config.budget < config.pop_size:
         raise ConfigurationError("budget must cover the initial evaluations")
     if rng is None:
@@ -200,32 +215,12 @@ def run_mbgo(
 
     while not budget.exhausted:
         iteration += 1
-        if movement_phase:
+        for propose in sweeps(pop, rng):
             for i in range(len(pop)):
                 if budget.exhausted:
                     break
                 ind = pop[i]
-                best, worst = pop[ext.best], pop[ext.worst]
-                zone = safe_zone_radius(best, worst, rng, delta_low, delta_high)
-                if in_safe_zone(ind, zone):
-                    candidate = move_inside(ind, best, rng, bounds)
-                else:
-                    candidate = move_outside(ind, best, rng, bounds)
-                budget.take()
-                kept = pop[i] = greedy_replace(ind, Individual(candidate, evaluate(candidate)))
-                if kept is not ind:
-                    ext.replaced(i, kept.fitness)
-        if battle_phase:
-            for i in range(len(pop)):
-                if budget.exhausted:
-                    break
-                ind = pop[i]
-                enemy = pop[pick_enemy(i, len(pop), rng)]
-                direction = battle_dir(ind, enemy)
-                if enemy.fitness < ind.fitness:
-                    candidate = battle_vs_stronger(ind, enemy, direction, rng, bounds)
-                else:
-                    candidate = battle_vs_weaker(ind, direction, rng, bounds)
+                candidate = propose(i, pop[ext.best], pop[ext.worst])
                 budget.take()
                 kept = pop[i] = greedy_replace(ind, Individual(candidate, evaluate(candidate)))
                 if kept is not ind:
@@ -241,3 +236,40 @@ def run_mbgo(
         seed=config.seed,
         fes_used=budget.used,
     )
+
+
+def run_mbgo(
+    problem,
+    config: OptimizerConfig,
+    rng: np.random.Generator = None,
+    *,
+    delta_low: float = 0.8,
+    delta_high: float = 1.2,
+    movement_phase: bool = True,
+    battle_phase: bool = True,
+) -> RunResult:
+    """Two-phase :func:`battle_game`: a movement pass, then a battle pass.
+
+    The safe zone is recomputed from the current best/worst before each
+    individual's movement step, and enemies are redrawn per battle step.
+    The phase flags exist for ablation studies only; at least one must
+    stay on.
+    """
+    if not (movement_phase or battle_phase):
+        raise ConfigurationError("mbgo needs the movement phase, the battle phase or both")
+    bounds = problem.bounds
+
+    def sweeps(pop, rng):
+        def move(i, best, worst):
+            ind = pop[i]
+            zone = safe_zone_radius(best, worst, rng, delta_low, delta_high)
+            if in_safe_zone(ind, zone):
+                return move_inside(ind, best, rng, bounds)
+            return move_outside(ind, best, rng, bounds)
+
+        def fight(i, best, worst):
+            return battle(pop, i, rng, bounds)
+
+        return [p for p, on in ((move, movement_phase), (fight, battle_phase)) if on]
+
+    return battle_game(problem, config, rng, "mbgo", sweeps)

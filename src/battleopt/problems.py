@@ -280,9 +280,13 @@ def resolve_problem(spec: str, dim: int) -> Problem:
     """
     if spec == "three-bar-truss":
         return three_bar_truss_problem()
+    name, _, suffix = spec.partition(":")
+    if name not in _REGISTRY:
+        raise ConfigurationError(
+            f"unknown problem {spec!r}; known: three-bar-truss, {', '.join(BENCHMARK_NAMES)}"
+        )
     if ":" not in spec:
         return make_problem(spec, dim)
-    name, suffix = spec.split(":", 1)
     if not suffix.startswith("sr"):
         raise ConfigurationError(f"unknown problem suffix {suffix!r} in {spec!r}")
     digits = suffix[2:]

@@ -1,5 +1,20 @@
 import itertools
 
+import pytest
+
+from battleopt import (
+    DeParams,
+    EmbgoParams,
+    OptimizerConfig,
+    PsoParams,
+    make_rng,
+    resolve_problem,
+    run_de,
+    run_embgo,
+    run_mbgo,
+    run_pso,
+)
+from battleopt import cli
 from battleopt.cli import main
 from battleopt.discrete import LookupTable, save_table, synthetic_table
 
@@ -227,3 +242,45 @@ def test_param_parsing_errors(tmp_path):
         "run", "--problem", "sphere", "--algorithm", "embgo",
         "--param", "beta=abc", "--out", str(tmp_path),
     ) == 2
+
+
+def test_unknown_transformed_problem_is_configuration_error(tmp_path, capsys):
+    assert run_cli(
+        "run", "--problem", "not-a-problem:sr", "--algorithm", "embgo",
+        "--out", str(tmp_path),
+    ) == 2
+    assert "'not-a-problem:sr'" in capsys.readouterr().err
+
+
+def test_internal_key_error_is_a_runtime_error(tmp_path, monkeypatch):
+    def broken(problem, config, rng, params):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli.ALGORITHMS, "random", broken)
+    assert run_cli(
+        "run", "--problem", "sphere", "--algorithm", "random",
+        "--dim", "2", "--pop", "5", "--budget", "10", "--out", str(tmp_path),
+    ) == 1
+
+
+@pytest.mark.parametrize(
+    "algorithm, params, expected",
+    [
+        ("mbgo", {}, lambda p, c, r: run_mbgo(p, c, r)),
+        ("mbgo", {"delta_high": 1.5, "beta": 1.1}, lambda p, c, r: run_mbgo(p, c, r, delta_high=1.5)),
+        ("embgo", {}, lambda p, c, r: run_embgo(p, c, r)),
+        (
+            "embgo",
+            {"independent_r": 0.0, "F": 0.1},
+            lambda p, c, r: run_embgo(p, c, r, EmbgoParams(independent_r=False)),
+        ),
+        ("de", {"Cr": 0.3}, lambda p, c, r: run_de(p, c, DeParams(Cr=0.3), r)),
+        ("pso", {"v_max": 4.0, "w": 0.7}, lambda p, c, r: run_pso(p, c, PsoParams(w=0.7, v_max=4.0), r)),
+    ],
+)
+def test_params_default_to_the_library_defaults(algorithm, params, expected):
+    # unset keys take the library's defaults; keys of other algorithms are ignored
+    problem = resolve_problem("sphere", 3)
+    config = OptimizerConfig(pop_size=6, budget=40, seed=2)
+    got = cli.ALGORITHMS[algorithm](problem, config, make_rng(2), params)
+    assert got.serialize() == expected(problem, config, make_rng(2)).serialize()

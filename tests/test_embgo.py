@@ -10,6 +10,7 @@ from battleopt import (
     make_problem,
     run_embgo,
 )
+from battleopt import mbgo
 from battleopt.core import best_worst, make_rng
 from battleopt.levy import levy_sample
 
@@ -103,18 +104,32 @@ def test_best_worst_calls_do_not_grow_with_population(monkeypatch):
     # guards against a per-candidate O(N) best/worst scan coming back
     sizes = []
     monkeypatch.setattr(
-        "battleopt.embgo.best_worst", lambda pop: sizes.append(len(pop)) or best_worst(pop)
+        "battleopt.mbgo.best_worst", lambda pop: sizes.append(len(pop)) or best_worst(pop)
     )
     for n in (20, 200):
         run_embgo(make_problem("sphere", 3), OptimizerConfig(pop_size=n, budget=n + n * 5))
+    assert sizes
     assert sizes.count(200) <= sizes.count(20)
 
 
-def test_branch_choice_is_balanced():
+def test_branch_choice_is_balanced(monkeypatch):
+    # the safe zone is drawn once per movement entry, the enemy once per battle
     counts = {"movement": 0, "battle": 0}
+
+    def counting(which, fn):
+        def counted(*args):
+            counts[which] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(
+        "battleopt.embgo.safe_zone_radius", counting("movement", mbgo.safe_zone_radius)
+    )
+    monkeypatch.setattr("battleopt.mbgo.pick_enemy", counting("battle", mbgo.pick_enemy))
     problem = make_problem("rastrigin", 6)
     config = OptimizerConfig(pop_size=50, budget=50 + 10_000, seed=9)
-    run_embgo(problem, config, branch_hook=lambda which: counts.__setitem__(which, counts[which] + 1))
+    run_embgo(problem, config)
     total = counts["movement"] + counts["battle"]
     assert total == 10_000
     assert abs(counts["movement"] / total - 0.5) <= 0.02

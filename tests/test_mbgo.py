@@ -201,6 +201,7 @@ def test_best_worst_calls_do_not_grow_with_population(monkeypatch):
     )
     for n in (20, 200):
         run_mbgo(make_problem("sphere", 3), OptimizerConfig(pop_size=n, budget=n + 2 * n * 5))
+    assert sizes
     assert sizes.count(200) <= sizes.count(20)
 
 
@@ -225,6 +226,13 @@ def test_single_phase_ablation_flags():
         assert all(b - a == n for a, b in zip(fes, fes[1:]))
         fits = [f for _, f in result.trace]
         assert all(b <= a for a, b in zip(fits, fits[1:]))
+
+
+def test_both_phases_off_is_rejected():
+    # with no pass left an iteration takes no evaluations and the run never ends
+    config = OptimizerConfig(pop_size=4, budget=20, seed=0)
+    with pytest.raises(ConfigurationError, match="phase"):
+        run_mbgo(make_problem("sphere", 2), config, movement_phase=False, battle_phase=False)
 
 
 def test_trace_monotone_and_final_in_bounds():

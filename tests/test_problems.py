@@ -110,6 +110,12 @@ def test_resolve_problem_grammar():
         resolve_problem("sphere:xy", 5)
 
 
+@pytest.mark.parametrize("spec", ["does-not-exist", "does-not-exist:sr", "does-not-exist:sr3"])
+def test_resolve_problem_rejects_unknown_names(spec):
+    with pytest.raises(ConfigurationError, match="does-not-exist"):
+        resolve_problem(spec, 3)
+
+
 def test_penalized_fitness_cases():
     assert penalized_fitness(3.0, [-1.0, -5.0]) == 3.0
     assert penalized_fitness(1.0, [0.5, -2.0], w=1e7) == pytest.approx(5_000_001.0)
