@@ -3,9 +3,12 @@
 Differential evolution with the cur-to-rand/1 scheme, global-best PSO
 with a hard velocity clamp, and uniform random search as the sanity
 floor. All three honor the shared run contract: seeded stream, hard
-evaluation budget, non-increasing best-so-far trace.
+evaluation budget, non-increasing best-so-far trace. Evaluations that
+no candidate depends on (the initial populations, random search's
+samples) go through ``Problem.evaluate_batch``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +21,18 @@ from .core import (
     RunResult,
     best_worst,
     clamp,
+    evaluate_population,
     greedy_replace,
     init_population,
     make_rng,
 )
 from .stats import population_diversity
 
-__all__ = ["DeParams", "PsoParams", "run_de", "run_pso", "run_random_search"]
+__all__ = ["RANDOM_SEARCH_CHUNK", "DeParams", "PsoParams", "run_de", "run_pso", "run_random_search"]
+
+# Samples random search draws and evaluates per chunk. The stream does
+# not depend on it: one (m, D) uniform draw equals m single draws.
+RANDOM_SEARCH_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -82,9 +90,7 @@ def run_de(
 
     pop = init_population(n, bounds, rng)
     budget = EvaluationBudget(config.budget)
-    for ind in pop:
-        budget.take()
-        ind.fitness = evaluate(ind.position)
+    evaluate_population(problem, pop, budget)
 
     trace = [(budget.used, min(ind.fitness for ind in pop))]
     diversity = [(0, population_diversity(pop, bounds))]
@@ -149,12 +155,9 @@ def run_pso(
     positions = rng.uniform(bounds.lower, bounds.upper, size=(n, dim))
     velocities = np.zeros((n, dim))
     budget = EvaluationBudget(config.budget)
-    fitness = np.empty(n)
-    for i in range(n):
-        budget.take()
-        fitness[i] = evaluate(positions[i])
+    budget.take(n)
     pbest = positions.copy()
-    pbest_fit = fitness.copy()
+    pbest_fit = problem.evaluate_batch(positions)
     g = int(np.argmin(pbest_fit))
     gbest = pbest[g].copy()
     gbest_fit = float(pbest_fit[g])
@@ -204,26 +207,28 @@ def run_random_search(
 ) -> RunResult:
     """Budget i.i.d. uniform samples; the best is kept.
 
-    The trace records every improvement plus the final budget point; no
-    persistent population exists, so the diversity trace is empty.
+    Samples are drawn and evaluated in chunks of
+    :data:`RANDOM_SEARCH_CHUNK`. The trace records every improvement plus
+    the final budget point; no persistent population exists, so the
+    diversity trace is empty.
     """
     if config.budget < 1:
         raise ConfigurationError("budget must be at least 1")
     if rng is None:
         rng = make_rng(config.seed)
     bounds = problem.bounds
-    evaluate = problem.evaluate
 
     best_pos = None
-    best_fit = np.inf
+    best_fit = math.inf
     trace = []
-    for k in range(1, config.budget + 1):
-        x = rng.uniform(bounds.lower, bounds.upper)
-        f = evaluate(x)
-        if best_pos is None or f < best_fit:
-            best_fit = float(f)
-            best_pos = x
-            trace.append((k, best_fit))
+    for start in range(0, config.budget, RANDOM_SEARCH_CHUNK):
+        m = min(RANDOM_SEARCH_CHUNK, config.budget - start)
+        X = rng.uniform(bounds.lower, bounds.upper, size=(m, bounds.dim))
+        for row, f in enumerate(problem.evaluate_batch(X).tolist()):
+            if best_pos is None or f < best_fit:
+                best_fit = f
+                best_pos = X[row]
+                trace.append((start + row + 1, best_fit))
     if trace[-1][0] != config.budget:
         trace.append((config.budget, best_fit))
 

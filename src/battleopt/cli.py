@@ -43,6 +43,17 @@ ENV_OUT_DIR = "BATTLEOPT_OUT"
 _FALLBACK_OUT = "battleopt-out"
 
 
+# The --param keys each algorithm declares. Their defaults live only in
+# the library: the params dataclasses and the run_mbgo signature.
+PARAM_KEYS = {
+    "mbgo": ("delta_low", "delta_high"),
+    "embgo": tuple(f.name for f in fields(EmbgoParams)),
+    "de": tuple(f.name for f in fields(DeParams)),
+    "pso": tuple(f.name for f in fields(PsoParams)),
+    "random": (),
+}
+
+
 def _given(params: dict, spec) -> dict:
     """The keys of ``params`` that the dataclass ``spec`` declares, as its field types.
 
@@ -53,7 +64,7 @@ def _given(params: dict, spec) -> dict:
 
 
 def _run_mbgo(problem, config, rng, params):
-    deltas = {key: params[key] for key in ("delta_low", "delta_high") if key in params}
+    deltas = {key: params[key] for key in PARAM_KEYS["mbgo"] if key in params}
     return run_mbgo(problem, config, rng, **deltas)
 
 
@@ -100,6 +111,30 @@ def _parse_params(raw: list) -> dict:
         else:
             out[""][key] = number
     return out
+
+
+def _check_params(parsed: dict, selected: list, extra: tuple = ()) -> None:
+    """Reject --param keys that would be ignored.
+
+    A scoped key must name a selected algorithm and one of its declared
+    keys or ``extra`` (the keys the command itself reads); an unscoped key
+    must be declared by at least one selected algorithm or be in ``extra``.
+    """
+    for scope, values in parsed.items():
+        if scope and scope not in selected:
+            raise ConfigurationError(
+                f"--param scope {scope!r} is not a selected algorithm; "
+                f"selected: {', '.join(selected)}"
+            )
+        owners = [scope] if scope else selected
+        declared = sorted({key for name in owners for key in PARAM_KEYS[name]} | set(extra))
+        for key in values:
+            if key not in declared:
+                name = f"{scope}.{key}" if scope else key
+                raise ConfigurationError(
+                    f"unknown --param {name!r}; valid keys for {', '.join(owners)}: "
+                    f"{', '.join(declared) or 'none'}"
+                )
 
 
 def _params_for(algorithm: str, parsed: dict) -> dict:
@@ -160,8 +195,10 @@ def cmd_run(args) -> int:
         raise ConfigurationError(
             f"unknown algorithm {args.algorithm!r}; known: {', '.join(sorted(ALGORITHMS))}"
         )
+    parsed = _parse_params(args.param)
+    _check_params(parsed, [args.algorithm])
     problem = resolve_problem(args.problem, args.dim)
-    params = _params_for(args.algorithm, _parse_params(args.param))
+    params = _params_for(args.algorithm, parsed)
     out = _resolve_out(args)
     header_pairs = {
         "problem": problem.name,
@@ -216,6 +253,7 @@ def cmd_compare(args) -> int:
     if args.trials < 2:
         raise ConfigurationError("compare needs at least 2 trials for the tests")
     parsed = _parse_params(args.param)
+    _check_params(parsed, list(dict.fromkeys(entries)), extra=("budget",))
     budgets = {
         label: int(_params_for(base_of[label], parsed).get("budget", args.budget))
         for label in labels
@@ -291,11 +329,13 @@ def cmd_arnas(args) -> int:
         raise ConfigurationError("--trials must be at least 1")
     if args.algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {args.algorithm!r}")
+    parsed = _parse_params(args.param)
+    _check_params(parsed, [args.algorithm])
     table = load_table(args.table)
     if not table.complete:
         raise ConfigurationError(f"table {args.table} is incomplete; arnas needs all codes")
     problem = table_problem(table)
-    params = _params_for(args.algorithm, _parse_params(args.param))
+    params = _params_for(args.algorithm, parsed)
     pop = args.pop if args.pop is not None else 50
     budget = args.budget if args.budget is not None else 5000
     trials = args.trials

@@ -21,6 +21,7 @@ __all__ = [
     "make_rng",
     "trial_rng",
     "init_population",
+    "evaluate_population",
     "clamp",
     "greedy_replace",
     "best_worst",
@@ -116,6 +117,18 @@ def init_population(
     return [Individual(positions[i]) for i in range(n)]
 
 
+def evaluate_population(problem, pop: list[Individual], budget: "EvaluationBudget") -> None:
+    """Evaluate every member in one ``problem.evaluate_batch`` call.
+
+    Takes one budget unit per member and stores Python floats, with NaN
+    already mapped to +inf by the batch.
+    """
+    budget.take(len(pop))
+    fits = problem.evaluate_batch(np.array([ind.position for ind in pop]))
+    for ind, f in zip(pop, fits.tolist()):
+        ind.fitness = f
+
+
 def greedy_replace(parent: Individual, offspring: Individual) -> Individual:
     """Offspring survives only on strict improvement; ties keep the parent."""
     return offspring if offspring.fitness < parent.fitness else parent
@@ -186,10 +199,10 @@ class EvaluationBudget:
     def exhausted(self) -> bool:
         return self.used >= self.limit
 
-    def take(self) -> None:
-        if self.exhausted:
+    def take(self, count: int = 1) -> None:
+        if self.used + count > self.limit:
             raise RuntimeError("evaluation budget exhausted")
-        self.used += 1
+        self.used += count
 
 
 @dataclass

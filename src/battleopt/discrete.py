@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Bounds, make_rng
-from .problems import Problem
+from .problems import Problem, _attach_batch
 
 __all__ = [
     "OPERATIONS",
@@ -50,6 +50,9 @@ N_SYMBOLS = 5
 CODE_COUNT = N_SYMBOLS**N_EDGES
 
 _THRESHOLDS = (-60.0, -20.0, 20.0, 60.0)
+_THRESHOLD_ARRAY = np.array(_THRESHOLDS)
+# Base-5 place values: a code's index in lexicographic (itertools.product) order.
+_PLACE = N_SYMBOLS ** np.arange(N_EDGES - 1, -1, -1)
 
 
 class TableError(ValueError):
@@ -225,12 +228,60 @@ def synthetic_table(seed: int, dataset: str = "synthetic", attack: str = "none")
     return LookupTable(entries=entries, dataset=dataset, attack=attack)
 
 
+def _dense_accuracy(table: LookupTable) -> np.ndarray:
+    """Accuracy of every code by its index; the default or NaN where missing."""
+    dense = np.full(
+        CODE_COUNT, math.nan if table.default is None else table.default, dtype=float
+    )
+    n = len(table.entries)
+    if n:
+        codes = np.fromiter(
+            itertools.chain.from_iterable(table.entries), dtype=np.int64, count=n * N_EDGES
+        )
+        dense[codes.reshape(n, N_EDGES) @ _PLACE] = np.fromiter(
+            table.entries.values(), dtype=float, count=n
+        )
+    return dense
+
+
+def _missing(index: int) -> TableError:
+    code = np.unravel_index(index, (N_SYMBOLS,) * N_EDGES)
+    return TableError(
+        f"code {code_to_string(int(s) for s in code)} missing and the table declares no default"
+    )
+
+
 def table_problem(table: LookupTable) -> Problem:
-    """Continuous 6-D problem whose fitness is the decoded table lookup."""
+    """Continuous 6-D problem whose fitness is the decoded table lookup.
+
+    The problem keeps a snapshot of the table: one dense array of the
+    negated accuracies of all 15,625 codes, indexed by the base-5 code of
+    the transfer bands (``decode``), so an evaluation is one index and no
+    tuple or dict lookup. Later edits to ``table`` do not reach it.
+    """
     bounds = Bounds.cube(-100.0, 100.0, N_EDGES)
+    fitness = -_dense_accuracy(table)
 
     def evaluate(x: np.ndarray) -> float:
-        return lookup_fitness(table, decode(x))
+        x = np.asarray(x, dtype=float)
+        if x.shape != (N_EDGES,):
+            raise ValueError(f"decode expects a vector of length {N_EDGES}")
+        index = 0
+        for v in x.tolist():
+            index = index * N_SYMBOLS + transfer(v)
+        f = fitness[index]
+        if math.isnan(f):
+            raise _missing(index)
+        return float(f)
+
+    @_attach_batch(evaluate)
+    def _rows(X: np.ndarray) -> np.ndarray:
+        index = np.searchsorted(_THRESHOLD_ARRAY, X, side="right") @ _PLACE
+        out = fitness[index]
+        missing = np.isnan(out)
+        if missing.any():
+            raise _missing(int(index[np.argmax(missing)]))
+        return out
 
     label = ":".join(part for part in (table.dataset, table.attack) if part)
     return Problem(

@@ -25,6 +25,7 @@ from .core import (
     RunResult,
     best_worst,
     clamp,
+    evaluate_population,
     greedy_replace,
     init_population,
     make_rng,
@@ -181,10 +182,11 @@ def battle(pop: list, i: int, rng: np.random.Generator, bounds: Bounds) -> np.nd
 def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> RunResult:
     """Run loop shared by MBGO and EMBGO until the evaluation budget is exhausted.
 
-    It evaluates a uniform initial population, then repeats iterations.
-    Each iteration starts with ``sweeps(pop, rng)``, which returns that
-    iteration's passes; a pass is ``propose(i, best, worst) -> candidate``
-    and visits the members in index order. Every candidate costs one
+    It evaluates a uniform initial population in one batch call, then
+    repeats iterations. Each iteration starts with ``sweeps(pop, rng)``,
+    which returns that iteration's passes; a pass is
+    ``propose(i, best, worst) -> candidate`` and visits the members in
+    index order. Every candidate costs one
     evaluation and replaces member ``i`` only on strict improvement, in
     place, so later proposals in the same iteration see it. ``best`` and
     ``worst`` are tracked incrementally (:class:`~battleopt.core.Extremes`):
@@ -204,9 +206,7 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> Run
 
     pop = init_population(config.pop_size, bounds, rng)
     budget = EvaluationBudget(config.budget)
-    for ind in pop:
-        budget.take()
-        ind.fitness = evaluate(ind.position)
+    evaluate_population(problem, pop, budget)
 
     ext = Extremes(pop)
     trace = [(budget.used, pop[ext.best].fitness)]

@@ -5,6 +5,11 @@ point. Transformed variants compose the raw function with a seeded
 orthogonal rotation and a shift drawn from the middle of the box, chosen
 so the transformed optimum stays inside the search region. Constrained
 problems are handled through a static penalty on the violation amounts.
+
+Every registered benchmark and its transformed variants also have a
+row-wise form, attached to the ``evaluate`` callable as ``evaluate.batch``
+and reached through :meth:`Problem.evaluate_batch`; it gives the per-row
+values bit for bit.
 """
 
 import math
@@ -58,18 +63,69 @@ class Problem:
     constraints: Optional[list] = None
     known_optimum: Optional[float] = None
 
+    def evaluate_batch(self, X) -> np.ndarray:
+        """Objective values of the rows of ``X`` as an ``(m,)`` float64 array.
+
+        Bit-identical to ``[evaluate(x) for x in X]``, except that NaN
+        becomes +inf, so that no optimizer keeps NaN as its best. The fast
+        path is ``evaluate.batch`` (see :func:`_attach_batch`); an
+        ``evaluate`` without one, such as a wrapper put in its place, is
+        called once per row in row order, so it still sees every point.
+        """
+        X = np.ascontiguousarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"evaluate_batch expects an (m, dim) array, got shape {X.shape}")
+        rows = getattr(self.evaluate, "batch", None)
+        if rows is None:
+            out = np.fromiter(map(self.evaluate, X), dtype=float, count=len(X))
+        else:
+            out = rows(X)
+        out[np.isnan(out)] = np.inf
+        return out
+
+
+def _attach_batch(evaluate: Callable):
+    """Decorator: attach the decorated row-wise form to ``evaluate`` as ``.batch``.
+
+    The row-wise form maps an ``(m, D)`` array to a fresh ``(m,)`` float64
+    array whose entry i is bit-identical to ``evaluate(X[i])``.
+    """
+
+    def attach(rows: Callable) -> Callable:
+        evaluate.batch = rows
+        return rows
+
+    return attach
+
 
 # ---------------------------------------------------------------------------
 # Raw benchmark functions (minimum 0 at the canonical optimum).
 # ---------------------------------------------------------------------------
 
 
+# Each raw function is followed by its row-wise form. numpy's elementwise
+# calls and its reductions along a row give the same bits as on one
+# vector; where the scalar form uses ``math`` (or Python ``**``) the
+# row-wise form does too, one row at a time, because numpy's exp, sin and
+# power differ from them in the last bits.
+
+
 def sphere(x: np.ndarray) -> float:
     return float(np.sum(x * x))
 
 
+@_attach_batch(sphere)
+def _sphere_rows(X: np.ndarray) -> np.ndarray:
+    return np.sum(X * X, axis=1)
+
+
 def bent_cigar(x: np.ndarray) -> float:
     return float(x[0] * x[0] + 1e6 * np.sum(x[1:] * x[1:]))
+
+
+@_attach_batch(bent_cigar)
+def _bent_cigar_rows(X: np.ndarray) -> np.ndarray:
+    return X[:, 0] * X[:, 0] + 1e6 * np.sum(X[:, 1:] * X[:, 1:], axis=1)
 
 
 def zakharov(x: np.ndarray) -> float:
@@ -78,14 +134,32 @@ def zakharov(x: np.ndarray) -> float:
     return s1 + s2**2 + s2**4
 
 
+@_attach_batch(zakharov)
+def _zakharov_rows(X: np.ndarray) -> np.ndarray:
+    s1 = np.sum(X * X, axis=1).tolist()
+    s2 = (0.5 * np.sum(np.arange(1, X.shape[1] + 1) * X, axis=1)).tolist()
+    return np.array([a + b**2 + b**4 for a, b in zip(s1, s2)], dtype=float)
+
+
 def rosenbrock(x: np.ndarray) -> float:
     return float(
         np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2)
     )
 
 
+@_attach_batch(rosenbrock)
+def _rosenbrock_rows(X: np.ndarray) -> np.ndarray:
+    head, tail = X[:, :-1], X[:, 1:]
+    return np.sum(100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2, axis=1)
+
+
 def rastrigin(x: np.ndarray) -> float:
     return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+
+
+@_attach_batch(rastrigin)
+def _rastrigin_rows(X: np.ndarray) -> np.ndarray:
+    return 10.0 * X.shape[1] + np.sum(X * X - 10.0 * np.cos(2.0 * np.pi * X), axis=1)
 
 
 def ackley(x: np.ndarray) -> float:
@@ -98,9 +172,29 @@ def ackley(x: np.ndarray) -> float:
     )
 
 
+@_attach_batch(ackley)
+def _ackley_rows(X: np.ndarray) -> np.ndarray:
+    d = X.shape[1]
+    squares = (np.sum(X * X, axis=1) / d).tolist()
+    cosines = (np.sum(np.cos(2.0 * np.pi * X), axis=1) / d).tolist()
+    return np.array(
+        [
+            -20.0 * math.exp(-0.2 * math.sqrt(a)) - math.exp(b) + 20.0 + math.e
+            for a, b in zip(squares, cosines)
+        ],
+        dtype=float,
+    )
+
+
 def griewank(x: np.ndarray) -> float:
     prod = float(np.prod(np.cos(x / np.sqrt(np.arange(1, x.size + 1)))))
     return float(1.0 + np.sum(x * x) / 4000.0 - prod)
+
+
+@_attach_batch(griewank)
+def _griewank_rows(X: np.ndarray) -> np.ndarray:
+    prod = np.prod(np.cos(X / np.sqrt(np.arange(1, X.shape[1] + 1))), axis=1)
+    return 1.0 + np.sum(X * X, axis=1) / 4000.0 - prod
 
 
 def levy_fn(x: np.ndarray) -> float:
@@ -111,6 +205,26 @@ def levy_fn(x: np.ndarray) -> float:
     )
     tail = float((w[-1] - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * w[-1]) ** 2))
     return head + body + tail
+
+
+@_attach_batch(levy_fn)
+def _levy_rows(X: np.ndarray) -> np.ndarray:
+    W = 1.0 + (X - 1.0) / 4.0
+    inner = W[:, :-1]
+    body = np.sum(
+        (inner - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * inner + 1.0) ** 2), axis=1
+    ).tolist()
+    # The tail squares a numpy scalar, as levy_fn does (Python's ** raises
+    # OverflowError where numpy's gives inf).
+    return np.array(
+        [
+            math.sin(math.pi * first) ** 2
+            + b
+            + float((last - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * last) ** 2))
+            for first, b, last in zip(W[:, 0].tolist(), body, W[:, -1])
+        ],
+        dtype=float,
+    )
 
 
 # Schwefel's inner optimum (~420.97) sits outside the common [-100, 100]
@@ -127,11 +241,24 @@ def schwefel(x: np.ndarray) -> float:
     return float(_SCHWEFEL_C * x.size - np.sum(z * np.sin(np.sqrt(np.abs(z)))))
 
 
+@_attach_batch(schwefel)
+def _schwefel_rows(X: np.ndarray) -> np.ndarray:
+    Z = 10.0 * X
+    return _SCHWEFEL_C * X.shape[1] - np.sum(Z * np.sin(np.sqrt(np.abs(Z))), axis=1)
+
+
 def expanded_schaffer_f6(x: np.ndarray) -> float:
     a = x
     b = np.roll(x, -1)
     s = a * a + b * b
     return float(np.sum(0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2))
+
+
+@_attach_batch(expanded_schaffer_f6)
+def _expanded_schaffer_f6_rows(X: np.ndarray) -> np.ndarray:
+    B = np.roll(X, -1, axis=1)
+    S = X * X + B * B
+    return np.sum(0.5 + (np.sin(np.sqrt(S)) ** 2 - 0.5) / (1.0 + 0.001 * S) ** 2, axis=1)
 
 
 def _zeros(dim: int) -> np.ndarray:
@@ -262,6 +389,14 @@ def make_problem(
 
     def evaluate(x: np.ndarray, _fn=fn, _t=t) -> float:
         return _fn(apply_transform(_t, x))
+
+    @_attach_batch(evaluate)
+    def _rows(X: np.ndarray, _fn_rows=fn.batch, _t=t) -> np.ndarray:
+        # One matrix-vector product per row: (X - o) @ M.T differs in low bits.
+        Z = np.empty_like(X)
+        for i, x in enumerate(X):
+            Z[i] = apply_transform(_t, x)
+        return _fn_rows(Z)
 
     return Problem(
         name=f"{name}:sr{transform_seed}",

@@ -284,3 +284,59 @@ def test_params_default_to_the_library_defaults(algorithm, params, expected):
     config = OptimizerConfig(pop_size=6, budget=40, seed=2)
     got = cli.ALGORITHMS[algorithm](problem, config, make_rng(2), params)
     assert got.serialize() == expected(problem, config, make_rng(2)).serialize()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["run", "--algorithm", "de", "--param", "de.f=0.1"], ["'de.f'", "Cr, F"]),
+        (["run", "--algorithm", "random", "--param", "w=0.5"], ["'w'", "none"]),
+        # only compare reads a per-algorithm budget; run and arnas take --budget
+        (["run", "--algorithm", "mbgo", "--param", "budget=7"], ["'budget'", "delta_high, delta_low"]),
+        (["run", "--algorithm", "de", "--param", "de.budget=7"], ["'de.budget'", "Cr, F"]),
+        (["run", "--algorithm", "mbgo", "--param", "mbgo.beta=1.2"], ["'mbgo.beta'", "delta_high, delta_low"]),
+        (["run", "--algorithm", "de", "--param", "pso.w=0.5"], ["'pso'", "de"]),
+        (
+            ["compare", "--algorithm", "de", "--algorithm", "random", "--param", "w=0.5"],
+            ["'w'", "de, random", "Cr, F"],
+        ),
+        (
+            ["compare", "--algorithm", "embgo", "--algorithm", "pso", "--param", "embgo.v_max=3"],
+            ["'embgo.v_max'", "beta"],
+        ),
+    ],
+)
+def test_unknown_param_keys_are_configuration_errors(argv, named, tmp_path, capsys):
+    code = run_cli(*argv, "--problem", "sphere", "--dim", "2", "--pop", "5",
+                   "--budget", "20", "--trials", "2", "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert all(text in err for text in named), err
+    assert not list(tmp_path.iterdir())
+
+
+def test_declared_param_keys_are_accepted(tmp_path):
+    common = ["--problem", "sphere", "--dim", "2", "--pop", "5", "--trials", "2"]
+    assert run_cli(
+        "run", "--algorithm", "mbgo", "--param", "delta_low=0.5",
+        *common, "--budget", "20", "--out", str(tmp_path / "run"),
+    ) == 0
+    # an unscoped key needs only one selected algorithm that declares it
+    assert run_cli(
+        "compare", "--algorithm", "de", "--algorithm", "pso", "--param", "w=0.5",
+        "--param", "de.F=0.5", "--param", "pso.budget=20",
+        *common, "--budget", "20", "--out", str(tmp_path / "compare"),
+    ) == 0
+
+
+def test_arnas_rejects_unknown_param_before_loading_the_table(tmp_path, capsys):
+    assert run_cli(
+        "arnas", "--table", str(tmp_path / "missing.csv"), "--algorithm", "embgo",
+        "--param", "embgo.F=0.5", "--out", str(tmp_path),
+    ) == 2
+    assert "'embgo.F'" in capsys.readouterr().err
+    assert run_cli(
+        "arnas", "--table", str(tmp_path / "missing.csv"), "--algorithm", "embgo",
+        "--param", "budget=7", "--out", str(tmp_path),
+    ) == 2
+    assert "'budget'" in capsys.readouterr().err

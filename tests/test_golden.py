@@ -2,7 +2,10 @@
 
 Each (variant, problem) digest covers ``RunResult.serialize()`` over a
 grid of population sizes, budgets (several end mid-iteration) and seeds.
-A refactor that keeps the behaviour keeps every digest. A deliberate
+A second grid, the D axis, runs the five optimizers with their default
+parameters on all ten benchmarks at D = 1, 2 and 30 and on the rotated
+rastrigin at D = 300. A refactor that keeps the behaviour keeps every
+digest. A deliberate
 change to seeded output re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from battleopt import (
+    BENCHMARK_NAMES,
     DeParams,
     EmbgoParams,
     OptimizerConfig,
@@ -62,15 +66,34 @@ GRID = [(2, 41), (4, 64), (7, 150), (7, 157), (30, 181)]
 SEEDS = (0, 1)
 
 
-def digest(variant: str, problem) -> str:
+# D axis: name -> (problem spec, dimension).
+D_AXIS_PROBLEMS = {
+    **{f"{name}/d{d}": (name, d) for name in BENCHMARK_NAMES for d in (1, 2, 30)},
+    "rastrigin:sr/d300": ("rastrigin:sr", 300),
+}
+D_AXIS_VARIANTS = ("mbgo", "embgo", "de", "pso", "random")
+# Both budgets end mid-iteration for every optimizer; random search also
+# gets a budget that spans more than one chunk of samples.
+D_AXIS_GRID = [(4, 23), (5, 38)]
+D_AXIS_RANDOM_BUDGET = 600
+
+
+def digest(variant: str, problem, grid=GRID, seeds=SEEDS) -> str:
     h = hashlib.sha256()
-    for n, budget in GRID:
+    for n, budget in grid:
         if n < 4 and variant.startswith("de"):
             continue
-        for seed in SEEDS:
+        for seed in seeds:
             config = OptimizerConfig(pop_size=n, budget=budget, seed=seed)
             h.update(VARIANTS[variant](problem, config).serialize().encode())
     return h.hexdigest()
+
+
+def d_axis_digest(variant: str, problem) -> str:
+    grid = D_AXIS_GRID
+    if variant == "random":
+        grid = grid + [(1, D_AXIS_RANDOM_BUDGET)]
+    return digest(variant, problem, grid, seeds=(0,))
 
 
 def compute_all() -> dict:
@@ -79,6 +102,10 @@ def compute_all() -> dict:
         problem = make()
         for variant in VARIANTS:
             out[f"{variant}/{pname}"] = digest(variant, problem)
+    for pname, spec in D_AXIS_PROBLEMS.items():
+        problem = resolve_problem(*spec)
+        for variant in D_AXIS_VARIANTS:
+            out[f"{variant}/{pname}"] = d_axis_digest(variant, problem)
     return out
 
 
@@ -92,14 +119,27 @@ def problems():
     return {name: make() for name, make in PROBLEMS.items()}
 
 
+@pytest.fixture(scope="module")
+def d_axis_problems():
+    return {name: resolve_problem(*spec) for name, spec in D_AXIS_PROBLEMS.items()}
+
+
 def test_recorded_grid_matches_the_variants(recorded):
-    assert sorted(recorded) == sorted(f"{v}/{p}" for p in PROBLEMS for v in VARIANTS)
+    expected = [f"{v}/{p}" for p in PROBLEMS for v in VARIANTS]
+    expected += [f"{v}/{p}" for p in D_AXIS_PROBLEMS for v in D_AXIS_VARIANTS]
+    assert sorted(recorded) == sorted(expected)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_seeded_output_is_unchanged(variant, problems, recorded):
     for pname, problem in problems.items():
         assert digest(variant, problem) == recorded[f"{variant}/{pname}"], pname
+
+
+@pytest.mark.parametrize("variant", D_AXIS_VARIANTS)
+def test_seeded_output_is_unchanged_across_dimensions(variant, d_axis_problems, recorded):
+    for pname, problem in d_axis_problems.items():
+        assert d_axis_digest(variant, problem) == recorded[f"{variant}/{pname}"], pname
 
 
 if __name__ == "__main__":
