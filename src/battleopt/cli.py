@@ -15,6 +15,7 @@ errors, 1 on runtime errors. The default output directory comes from
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -105,6 +106,8 @@ def _parse_params(raw: list) -> dict:
             number = float(value)
         except ValueError:
             raise ConfigurationError(f"--param value must be numeric, got {item!r}")
+        if not math.isfinite(number):
+            raise ConfigurationError(f"--param value must be finite, got {item!r}")
         if "." in key:
             scope, _, name = key.partition(".")
             out.setdefault(scope.strip(), {})[name.strip()] = number
@@ -252,6 +255,8 @@ def cmd_compare(args) -> int:
         raise ConfigurationError(f"--reference {reference!r} is not among the algorithms")
     if args.trials < 2:
         raise ConfigurationError("compare needs at least 2 trials for the tests")
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigurationError(f"--alpha must lie strictly between 0 and 1, got {args.alpha!r}")
     parsed = _parse_params(args.param)
     _check_params(parsed, list(dict.fromkeys(entries)), extra=("budget",))
     budgets = {
@@ -424,6 +429,8 @@ def main(argv=None) -> int:
     if getattr(args, "budget", None) is None and args.command != "arnas":
         args.budget = 10000
     try:
+        if args.seed < 0:
+            raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (ConfigurationError, TableError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

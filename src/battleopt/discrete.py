@@ -13,6 +13,7 @@ starting with '#' are comments; ``# dataset=...`` and ``# attack=...``
 comments populate the table metadata.
 """
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -80,10 +81,27 @@ def code_to_string(code) -> str:
     return "".join(str(s) for s in code)
 
 
+@functools.cache
+def _code_of() -> dict:
+    """Every valid code string -> its code tuple, built on first use."""
+    return dict(
+        zip(
+            map("".join, itertools.product("01234", repeat=N_EDGES)),
+            itertools.product(range(N_SYMBOLS), repeat=N_EDGES),
+        )
+    )
+
+
+@functools.cache
+def _valid_codes() -> frozenset:
+    return frozenset(_code_of().values())
+
+
 def string_to_code(text: str) -> tuple:
-    if len(text) != N_EDGES or not all(c in "01234" for c in text):
+    code = _code_of().get(text)
+    if code is None:
         raise TableError(f"code must be {N_EDGES} digits 0-4, got {text!r}")
-    return tuple(int(c) for c in text)
+    return code
 
 
 @dataclass
@@ -122,7 +140,7 @@ class LookupTable:
 
 
 def _check_code(code) -> None:
-    if len(code) != N_EDGES or any(s not in range(N_SYMBOLS) for s in code):
+    if code not in _valid_codes():
         raise TableError(f"invalid architecture code {code!r}")
 
 

@@ -340,3 +340,59 @@ def test_arnas_rejects_unknown_param_before_loading_the_table(tmp_path, capsys):
         "--param", "budget=7", "--out", str(tmp_path),
     ) == 2
     assert "'budget'" in capsys.readouterr().err
+
+
+SMALL = ["--dim", "2", "--pop", "5", "--budget", "20", "--trials", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (["run", "--problem", "sphere", "--algorithm", "de", "--param", "de.F=nan"], "'de.F=nan'"),
+        (["run", "--problem", "sphere", "--algorithm", "de", "--param", "F=inf"], "'F=inf'"),
+        (["run", "--problem", "sphere", "--algorithm", "pso", "--param", "pso.w=nan"], "'pso.w=nan'"),
+        (
+            ["compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "pso",
+             "--param", "w=-inf"],
+            "'w=-inf'",
+        ),
+    ],
+)
+def test_non_finite_param_values_are_configuration_errors(argv, entry, tmp_path, capsys):
+    assert run_cli(*argv, *SMALL, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert entry in err and "finite" in err, err
+    assert not list(tmp_path.iterdir())
+
+
+def test_arnas_rejects_non_finite_param_before_loading_the_table(tmp_path, capsys):
+    assert run_cli(
+        "arnas", "--table", str(tmp_path / "missing.csv"), "--algorithm", "embgo",
+        "--param", "embgo.beta=NaN", "--out", str(tmp_path),
+    ) == 2
+    assert "'embgo.beta=NaN'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--problem", "sphere", "--algorithm", "random", *SMALL],
+        ["compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "random", *SMALL],
+        ["arnas", "--table", "missing.csv", "--trials", "1"],
+    ],
+)
+def test_negative_seed_is_a_configuration_error(argv, tmp_path, capsys):
+    assert run_cli(*argv, "--seed", "-5", "--out", str(tmp_path)) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("alpha", ["7", "1", "0", "-0.05", "nan"])
+def test_compare_alpha_outside_the_unit_interval_is_rejected(alpha, tmp_path, capsys):
+    assert run_cli(
+        "compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "random",
+        *SMALL, "--alpha", alpha, "--out", str(tmp_path),
+    ) == 2
+    assert "--alpha" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+

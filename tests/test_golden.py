@@ -4,9 +4,10 @@ Each (variant, problem) digest covers ``RunResult.serialize()`` over a
 grid of population sizes, budgets (several end mid-iteration) and seeds.
 A second grid, the D axis, runs the five optimizers with their default
 parameters on all ten benchmarks at D = 1, 2 and 30 and on the rotated
-rastrigin at D = 300. A refactor that keeps the behaviour keeps every
-digest. A deliberate
-change to seeded output re-records them with
+rastrigin at D = 300. A third covers the ``comparison.txt`` that a
+seeded ``battleopt compare`` writes, so the significance marks and ranks
+are pinned too. A refactor that keeps the behaviour keeps every digest.
+A deliberate change to seeded output re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -15,6 +16,7 @@ and names the change and its reason in CHANGES.md.
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,7 @@ from battleopt import (
     synthetic_table,
     table_problem,
 )
+from battleopt.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -78,6 +81,17 @@ D_AXIS_GRID = [(4, 23), (5, 38)]
 D_AXIS_RANDOM_BUDGET = 600
 
 
+# Compare axis: one seeded compare, reported against each reference. The
+# marks include '+' and '-' with pso as the reference, '+' and '~' with de.
+COMPARE_REFERENCES = ("de", "pso")
+COMPARE_ARGV = [
+    "compare", "--problem", "sphere", "--problem", "rastrigin",
+    "--algorithm", "embgo", "--algorithm", "de", "--algorithm", "pso",
+    "--algorithm", "random", "--dim", "5", "--pop", "10", "--budget", "300",
+    "--trials", "8", "--seed", "3",
+]
+
+
 def digest(variant: str, problem, grid=GRID, seeds=SEEDS) -> str:
     h = hashlib.sha256()
     for n, budget in grid:
@@ -96,6 +110,11 @@ def d_axis_digest(variant: str, problem) -> str:
     return digest(variant, problem, grid, seeds=(0,))
 
 
+def compare_digest(reference: str, out: Path) -> str:
+    assert main([*COMPARE_ARGV, "--reference", reference, "--out", str(out)]) == 0
+    return hashlib.sha256((out / "comparison.txt").read_bytes()).hexdigest()
+
+
 def compute_all() -> dict:
     out = {}
     for pname, make in PROBLEMS.items():
@@ -106,6 +125,9 @@ def compute_all() -> dict:
         problem = resolve_problem(*spec)
         for variant in D_AXIS_VARIANTS:
             out[f"{variant}/{pname}"] = d_axis_digest(variant, problem)
+    for reference in COMPARE_REFERENCES:
+        with tempfile.TemporaryDirectory() as tmp:
+            out[f"compare/{reference}"] = compare_digest(reference, Path(tmp))
     return out
 
 
@@ -127,6 +149,7 @@ def d_axis_problems():
 def test_recorded_grid_matches_the_variants(recorded):
     expected = [f"{v}/{p}" for p in PROBLEMS for v in VARIANTS]
     expected += [f"{v}/{p}" for p in D_AXIS_PROBLEMS for v in D_AXIS_VARIANTS]
+    expected += [f"compare/{reference}" for reference in COMPARE_REFERENCES]
     assert sorted(recorded) == sorted(expected)
 
 
@@ -140,6 +163,11 @@ def test_seeded_output_is_unchanged(variant, problems, recorded):
 def test_seeded_output_is_unchanged_across_dimensions(variant, d_axis_problems, recorded):
     for pname, problem in d_axis_problems.items():
         assert d_axis_digest(variant, problem) == recorded[f"{variant}/{pname}"], pname
+
+
+@pytest.mark.parametrize("reference", COMPARE_REFERENCES)
+def test_seeded_comparison_report_is_unchanged(reference, tmp_path, recorded):
+    assert compare_digest(reference, tmp_path) == recorded[f"compare/{reference}"]
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from battleopt import (
     Bounds,
@@ -16,6 +17,7 @@ from battleopt import (
     significance_marks,
 )
 from battleopt.core import make_rng
+from battleopt.stats import EXACT_ENUMERATION_LIMIT
 
 
 # --- population diversity ----------------------------------------------------
@@ -88,6 +90,59 @@ def oracle_exact_p(a, b, alternative="two-sided"):
         else:
             hits += u >= u_obs
     return u_obs, hits / total
+
+
+def enumerated_exact_p(a, b, alternative="two-sided"):
+    """The p-value by walking every labeling of the midranks, in float units."""
+    combined = np.concatenate([np.asarray(a, dtype=float), np.asarray(b, dtype=float)])
+    ranks = rankdata(combined, method="average")
+    na, n = len(a), combined.size
+    offset = na * (na + 1) / 2.0
+    mu = na * (n - na) / 2.0
+    u_obs = float(ranks[:na].sum() - offset)
+    total = 0
+    hits = 0
+    for subset in itertools.combinations(range(n), na):
+        u = ranks[list(subset)].sum() - offset
+        total += 1
+        if alternative == "two-sided":
+            hits += abs(u - mu) >= abs(u_obs - mu)
+        elif alternative == "less":
+            hits += u <= u_obs
+        else:
+            hits += u >= u_obs
+    return hits / total
+
+
+@st.composite
+def exact_path_samples(draw):
+    """Integer-valued (tie-heavy) samples with n_a * n_b on the exact path."""
+    na = draw(st.integers(1, EXACT_ENUMERATION_LIMIT))
+    nb = draw(st.integers(1, EXACT_ENUMERATION_LIMIT // na))
+    values = st.integers(0, 5).map(float)
+    a = draw(st.lists(values, min_size=na, max_size=na))
+    b = draw(st.lists(values, min_size=nb, max_size=nb))
+    return a, b
+
+
+ALTERNATIVES = ("two-sided", "less", "greater")
+
+
+@given(exact_path_samples(), st.sampled_from(ALTERNATIVES))
+@settings(max_examples=100, deadline=None)
+@example(([0.0], [float(v % 3) for v in range(64)]), "two-sided")
+@example(([1.0], [float(v % 3) for v in range(64)]), "less")
+@example(([2.0], [float(v % 3) for v in range(64)]), "greater")
+@example(([float(v % 3) for v in range(64)], [1.0]), "two-sided")
+@example(([float(v % 3) for v in range(64)], [2.0]), "less")
+@example(([float(v % 3) for v in range(64)], [0.0]), "greater")
+@example(([0.0, 1, 1, 2, 3, 3, 3, 5], [1.0, 2, 2, 2, 4, 4, 5, 5]), "two-sided")
+@example(([0.0, 1, 1, 2, 3, 3, 3, 5], [1.0, 2, 2, 2, 4, 4, 5, 5]), "less")
+@example(([0.0, 1, 1, 2, 3, 3, 3, 5], [1.0, 2, 2, 2, 4, 4, 5, 5]), "greater")
+@example(([3.0] * 8, [3.0] * 8), "two-sided")
+def test_mw_exact_p_is_bit_identical_to_enumeration(samples, alternative):
+    a, b = samples
+    assert mann_whitney_u(a, b, alternative)[1] == enumerated_exact_p(a, b, alternative)
 
 
 def test_mw_textbook_example():
