@@ -15,6 +15,7 @@ from .core import (
     ConfigurationError,
     Extremes,
     Individual,
+    MIN_POP_SIZE,
     OptimizerConfig,
     RunResult,
     best_worst,
@@ -39,6 +40,7 @@ from .discrete import (
 from .embgo import EmbgoParams, diff_mutation, levy_move, run_embgo
 from .levy import gamma_fn, levy_sample, levy_sigma
 from .mbgo import (
+    MbgoParams,
     SafeZone,
     battle_dir,
     battle_vs_stronger,

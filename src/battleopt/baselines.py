@@ -20,6 +20,7 @@ from .core import (
     OptimizerConfig,
     RunResult,
     best_worst,
+    check_pop_size,
     clamp,
     evaluate_population,
     greedy_replace,
@@ -78,8 +79,7 @@ def run_de(
     """
     if params is None:
         params = DeParams()
-    if config.pop_size < 4:
-        raise ConfigurationError("de needs a population of at least 4")
+    check_pop_size("de", config.pop_size)
     if config.budget < config.pop_size:
         raise ConfigurationError("budget must cover the initial evaluations")
     if rng is None:
@@ -142,8 +142,7 @@ def run_pso(
     """
     if params is None:
         params = PsoParams()
-    if config.pop_size < 2:
-        raise ConfigurationError("pso needs a population of at least 2")
+    check_pop_size("pso", config.pop_size)
     if config.budget < config.pop_size:
         raise ConfigurationError("budget must cover the initial evaluations")
     if rng is None:
@@ -178,7 +177,9 @@ def run_pso(
                 + params.c1 * r1 * (pbest[i] - positions[i])
                 + params.c2 * r2 * (gbest - positions[i])
             )
-            np.clip(velocities[i], -params.v_max, params.v_max, out=velocities[i])
+            # np.clip(v, -v_max, v_max, out=v) without its Python wrapper
+            v = velocities[i]
+            np.minimum(np.maximum(v, -params.v_max, out=v), params.v_max, out=v)
             positions[i] = clamp(positions[i] + velocities[i], bounds)
             budget.take()
             f = evaluate(positions[i])

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import DeParams, PsoParams, run_de, run_pso, run_random_search
-from .core import ConfigurationError, OptimizerConfig, RunResult, trial_rng
+from .core import ConfigurationError, OptimizerConfig, RunResult, check_pop_size, trial_rng
 from .discrete import (
     TableError,
     brute_force_optimum,
@@ -34,7 +34,7 @@ from .discrete import (
     table_problem,
 )
 from .embgo import EmbgoParams, run_embgo
-from .mbgo import run_mbgo
+from .mbgo import MbgoParams, run_mbgo
 from .problems import resolve_problem
 from .stats import ComparisonMatrix, average_rank, significance_marks
 
@@ -44,41 +44,56 @@ ENV_OUT_DIR = "BATTLEOPT_OUT"
 _FALLBACK_OUT = "battleopt-out"
 
 
-# The --param keys each algorithm declares. Their defaults live only in
-# the library: the params dataclasses and the run_mbgo signature.
+# Each algorithm's params dataclass. Its fields are the --param keys the
+# algorithm declares, and its defaults are the only defaults.
+PARAMS = {
+    "mbgo": MbgoParams,
+    "embgo": EmbgoParams,
+    "de": DeParams,
+    "pso": PsoParams,
+    "random": None,
+}
 PARAM_KEYS = {
-    "mbgo": ("delta_low", "delta_high"),
-    "embgo": tuple(f.name for f in fields(EmbgoParams)),
-    "de": tuple(f.name for f in fields(DeParams)),
-    "pso": tuple(f.name for f in fields(PsoParams)),
-    "random": (),
+    name: tuple(f.name for f in fields(spec)) if spec else () for name, spec in PARAMS.items()
 }
 
 
-def _given(params: dict, spec) -> dict:
-    """The keys of ``params`` that the dataclass ``spec`` declares, as its field types.
+def _build_params(algorithm: str, params: dict):
+    """``algorithm``'s params dataclass built from the keys of ``params`` it declares.
 
+    Values are converted to the field types; a bool field takes only 0 or 1.
     Keys the user did not set are left out, so their defaults come from
-    ``spec`` alone; other keys are ignored.
+    the dataclass alone; other keys are ignored.
     """
-    return {f.name: f.type(params[f.name]) for f in fields(spec) if f.name in params}
+    spec = PARAMS[algorithm]
+    if spec is None:
+        return None
+    given = {}
+    for f in fields(spec):
+        if f.name not in params:
+            continue
+        value = params[f.name]
+        if f.type is bool and value not in (0.0, 1.0):
+            raise ConfigurationError(f"--param {f.name} takes 0 or 1, got {value!r}")
+        given[f.name] = f.type(value)
+    return spec(**given)
 
 
 def _run_mbgo(problem, config, rng, params):
-    deltas = {key: params[key] for key in PARAM_KEYS["mbgo"] if key in params}
-    return run_mbgo(problem, config, rng, **deltas)
+    p = _build_params("mbgo", params)
+    return run_mbgo(problem, config, rng, delta_low=p.delta_low, delta_high=p.delta_high)
 
 
 def _run_embgo(problem, config, rng, params):
-    return run_embgo(problem, config, rng, EmbgoParams(**_given(params, EmbgoParams)))
+    return run_embgo(problem, config, rng, _build_params("embgo", params))
 
 
 def _run_de(problem, config, rng, params):
-    return run_de(problem, config, DeParams(**_given(params, DeParams)), rng)
+    return run_de(problem, config, _build_params("de", params), rng)
 
 
 def _run_pso(problem, config, rng, params):
-    return run_pso(problem, config, PsoParams(**_given(params, PsoParams)), rng)
+    return run_pso(problem, config, _build_params("pso", params), rng)
 
 
 def _run_random(problem, config, rng, params):
@@ -146,6 +161,17 @@ def _params_for(algorithm: str, parsed: dict) -> dict:
     return merged
 
 
+def _check_runs(parsed: dict, selected: list, pop: int) -> None:
+    """Reject a population size or a --param value a selected algorithm cannot run with.
+
+    Called before the first trial, so that no trial runs for a
+    configuration that a later one would reject.
+    """
+    for name in selected:
+        check_pop_size(name, pop)
+        _build_params(name, _params_for(name, parsed))
+
+
 def _resolve_out(args) -> Path:
     out = args.out or os.environ.get(ENV_OUT_DIR) or _FALLBACK_OUT
     path = Path(out)
@@ -200,6 +226,7 @@ def cmd_run(args) -> int:
         )
     parsed = _parse_params(args.param)
     _check_params(parsed, [args.algorithm])
+    _check_runs(parsed, [args.algorithm], args.pop)
     problem = resolve_problem(args.problem, args.dim)
     params = _params_for(args.algorithm, parsed)
     out = _resolve_out(args)
@@ -258,7 +285,9 @@ def cmd_compare(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ConfigurationError(f"--alpha must lie strictly between 0 and 1, got {args.alpha!r}")
     parsed = _parse_params(args.param)
-    _check_params(parsed, list(dict.fromkeys(entries)), extra=("budget",))
+    selected = list(dict.fromkeys(entries))
+    _check_params(parsed, selected, extra=("budget",))
+    _check_runs(parsed, selected, args.pop)
     budgets = {
         label: int(_params_for(base_of[label], parsed).get("budget", args.budget))
         for label in labels
@@ -336,12 +365,13 @@ def cmd_arnas(args) -> int:
         raise ConfigurationError(f"unknown algorithm {args.algorithm!r}")
     parsed = _parse_params(args.param)
     _check_params(parsed, [args.algorithm])
+    pop = args.pop if args.pop is not None else 50
+    _check_runs(parsed, [args.algorithm], pop)
     table = load_table(args.table)
     if not table.complete:
         raise ConfigurationError(f"table {args.table} is incomplete; arnas needs all codes")
     problem = table_problem(table)
     params = _params_for(args.algorithm, parsed)
-    pop = args.pop if args.pop is not None else 50
     budget = args.budget if args.budget is not None else 5000
     trials = args.trials
     opt_code, opt_acc = brute_force_optimum(table)

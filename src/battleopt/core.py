@@ -16,6 +16,8 @@ __all__ = [
     "Bounds",
     "Individual",
     "OptimizerConfig",
+    "MIN_POP_SIZE",
+    "check_pop_size",
     "RunResult",
     "EvaluationBudget",
     "make_rng",
@@ -80,13 +82,17 @@ class Bounds:
 
 
 def clamp(position: np.ndarray, bounds: Bounds) -> np.ndarray:
-    """Project a position component-wise onto the box."""
+    """Project a position component-wise onto the box.
+
+    ``minimum(maximum(x, lower), upper)`` is what ``np.clip`` computes for
+    floats (NaN and signed zeros included), without its Python wrapper.
+    """
     position = np.asarray(position, dtype=float)
     if position.shape != bounds.lower.shape:
         raise ValueError(
             f"position has {position.size} components, bounds expect {bounds.dim}"
         )
-    return np.clip(position, bounds.lower, bounds.upper)
+    return np.minimum(np.maximum(position, bounds.lower), bounds.upper)
 
 
 @dataclass
@@ -186,6 +192,22 @@ class OptimizerConfig:
             raise ConfigurationError("pop_size must be positive")
         if self.budget < 1:
             raise ConfigurationError("budget must be positive")
+
+
+# The smallest population each optimizer runs with: a battle needs an
+# enemy, PSO a second particle, DE three distinct peers besides the member;
+# random search keeps none (OptimizerConfig's pop_size >= 1 covers it).
+# battle_game, run_de, run_pso and the CLI all check against this table.
+MIN_POP_SIZE = {"mbgo": 2, "embgo": 2, "de": 4, "pso": 2, "random": 1}
+
+
+def check_pop_size(name: str, pop_size: int) -> None:
+    """Reject a population smaller than ``MIN_POP_SIZE[name]``."""
+    minimum = MIN_POP_SIZE[name]
+    if pop_size < minimum:
+        raise ConfigurationError(
+            f"{name} needs a population of at least {minimum}, got {pop_size}"
+        )
 
 
 class EvaluationBudget:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import Bounds, ConfigurationError, Individual, OptimizerConfig, RunResult, clamp
 from .levy import DEFAULT_BETA, levy_sample
-from .mbgo import battle, battle_game, in_safe_zone, safe_zone_radius
+from .mbgo import MbgoParams, battle, battle_game, in_safe_zone, safe_zone_radius
 
 # Not called here (the run loop and the battle step live in battleopt.mbgo),
 # but kept as module attributes: perfbench/spans.py TRACE_POINTS rebinds them.
@@ -26,21 +26,18 @@ __all__ = ["EmbgoParams", "diff_mutation", "levy_move", "run_embgo"]
 
 
 @dataclass(frozen=True)
-class EmbgoParams:
-    """Tunables: radius amplification range, Levy index, mutation coupling.
+class EmbgoParams(MbgoParams):
+    """Tunables: MBGO's radius amplification range, Levy index, mutation coupling.
 
     ``independent_r`` selects whether the two sine coefficients in the
     differential mutation use independent draws (default) or share one.
     """
 
-    delta_low: float = 0.8
-    delta_high: float = 1.2
     beta: float = DEFAULT_BETA
     independent_r: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.delta_low < self.delta_high:
-            raise ConfigurationError("need 0 < delta_low < delta_high")
+        super().__post_init__()
         if not 0.0 < self.beta < 2.0:
             raise ConfigurationError("beta must lie in (0, 2)")
 

@@ -6,6 +6,7 @@ sampled independently per dimension. beta is restricted to the open
 interval (0, 2): sigma degenerates to 0 at beta = 2.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -27,9 +28,15 @@ def levy_sigma(beta: float) -> float:
     """Scale of the numerator normal in the Mantegna step.
 
     sigma = {Gamma(1+b) sin(pi b / 2) / [b Gamma((1+b)/2) 2^((b-1)/2)]}^(1/b),
-    which equals 1 exactly at beta = 1.
+    which equals 1 exactly at beta = 1. Every Levy step needs it, so the
+    value is computed once per ``float(beta)`` and cached.
     """
     _check_beta(beta)
+    return _levy_sigma(float(beta))
+
+
+@functools.lru_cache(maxsize=32)  # one beta per run; bounded for beta sweeps
+def _levy_sigma(beta: float) -> float:
     num = gamma_fn(1.0 + beta) * math.sin(math.pi * beta / 2.0)
     den = beta * gamma_fn((1.0 + beta) / 2.0) * 2.0 ** ((beta - 1.0) / 2.0)
     return (num / den) ** (1.0 / beta)

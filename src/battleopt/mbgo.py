@@ -12,6 +12,7 @@ are shared with the merged-phase variant in :mod:`battleopt.embgo`.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .core import (
     OptimizerConfig,
     RunResult,
     best_worst,
+    check_pop_size,
     clamp,
     evaluate_population,
     greedy_replace,
@@ -34,6 +36,7 @@ from .stats import population_diversity
 
 __all__ = [
     "RADIUS_EPSILON",
+    "MbgoParams",
     "SafeZone",
     "safe_zone_radius",
     "in_safe_zone",
@@ -52,6 +55,18 @@ __all__ = [
 RADIUS_EPSILON = 1e-12
 
 
+@dataclass(frozen=True)
+class MbgoParams:
+    """Safe-zone tunables: the radius amplification delta ~ U(delta_low, delta_high)."""
+
+    delta_low: float = 0.8
+    delta_high: float = 1.2
+
+    def __post_init__(self):
+        if not 0.0 < self.delta_low < self.delta_high < math.inf:
+            raise ConfigurationError("need 0 < delta_low < delta_high, both finite")
+
+
 class SafeZone:
     """Hypersphere around the current best individual."""
 
@@ -66,22 +81,33 @@ def safe_zone_radius(
     best: Individual,
     worst: Individual,
     rng: np.random.Generator,
-    delta_low: float = 0.8,
-    delta_high: float = 1.2,
+    delta_low: float = MbgoParams.delta_low,
+    delta_high: float = MbgoParams.delta_high,
 ) -> SafeZone:
     """Zone centered on the best member, radius (||best - worst|| + eps) * delta.
 
     delta ~ U(delta_low, delta_high) amplifies the best-to-worst distance;
     the epsilon keeps the radius positive for a collapsed population.
+    delta is ``rng.uniform(delta_low, delta_high)`` written out: numpy
+    checks the range as below and returns ``low + range * random()`` from
+    one draw. The norm is numpy's 1-D ``norm``, ``sqrt(d . d)``.
     """
-    delta = rng.uniform(delta_low, delta_high)
-    gap = float(np.linalg.norm(best.position - worst.position))
+    low = float(delta_low)
+    span = float(delta_high) - low
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if math.copysign(1.0, span) < 0.0:
+        raise ValueError("high - low < 0")
+    delta = low + span * rng.random()
+    d = best.position - worst.position
+    gap = math.sqrt(d.dot(d))
     return SafeZone(center=best.position, radius=(gap + RADIUS_EPSILON) * delta)
 
 
 def in_safe_zone(x: Individual, zone: SafeZone) -> bool:
     """Euclidean membership test, boundary inclusive."""
-    return float(np.linalg.norm(x.position - zone.center)) <= zone.radius
+    d = x.position - zone.center
+    return math.sqrt(d.dot(d)) <= zone.radius
 
 
 def move_inside(
@@ -193,10 +219,11 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> Run
     selection costs O(1) amortized per candidate, and the population is
     rescanned only when its worst member improves. One trace point and
     one diversity point are recorded per iteration. ``name`` labels the
-    configuration errors; ``rng`` defaults to ``make_rng(config.seed)``.
+    configuration errors and selects the population minimum in
+    :data:`~battleopt.core.MIN_POP_SIZE`; ``rng`` defaults to
+    ``make_rng(config.seed)``.
     """
-    if config.pop_size < 2:
-        raise ConfigurationError(f"{name} needs a population of at least 2")
+    check_pop_size(name, config.pop_size)
     if config.budget < config.pop_size:
         raise ConfigurationError("budget must cover the initial evaluations")
     if rng is None:
@@ -243,8 +270,8 @@ def run_mbgo(
     config: OptimizerConfig,
     rng: np.random.Generator = None,
     *,
-    delta_low: float = 0.8,
-    delta_high: float = 1.2,
+    delta_low: float = MbgoParams.delta_low,
+    delta_high: float = MbgoParams.delta_high,
     movement_phase: bool = True,
     battle_phase: bool = True,
 ) -> RunResult:
@@ -252,9 +279,10 @@ def run_mbgo(
 
     The safe zone is recomputed from the current best/worst before each
     individual's movement step, and enemies are redrawn per battle step.
-    The phase flags exist for ablation studies only; at least one must
-    stay on.
+    The deltas are checked as :class:`MbgoParams`. The phase flags exist
+    for ablation studies only; at least one must stay on.
     """
+    MbgoParams(delta_low, delta_high)
     if not (movement_phase or battle_phase):
         raise ConfigurationError("mbgo needs the movement phase, the battle phase or both")
     bounds = problem.bounds

@@ -107,11 +107,14 @@ def _attach_batch(evaluate: Callable):
 # calls and its reductions along a row give the same bits as on one
 # vector; where the scalar form uses ``math`` (or Python ``**``) the
 # row-wise form does too, one row at a time, because numpy's exp, sin and
-# power differ from them in the last bits.
+# power differ from them in the last bits. The scalar forms reduce with
+# np.add.reduce and np.multiply.reduce: np.sum and np.prod run the same
+# reduction on a vector, behind a Python wrapper that costs more than a
+# short sum.
 
 
 def sphere(x: np.ndarray) -> float:
-    return float(np.sum(x * x))
+    return float(np.add.reduce(x * x))
 
 
 @_attach_batch(sphere)
@@ -120,7 +123,7 @@ def _sphere_rows(X: np.ndarray) -> np.ndarray:
 
 
 def bent_cigar(x: np.ndarray) -> float:
-    return float(x[0] * x[0] + 1e6 * np.sum(x[1:] * x[1:]))
+    return float(x[0] * x[0] + 1e6 * np.add.reduce(x[1:] * x[1:]))
 
 
 @_attach_batch(bent_cigar)
@@ -129,8 +132,8 @@ def _bent_cigar_rows(X: np.ndarray) -> np.ndarray:
 
 
 def zakharov(x: np.ndarray) -> float:
-    s1 = float(np.sum(x * x))
-    s2 = 0.5 * float(np.sum(np.arange(1, x.size + 1) * x))
+    s1 = float(np.add.reduce(x * x))
+    s2 = 0.5 * float(np.add.reduce(np.arange(1, x.size + 1) * x))
     return s1 + s2**2 + s2**4
 
 
@@ -143,7 +146,7 @@ def _zakharov_rows(X: np.ndarray) -> np.ndarray:
 
 def rosenbrock(x: np.ndarray) -> float:
     return float(
-        np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2)
+        np.add.reduce(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2)
     )
 
 
@@ -154,7 +157,7 @@ def _rosenbrock_rows(X: np.ndarray) -> np.ndarray:
 
 
 def rastrigin(x: np.ndarray) -> float:
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+    return float(10.0 * x.size + np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
 
 
 @_attach_batch(rastrigin)
@@ -165,8 +168,8 @@ def _rastrigin_rows(X: np.ndarray) -> np.ndarray:
 def ackley(x: np.ndarray) -> float:
     d = x.size
     return float(
-        -20.0 * math.exp(-0.2 * math.sqrt(np.sum(x * x) / d))
-        - math.exp(np.sum(np.cos(2.0 * np.pi * x)) / d)
+        -20.0 * math.exp(-0.2 * math.sqrt(np.add.reduce(x * x) / d))
+        - math.exp(np.add.reduce(np.cos(2.0 * np.pi * x)) / d)
         + 20.0
         + math.e
     )
@@ -187,8 +190,8 @@ def _ackley_rows(X: np.ndarray) -> np.ndarray:
 
 
 def griewank(x: np.ndarray) -> float:
-    prod = float(np.prod(np.cos(x / np.sqrt(np.arange(1, x.size + 1)))))
-    return float(1.0 + np.sum(x * x) / 4000.0 - prod)
+    prod = float(np.multiply.reduce(np.cos(x / np.sqrt(np.arange(1, x.size + 1)))))
+    return float(1.0 + np.add.reduce(x * x) / 4000.0 - prod)
 
 
 @_attach_batch(griewank)
@@ -201,7 +204,7 @@ def levy_fn(x: np.ndarray) -> float:
     w = 1.0 + (x - 1.0) / 4.0
     head = math.sin(math.pi * w[0]) ** 2
     body = float(
-        np.sum((w[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * w[:-1] + 1.0) ** 2))
+        np.add.reduce((w[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * w[:-1] + 1.0) ** 2))
     )
     tail = float((w[-1] - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * w[-1]) ** 2))
     return head + body + tail
@@ -238,7 +241,7 @@ _SCHWEFEL_C = _SCHWEFEL_INNER * math.sin(math.sqrt(_SCHWEFEL_INNER))
 
 def schwefel(x: np.ndarray) -> float:
     z = 10.0 * x
-    return float(_SCHWEFEL_C * x.size - np.sum(z * np.sin(np.sqrt(np.abs(z)))))
+    return float(_SCHWEFEL_C * x.size - np.add.reduce(z * np.sin(np.sqrt(np.abs(z)))))
 
 
 @_attach_batch(schwefel)
@@ -249,9 +252,9 @@ def _schwefel_rows(X: np.ndarray) -> np.ndarray:
 
 def expanded_schaffer_f6(x: np.ndarray) -> float:
     a = x
-    b = np.roll(x, -1)
+    b = np.concatenate((x[1:], x[:1]))  # np.roll(x, -1) without its wrapper
     s = a * a + b * b
-    return float(np.sum(0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2))
+    return float(np.add.reduce(0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2))
 
 
 @_attach_batch(expanded_schaffer_f6)

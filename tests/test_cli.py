@@ -1,10 +1,12 @@
 import itertools
+from dataclasses import fields
 
 import pytest
 
 from battleopt import (
     DeParams,
     EmbgoParams,
+    MbgoParams,
     OptimizerConfig,
     PsoParams,
     make_rng,
@@ -396,3 +398,102 @@ def test_compare_alpha_outside_the_unit_interval_is_rejected(alpha, tmp_path, ca
     assert "--alpha" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
+
+
+def count_trials(monkeypatch) -> list:
+    """Record the algorithm of every trial the CLI starts."""
+    started = []
+    for name, runner in list(cli.ALGORITHMS.items()):
+        def counted(problem, config, rng, params, _name=name, _runner=runner):
+            started.append(_name)
+            return _runner(problem, config, rng, params)
+
+        monkeypatch.setitem(cli.ALGORITHMS, name, counted)
+    return started
+
+
+RUN = ["--problem", "sphere", "--dim", "2", "--budget", "20", "--trials", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--algorithm", "de", "--pop", "3", *RUN],
+         "de needs a population of at least 4, got 3"),
+        (["run", "--algorithm", "pso", "--pop", "1", *RUN],
+         "pso needs a population of at least 2, got 1"),
+        (["run", "--algorithm", "random", "--pop", "0", *RUN],
+         "random needs a population of at least 1, got 0"),
+        (["compare", "--algorithm", "embgo", "--algorithm", "de", "--pop", "3", *RUN],
+         "de needs a population of at least 4, got 3"),
+        (["compare", "--algorithm", "random", "--algorithm", "mbgo", "--pop", "1", *RUN],
+         "mbgo needs a population of at least 2, got 1"),
+        (["arnas", "--table", "missing.csv", "--algorithm", "embgo", "--pop", "1"],
+         "embgo needs a population of at least 2, got 1"),
+    ],
+)
+def test_population_minimum_is_checked_before_any_trial(argv, message, tmp_path, capsys,
+                                                         monkeypatch):
+    started = count_trials(monkeypatch)
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert message in capsys.readouterr().err
+    assert started == []
+    assert not list(tmp_path.iterdir())
+
+
+def test_population_minimum_is_accepted(tmp_path):
+    assert run_cli(
+        "compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "pso",
+        "--algorithm", "random", "--dim", "2", "--pop", "4", "--budget", "20",
+        "--trials", "2", "--out", str(tmp_path),
+    ) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--problem", "sphere", "--algorithm", "mbgo",
+         "--param", "mbgo.delta_low=1.2", "--param", "mbgo.delta_high=0.8"],
+        ["run", "--problem", "sphere", "--algorithm", "mbgo", "--param", "mbgo.delta_low=-1"],
+        ["compare", "--problem", "sphere", "--algorithm", "random", "--algorithm", "mbgo",
+         "--param", "delta_low=1.2", "--param", "delta_high=0.8"],
+        ["run", "--problem", "sphere", "--algorithm", "de", "--param", "de.F=-1"],
+        ["compare", "--problem", "sphere", "--algorithm", "random", "--algorithm", "embgo",
+         "--param", "embgo.beta=2.5"],
+    ],
+)
+def test_bad_param_values_are_rejected_before_any_trial(argv, tmp_path, capsys, monkeypatch):
+    started = count_trials(monkeypatch)
+    assert run_cli(*argv, *SMALL, "--out", str(tmp_path)) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert started == []
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["0.5", "2", "-1", "1e-9"])
+def test_bool_param_takes_only_zero_or_one(value, tmp_path, capsys):
+    assert run_cli(
+        "run", "--problem", "sphere", "--algorithm", "embgo",
+        "--param", f"embgo.independent_r={value}", *SMALL, "--out", str(tmp_path),
+    ) == 2
+    assert "independent_r takes 0 or 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value, flag", [("1", True), ("0", False), ("1.0", True)])
+def test_bool_param_zero_or_one_runs(value, flag, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(
+        "run", "--problem", "sphere", "--algorithm", "embgo",
+        "--param", f"embgo.independent_r={value}", *SMALL, "--out", str(out),
+    ) == 0
+    problem = resolve_problem("sphere", 2)
+    config = OptimizerConfig(pop_size=5, budget=20, seed=0)
+    expected = run_embgo(problem, config, make_rng(0), EmbgoParams(independent_r=flag))
+    trace = (out / "sphere_embgo_trial000.csv").read_text().splitlines()
+    assert f"# params=[('independent_r', {float(value)!r})]" in trace
+    assert trace[-1].split(",")[1] == repr(expected.trace[-1][1])
+
+
+def test_mbgo_param_keys_are_the_mbgo_params_fields():
+    assert cli.PARAM_KEYS["mbgo"] == tuple(f.name for f in fields(MbgoParams))

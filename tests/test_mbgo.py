@@ -1,9 +1,13 @@
+import inspect
+import math
+
 import numpy as np
 import pytest
 
 from battleopt import (
     Bounds,
     ConfigurationError,
+    MbgoParams,
     OptimizerConfig,
     battle_dir,
     battle_vs_stronger,
@@ -242,3 +246,25 @@ def test_trace_monotone_and_final_in_bounds():
     fits = [f for _, f in result.trace]
     assert all(b <= a for a, b in zip(fits, fits[1:]))
     assert problem.bounds.contains(result.best.position)
+
+
+@pytest.mark.parametrize(
+    "delta_low, delta_high",
+    [(1.2, 0.8), (1.0, 1.0), (-1.0, 1.2), (0.0, 1.2), (0.8, math.inf), (math.nan, 1.2)],
+)
+def test_bad_deltas_are_rejected_before_the_run(delta_low, delta_high):
+    with pytest.raises(ConfigurationError, match="delta_low < delta_high"):
+        MbgoParams(delta_low, delta_high)
+    with pytest.raises(ConfigurationError, match="delta_low < delta_high"):
+        run_mbgo(make_problem("sphere", 2), OptimizerConfig(4, 20, 0),
+                 delta_low=delta_low, delta_high=delta_high)
+
+
+def test_run_mbgo_defaults_are_the_mbgo_params_defaults():
+    signature = inspect.signature(run_mbgo).parameters
+    defaults = MbgoParams()
+    assert signature["delta_low"].default == defaults.delta_low
+    assert signature["delta_high"].default == defaults.delta_high
+    safe_zone = inspect.signature(safe_zone_radius).parameters
+    assert safe_zone["delta_low"].default == defaults.delta_low
+    assert safe_zone["delta_high"].default == defaults.delta_high
