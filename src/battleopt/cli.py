@@ -294,6 +294,7 @@ def cmd_compare(args) -> int:
     }
     if len(set(budgets.values())) != 1:
         raise ConfigurationError(f"unequal budgets {budgets} make the comparison unfair")
+    budget = budgets[labels[0]]
 
     problems = [resolve_problem(name, args.dim) for name in args.problem]
     samples = {}
@@ -302,8 +303,7 @@ def cmd_compare(args) -> int:
             params = _params_for(base_of[label], parsed)
             params.pop("budget", None)
             results = _execute_trials(
-                problem, base_of[label], params, args.pop, args.budget,
-                args.trials, args.seed,
+                problem, base_of[label], params, args.pop, budget, args.trials, args.seed
             )
             samples[(problem.name, label)] = [r.final_fitness for r in results]
     matrix = ComparisonMatrix(
@@ -323,7 +323,7 @@ def cmd_compare(args) -> int:
                     "reference": reference,
                     "dim": args.dim,
                     "pop": args.pop,
-                    "budget": args.budget,
+                    "budget": budget,
                     "trials": args.trials,
                     "seed": args.seed,
                     "alpha": args.alpha,

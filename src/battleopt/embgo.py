@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Bounds, ConfigurationError, Individual, OptimizerConfig, RunResult, clamp
-from .levy import DEFAULT_BETA, levy_sample
+from .levy import DEFAULT_BETA, levy_sample, levy_sigma
 from .mbgo import MbgoParams, battle, battle_game, in_safe_zone, safe_zone_radius
 
 # Not called here (the run loop and the battle step live in battleopt.mbgo),
@@ -38,8 +38,10 @@ class EmbgoParams(MbgoParams):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 < self.beta < 2.0:
-            raise ConfigurationError("beta must lie in (0, 2)")
+        try:  # beta in (0, 2) and a finite Levy scale
+            levy_sigma(self.beta)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from None
 
 
 def diff_mutation(

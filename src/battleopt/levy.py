@@ -29,7 +29,8 @@ def levy_sigma(beta: float) -> float:
 
     sigma = {Gamma(1+b) sin(pi b / 2) / [b Gamma((1+b)/2) 2^((b-1)/2)]}^(1/b),
     which equals 1 exactly at beta = 1. Every Levy step needs it, so the
-    value is computed once per ``float(beta)`` and cached.
+    value is computed once per ``float(beta)`` and cached. Below beta of
+    about 3.18e-4 the power overflows and a ``ValueError`` names the beta.
     """
     _check_beta(beta)
     return _levy_sigma(float(beta))
@@ -39,7 +40,15 @@ def levy_sigma(beta: float) -> float:
 def _levy_sigma(beta: float) -> float:
     num = gamma_fn(1.0 + beta) * math.sin(math.pi * beta / 2.0)
     den = beta * gamma_fn((1.0 + beta) / 2.0) * 2.0 ** ((beta - 1.0) / 2.0)
-    return (num / den) ** (1.0 / beta)
+    exponent = 1.0 / beta
+    try:
+        sigma = (num / den) ** exponent
+    except OverflowError:
+        sigma = math.inf
+    # a subnormal beta makes the exponent inf, and its ratio may round to 1
+    if math.isinf(exponent) or math.isinf(sigma):
+        raise ValueError(f"the Levy scale sigma overflows at beta={beta!r}; beta is too small")
+    return sigma
 
 
 def levy_sample(beta: float, dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "population_diversity",
@@ -41,8 +40,24 @@ def population_diversity(pop, bounds) -> float:
     return float(normalized.mean())
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    return rankdata(values, method="average")
+def _midranks(values) -> np.ndarray:
+    """Ranks 1..n of ``values`` as float64, ties sharing their mean rank.
+
+    The average method of ``scipy.stats.rankdata``, bit for bit: -0.0 ties
+    with 0.0, infinities rank at the ends, and a NaN anywhere makes every
+    rank NaN.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    inverse = np.empty(x.size, dtype=np.intp)
+    inverse[order] = np.arange(x.size)
+    s = x[order]
+    starts = np.concatenate(([True], s[1:] != s[:-1]))
+    dense = np.cumsum(starts)[inverse]
+    count = np.concatenate((np.flatnonzero(starts), [x.size]))
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
 def _tie_sizes(values: np.ndarray) -> np.ndarray:
@@ -222,6 +237,6 @@ def average_rank(matrix: ComparisonMatrix) -> dict:
     totals = {alg: 0.0 for alg in matrix.algorithms}
     for prob in matrix.problems:
         means = [matrix.mean(prob, alg) for alg in matrix.algorithms]
-        for alg, rank in zip(matrix.algorithms, rankdata(means)):
+        for alg, rank in zip(matrix.algorithms, _midranks(means)):
             totals[alg] += float(rank)
     return {alg: total / len(matrix.problems) for alg, total in totals.items()}

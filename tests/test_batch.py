@@ -212,14 +212,19 @@ def test_replaced_evaluate_sees_every_evaluation(name):
     assert wrapped.serialize() == plain.serialize()
 
 
-def _nan_on_calls(problem, calls):
+def _values_on_calls(problem, values):
+    """``problem`` returning ``values[k]`` instead at its k-th evaluation (from 1)."""
     count = [0]
 
     def evaluate(x):
         count[0] += 1
-        return math.nan if count[0] in calls else problem.evaluate(x)
+        return values[count[0]] if count[0] in values else problem.evaluate(x)
 
     return dataclasses.replace(problem, evaluate=evaluate)
+
+
+def _nan_on_calls(problem, calls):
+    return _values_on_calls(problem, dict.fromkeys(calls, math.nan))
 
 
 def _assert_clean(result):
@@ -238,6 +243,20 @@ def test_nan_first_evaluation_never_becomes_the_best(name):
     _assert_clean(result)
     assert math.isfinite(result.final_fitness)
     assert result.final_fitness == problem.evaluate(result.best.position)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(RUNNERS)),
+    values=st.dictionaries(
+        st.integers(1, 120), st.sampled_from([math.nan, math.inf, -math.inf]), max_size=8
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_non_finite_values_at_any_evaluation_keep_the_trace_clean(name, values, seed):
+    problem = resolve_problem("sphere", 3)
+    config = OptimizerConfig(pop_size=6, budget=120, seed=seed)
+    _assert_clean(RUNNERS[name](_values_on_calls(problem, values), config))
 
 
 def test_random_search_with_only_nan_reports_inf():

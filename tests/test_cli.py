@@ -470,6 +470,29 @@ def test_bad_param_values_are_rejected_before_any_trial(argv, tmp_path, capsys, 
     assert not list(tmp_path.iterdir())
 
 
+def test_beta_whose_levy_scale_overflows_is_rejected_before_any_trial(tmp_path, capsys,
+                                                                     monkeypatch):
+    started = count_trials(monkeypatch)
+    assert run_cli(
+        "run", "--problem", "sphere", "--algorithm", "embgo", "--param", "embgo.beta=1e-300",
+        *SMALL, "--out", str(tmp_path),
+    ) == 2
+    assert "beta=1e-300" in capsys.readouterr().err
+    assert started == []
+    assert not list(tmp_path.iterdir())
+
+
+def test_compare_runs_with_the_budget_param(tmp_path):
+    argv = ["compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "random",
+            "--dim", "2", "--pop", "5", "--trials", "2"]
+    assert run_cli(*argv, "--budget", "100", "--param", "budget=60",
+                   "--out", str(tmp_path / "param")) == 0
+    assert run_cli(*argv, "--budget", "60", "--out", str(tmp_path / "flag")) == 0
+    report = (tmp_path / "param" / "comparison.txt").read_text()
+    assert "# budget=60\n" in report
+    assert report == (tmp_path / "flag" / "comparison.txt").read_text()
+
+
 @pytest.mark.parametrize("value", ["0.5", "2", "-1", "1e-9"])
 def test_bool_param_takes_only_zero_or_one(value, tmp_path, capsys):
     assert run_cli(

@@ -77,6 +77,8 @@ def test_params_validation():
         EmbgoParams(delta_low=1.5, delta_high=1.2)
     with pytest.raises(ConfigurationError):
         EmbgoParams(beta=2.0)
+    with pytest.raises(ConfigurationError, match="beta=1e-300"):
+        EmbgoParams(beta=1e-300)
 
 
 def test_budget_equals_pop_returns_initial_best():

@@ -205,10 +205,21 @@ def test_cached_levy_sigma_is_the_formula(beta):
     def outcome(sigma, b):
         try:
             return float_bits(sigma(b))
-        except OverflowError:  # (num / den) ** (1 / beta) for a tiny beta
-            return OverflowError
+        except ValueError:  # sigma overflows for a tiny beta
+            return ValueError
 
-    expected = outcome(uncached_levy_sigma, beta)
+    def formula(b):
+        # (num / den) ** (1 / beta) overflows, or 1 / beta itself is inf
+        # for a subnormal beta and the power is meaningless
+        try:
+            sigma = uncached_levy_sigma(b)
+        except OverflowError:
+            sigma = math.inf
+        if math.isinf(sigma) or math.isinf(1.0 / b):
+            raise ValueError
+        return sigma
+
+    expected = outcome(formula, beta)
     assert outcome(levy_sigma, beta) == expected
     assert outcome(levy_sigma, beta) == expected  # the cached value
     assert outcome(levy_sigma, np.float64(beta)) == expected

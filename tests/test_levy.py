@@ -50,6 +50,13 @@ def test_sigma_domain_errors():
             levy_sigma(beta)
 
 
+def test_sigma_overflow_is_a_value_error_naming_beta():
+    for beta in (1e-323, 1e-300, 3.1e-4):
+        with pytest.raises(ValueError, match=f"beta={beta!r}"):
+            levy_sigma(beta)
+    assert math.isfinite(levy_sigma(3.3e-4))
+
+
 def test_sample_zero_numerator_gives_zero_step():
     rng = FixedRng(normals=[0.0, 0.0, 0.0, 0.7, -1.1, 0.4])
     steps = levy_sample(1.5, 3, rng)

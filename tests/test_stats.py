@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from battleopt import (
     significance_marks,
 )
 from battleopt.core import make_rng
-from battleopt.stats import EXACT_ENUMERATION_LIMIT
+from battleopt.stats import EXACT_ENUMERATION_LIMIT, _midranks
 
 
 # --- population diversity ----------------------------------------------------
@@ -55,6 +56,73 @@ def test_diversity_bounded_fuzz():
         positions = rng.uniform(-5.0, 5.0, size=(n, d))
         pd = population_diversity(positions, box)
         assert 0.0 <= pd <= 1.0
+
+
+# --- midranks ------------------------------------------------------------------
+
+SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 5e-324, 1e300]
+
+
+def assert_scipy_midranks(values):
+    """``_midranks`` equals scipy's average-method ranks bit for bit."""
+    ours = _midranks(values)
+    oracle = rankdata(values, method="average")
+    assert ours.dtype == np.float64 and ours.shape == oracle.shape
+    np.testing.assert_array_equal(ours.view(np.int64), oracle.view(np.int64))
+    return ours
+
+
+@st.composite
+def tie_heavy_values(draw, min_size=0):
+    """0-64 values drawn from a pool of at most five, so most of them tie."""
+    pool = draw(st.lists(
+        st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(allow_nan=False)),
+        min_size=1, max_size=5,
+    ))
+    return draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=64))
+
+
+@given(tie_heavy_values())
+@settings(max_examples=300)
+@example([])
+@example([0.0, -0.0, -0.0, 0.0])
+@example([math.inf, -math.inf, math.inf, 1.0, -math.inf])
+@example([2.0] * 64)
+def test_midranks_match_scipy(values):
+    assert_scipy_midranks(np.array(values))
+
+
+@given(st.lists(st.floats(allow_nan=False), max_size=64))
+@settings(max_examples=100)
+def test_midranks_of_distinct_values_match_scipy(values):
+    assert_scipy_midranks(np.array(values))
+
+
+@given(tie_heavy_values(min_size=1), st.data())
+@settings(max_examples=100)
+def test_midranks_with_a_nan_anywhere_are_all_nan(values, data):
+    values = np.array(values)
+    values[data.draw(st.integers(0, values.size - 1))] = math.nan
+    assert np.isnan(assert_scipy_midranks(values)).all()
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -math.inf, math.inf]), min_size=2, max_size=6),
+       st.integers(1, 4), st.data())
+@settings(max_examples=100)
+def test_average_rank_of_tied_means_matches_scipy(first, problems, data):
+    k = len(first)
+    values = st.lists(st.sampled_from([0.0, -0.0, 1.0, -math.inf, math.inf]),
+                      min_size=k, max_size=k)
+    means = [first] + [data.draw(values) for _ in range(problems - 1)]
+    algorithms = [f"a{j}" for j in range(k)]
+    samples = {(f"p{i}", alg): [row[j], row[j]]
+               for i, row in enumerate(means) for j, alg in enumerate(algorithms)}
+    totals = [0.0] * k
+    for row in means:
+        for j, rank in enumerate(rankdata(row, method="average")):
+            totals[j] += float(rank)
+    expected = {alg: total / problems for alg, total in zip(algorithms, totals)}
+    assert average_rank(_matrix(samples)) == expected
 
 
 # --- Mann-Whitney ------------------------------------------------------------
