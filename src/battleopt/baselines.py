@@ -3,9 +3,11 @@
 Differential evolution with the cur-to-rand/1 scheme, global-best PSO
 with a hard velocity clamp, and uniform random search as the sanity
 floor. All three honor the shared run contract: seeded stream, hard
-evaluation budget, non-increasing best-so-far trace. Evaluations that
-no candidate depends on (the initial populations, random search's
-samples) go through ``Problem.evaluate_batch``.
+evaluation budget, non-increasing best-so-far trace. DE is one pass of
+:func:`~battleopt.mbgo.battle_game`; PSO keeps its own loop, since its
+global best moves only on strict improvement, its diversity is over
+positions, not personal bests, and it returns the global best. Initial
+populations and random search's samples go through ``Problem.evaluate_batch``.
 """
 
 import math
@@ -19,15 +21,16 @@ from .core import (
     Individual,
     OptimizerConfig,
     RunResult,
-    best_worst,
     check_pop_size,
     clamp,
-    evaluate_population,
-    greedy_replace,
-    init_population,
     make_rng,
 )
+from .mbgo import battle_game
 from .stats import population_diversity
+
+# Not called here (DE runs on battleopt.mbgo's loop), but kept as module
+# attributes: perfbench/spans.py rebinds them by name.
+from .core import best_worst, greedy_replace, init_population  # noqa: F401
 
 __all__ = ["RANDOM_SEARCH_CHUNK", "DeParams", "PsoParams", "run_de", "run_pso", "run_random_search"]
 
@@ -74,59 +77,33 @@ def run_de(
 
     r1, r2, r3 are distinct and differ from i. Binomial crossover keeps
     each mutant gene with probability Cr plus one forced dimension, so the
-    trial equals the parent in every non-crossed dimension. Greedy
-    replacement as in the battle-game optimizers.
+    trial equals the parent in every non-crossed dimension. One pass of
+    :func:`~battleopt.mbgo.battle_game` per iteration, so greedy
+    replacement, budget, trace and diversity are the battle-game
+    optimizers'.
     """
     if params is None:
         params = DeParams()
-    check_pop_size("de", config.pop_size)
-    if config.budget < config.pop_size:
-        raise ConfigurationError("budget must cover the initial evaluations")
-    if rng is None:
-        rng = make_rng(config.seed)
     bounds = problem.bounds
-    evaluate = problem.evaluate
-    n, dim = config.pop_size, bounds.dim
+    dim = bounds.dim
 
-    pop = init_population(n, bounds, rng)
-    budget = EvaluationBudget(config.budget)
-    evaluate_population(problem, pop, budget)
+    def sweeps(pop, rng):
+        n = len(pop)
 
-    trace = [(budget.used, min(ind.fitness for ind in pop))]
-    diversity = [(0, population_diversity(pop, bounds))]
-    iteration = 0
-
-    while not budget.exhausted:
-        iteration += 1
-        for i in range(n):
-            if budget.exhausted:
-                break
-            ind = pop[i]
+        def trial(i, best, worst):
+            x = pop[i].position
             peers = rng.choice(n - 1, size=3, replace=False)
             peers[peers >= i] += 1
             x1, x2, x3 = (pop[j].position for j in peers)
-            mutant = (
-                ind.position
-                + params.F * (x1 - ind.position)
-                + params.F * (x2 - x3)
-            )
+            mutant = x + params.F * (x1 - x) + params.F * (x2 - x3)
             forced = rng.integers(dim)
             cross = rng.random(dim) < params.Cr
             cross[forced] = True
-            trial = clamp(np.where(cross, mutant, ind.position), bounds)
-            budget.take()
-            pop[i] = greedy_replace(ind, Individual(trial, evaluate(trial)))
-        trace.append((budget.used, min(ind.fitness for ind in pop)))
-        diversity.append((iteration, population_diversity(pop, bounds)))
+            return clamp(np.where(cross, mutant, x), bounds)
 
-    best, _ = best_worst(pop)
-    return RunResult(
-        best=best.copy(),
-        trace=trace,
-        diversity_trace=diversity,
-        seed=config.seed,
-        fes_used=budget.used,
-    )
+        return [trial]
+
+    return battle_game(problem, config, rng, "de", sweeps)
 
 
 def run_pso(
@@ -213,8 +190,6 @@ def run_random_search(
     the final budget point; no persistent population exists, so the
     diversity trace is empty.
     """
-    if config.budget < 1:
-        raise ConfigurationError("budget must be at least 1")
     if rng is None:
         rng = make_rng(config.seed)
     bounds = problem.bounds

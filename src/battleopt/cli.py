@@ -288,10 +288,12 @@ def cmd_compare(args) -> int:
     selected = list(dict.fromkeys(entries))
     _check_params(parsed, selected, extra=("budget",))
     _check_runs(parsed, selected, args.pop)
-    budgets = {
-        label: int(_params_for(base_of[label], parsed).get("budget", args.budget))
-        for label in labels
-    }
+    budgets = {}
+    for label in labels:
+        budget = _params_for(base_of[label], parsed).get("budget", args.budget)
+        if budget != int(budget):
+            raise ConfigurationError(f"--param budget must be an integer, got {budget!r}")
+        budgets[label] = int(budget)
     if len(set(budgets.values())) != 1:
         raise ConfigurationError(f"unequal budgets {budgets} make the comparison unfair")
     budget = budgets[labels[0]]
@@ -365,27 +367,26 @@ def cmd_arnas(args) -> int:
         raise ConfigurationError(f"unknown algorithm {args.algorithm!r}")
     parsed = _parse_params(args.param)
     _check_params(parsed, [args.algorithm])
-    pop = args.pop if args.pop is not None else 50
-    _check_runs(parsed, [args.algorithm], pop)
+    _check_runs(parsed, [args.algorithm], args.pop)
     table = load_table(args.table)
     if not table.complete:
         raise ConfigurationError(f"table {args.table} is incomplete; arnas needs all codes")
     problem = table_problem(table)
     params = _params_for(args.algorithm, parsed)
-    budget = args.budget if args.budget is not None else 5000
-    trials = args.trials
     opt_code, opt_acc = brute_force_optimum(table)
 
-    results = _execute_trials(problem, args.algorithm, params, pop, budget, trials, args.seed)
+    results = _execute_trials(
+        problem, args.algorithm, params, args.pop, args.budget, args.trials, args.seed
+    )
     out = _resolve_out(args)
     header = _config_header(
         {
             "table": args.table,
             "problem": problem.name,
             "algorithm": args.algorithm,
-            "pop": pop,
-            "budget": budget,
-            "trials": trials,
+            "pop": args.pop,
+            "budget": args.budget,
+            "trials": args.trials,
             "seed": args.seed,
             "optimum_code": code_to_string(opt_code),
             "optimum_accuracy": repr(opt_acc),
@@ -415,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--pop", type=int, default=None, help="population size")
-        p.add_argument("--budget", type=int, default=None, help="fitness-evaluation budget")
+        p.add_argument("--pop", type=int, help="population size (default %(default)s)")
+        p.add_argument("--budget", type=int, help="evaluation budget (default %(default)s)")
         p.add_argument("--trials", type=int, default=1, help="number of seeded trials")
         p.add_argument("--seed", type=int, default=0, help="base seed; trial k uses seed+k")
         p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT_DIR})")
@@ -447,17 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
     arnas_p.add_argument("--table", required=True, help="path to a code,accuracy table file")
     arnas_p.add_argument("--algorithm", default="embgo")
     common(arnas_p)
-    arnas_p.set_defaults(func=cmd_arnas)
+    arnas_p.set_defaults(func=cmd_arnas, pop=50, budget=5000)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "pop", None) is None:
-        args.pop = 50
-    if getattr(args, "budget", None) is None and args.command != "arnas":
-        args.budget = 10000
     try:
         if args.seed < 0:
             raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")

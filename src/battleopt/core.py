@@ -23,7 +23,6 @@ __all__ = [
     "make_rng",
     "trial_rng",
     "init_population",
-    "evaluate_population",
     "clamp",
     "greedy_replace",
     "best_worst",
@@ -123,18 +122,6 @@ def init_population(
     return [Individual(positions[i]) for i in range(n)]
 
 
-def evaluate_population(problem, pop: list[Individual], budget: "EvaluationBudget") -> None:
-    """Evaluate every member in one ``problem.evaluate_batch`` call.
-
-    Takes one budget unit per member and stores Python floats, with NaN
-    already mapped to +inf by the batch.
-    """
-    budget.take(len(pop))
-    fits = problem.evaluate_batch(np.array([ind.position for ind in pop]))
-    for ind, f in zip(pop, fits.tolist()):
-        ind.fitness = f
-
-
 def greedy_replace(parent: Individual, offspring: Individual) -> Individual:
     """Offspring survives only on strict improvement; ties keep the parent."""
     return offspring if offspring.fitness < parent.fitness else parent
@@ -197,7 +184,8 @@ class OptimizerConfig:
 # The smallest population each optimizer runs with: a battle needs an
 # enemy, PSO a second particle, DE three distinct peers besides the member;
 # random search keeps none (OptimizerConfig's pop_size >= 1 covers it).
-# battle_game, run_de, run_pso and the CLI all check against this table.
+# battle_game (for mbgo, embgo and de), run_pso and the CLI all check
+# against this table.
 MIN_POP_SIZE = {"mbgo": 2, "embgo": 2, "de": 4, "pso": 2, "random": 1}
 
 

@@ -172,11 +172,15 @@ def brute_force_optimum(table: LookupTable) -> tuple:
 
 
 def load_table(path) -> LookupTable:
-    """Parse the delimited table format, reporting errors with line numbers."""
+    """Parse the delimited table format; a TableError names the path and line."""
     entries = {}
     meta = {"dataset": "", "attack": ""}
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise TableError(f"{path}: cannot read table: {reason}") from None
     header_seen = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -17,7 +17,7 @@ from .levy import DEFAULT_BETA, levy_sample, levy_sigma
 from .mbgo import MbgoParams, battle, battle_game, in_safe_zone, safe_zone_radius
 
 # Not called here (the run loop and the battle step live in battleopt.mbgo),
-# but kept as module attributes: perfbench/spans.py TRACE_POINTS rebinds them.
+# but kept as module attributes: perfbench/spans.py rebinds them by name.
 from .core import best_worst, greedy_replace, init_population  # noqa: F401
 from .mbgo import battle_vs_stronger, battle_vs_weaker, pick_enemy  # noqa: F401
 from .stats import population_diversity  # noqa: F401

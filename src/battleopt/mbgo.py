@@ -7,8 +7,10 @@ with one random enemy. Every candidate is clamped to the box, evaluated,
 and kept only on strict improvement, so two evaluations per member are
 consumed per full iteration.
 
-The run loop, :func:`battle_game`, and the battle step, :func:`battle`,
-are shared with the merged-phase variant in :mod:`battleopt.embgo`.
+The run loop, :func:`battle_game`, is shared with the merged-phase
+variant in :mod:`battleopt.embgo` and with differential evolution in
+:mod:`battleopt.baselines`; the battle step, :func:`battle`, with the
+merged-phase variant.
 """
 
 import math
@@ -27,7 +29,6 @@ from .core import (
     best_worst,
     check_pop_size,
     clamp,
-    evaluate_population,
     greedy_replace,
     init_population,
     make_rng,
@@ -206,9 +207,10 @@ def battle(pop: list, i: int, rng: np.random.Generator, bounds: Bounds) -> np.nd
 
 
 def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> RunResult:
-    """Run loop shared by MBGO and EMBGO until the evaluation budget is exhausted.
+    """Run loop shared by MBGO, EMBGO and DE until the evaluation budget is exhausted.
 
-    It evaluates a uniform initial population in one batch call, then
+    It evaluates a uniform initial population in one batch call (one
+    budget unit per member, Python floats, NaN already +inf), then
     repeats iterations. Each iteration starts with ``sweeps(pop, rng)``,
     which returns that iteration's passes; a pass is
     ``propose(i, best, worst) -> candidate`` and visits the members in
@@ -233,7 +235,10 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> Run
 
     pop = init_population(config.pop_size, bounds, rng)
     budget = EvaluationBudget(config.budget)
-    evaluate_population(problem, pop, budget)
+    budget.take(len(pop))
+    fits = problem.evaluate_batch(np.array([ind.position for ind in pop]))
+    for ind, f in zip(pop, fits.tolist()):
+        ind.fitness = f
 
     ext = Extremes(pop)
     trace = [(budget.used, pop[ext.best].fitness)]

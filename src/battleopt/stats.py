@@ -60,11 +60,6 @@ def _midranks(values) -> np.ndarray:
     return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
-def _tie_sizes(values: np.ndarray) -> np.ndarray:
-    _, counts = np.unique(values, return_counts=True)
-    return counts
-
-
 def mann_whitney_u(a, b, alternative: str = "two-sided") -> tuple[float, float]:
     """Rank-sum U statistic of the first sample and its p-value.
 
@@ -72,7 +67,8 @@ def mann_whitney_u(a, b, alternative: str = "two-sided") -> tuple[float, float]:
     all labelings of the combined sample per rank sum; larger inputs use
     the normal approximation with tie-corrected variance and a 0.5
     continuity correction. ``alternative`` is "two-sided", "less" (first
-    sample tends smaller), or "greater".
+    sample tends smaller), or "greater". A NaN in either sample is a
+    ``ValueError``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -80,6 +76,8 @@ def mann_whitney_u(a, b, alternative: str = "two-sided") -> tuple[float, float]:
         raise ValueError("both samples must be non-empty")
     if alternative not in ("two-sided", "less", "greater"):
         raise ValueError(f"unknown alternative {alternative!r}")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("samples must not contain NaN; NaN has no rank")
     na, nb = a.size, b.size
     combined = np.concatenate([a, b])
     ranks = _midranks(combined)
@@ -135,7 +133,7 @@ def _normal_approx_p(
     """Tie-corrected normal approximation with continuity correction."""
     n = na + nb
     mu = na * nb / 2.0
-    ties = _tie_sizes(combined)
+    _, ties = np.unique(combined, return_counts=True)
     tie_term = float(((ties**3 - ties).sum())) / (n * (n - 1))
     var = na * nb / 12.0 * ((n + 1) - tie_term)
     if var <= 0:

@@ -2,6 +2,8 @@ import itertools
 from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from battleopt import (
     DeParams,
@@ -485,12 +487,13 @@ def test_beta_whose_levy_scale_overflows_is_rejected_before_any_trial(tmp_path, 
 def test_compare_runs_with_the_budget_param(tmp_path):
     argv = ["compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "random",
             "--dim", "2", "--pop", "5", "--trials", "2"]
-    assert run_cli(*argv, "--budget", "100", "--param", "budget=60",
-                   "--out", str(tmp_path / "param")) == 0
     assert run_cli(*argv, "--budget", "60", "--out", str(tmp_path / "flag")) == 0
-    report = (tmp_path / "param" / "comparison.txt").read_text()
-    assert "# budget=60\n" in report
-    assert report == (tmp_path / "flag" / "comparison.txt").read_text()
+    for entry in ("budget=60", "budget=60.0"):
+        assert run_cli(*argv, "--budget", "100", "--param", entry,
+                       "--out", str(tmp_path / entry)) == 0
+        report = (tmp_path / entry / "comparison.txt").read_text()
+        assert "# budget=60\n" in report
+        assert report == (tmp_path / "flag" / "comparison.txt").read_text()
 
 
 @pytest.mark.parametrize("value", ["0.5", "2", "-1", "1e-9"])
@@ -520,3 +523,110 @@ def test_bool_param_zero_or_one_runs(value, flag, tmp_path):
 
 def test_mbgo_param_keys_are_the_mbgo_params_fields():
     assert cli.PARAM_KEYS["mbgo"] == tuple(f.name for f in fields(MbgoParams))
+
+
+@pytest.mark.parametrize("entry", ["budget=60.5", "de.budget=60.5", "random.budget=1e-3"])
+def test_compare_rejects_a_non_integer_budget_param(entry, tmp_path, capsys, monkeypatch):
+    started = count_trials(monkeypatch)
+    assert run_cli(
+        "compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "random",
+        *SMALL, "--param", entry, "--out", str(tmp_path),
+    ) == 2
+    assert repr(float(entry.partition("=")[2])) in capsys.readouterr().err
+    assert started == []
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["missing.csv", "a-directory"])
+def test_arnas_with_an_unreadable_table_is_a_configuration_error(name, tmp_path, capsys):
+    (tmp_path / "a-directory").mkdir()
+    path = tmp_path / name
+    assert run_cli("arnas", "--table", str(path), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(path) in err
+
+
+def test_run_defaults_to_pop_50_and_budget_10000(tmp_path):
+    assert run_cli(
+        "run", "--problem", "sphere", "--algorithm", "random", "--dim", "2",
+        "--out", str(tmp_path),
+    ) == 0
+    summary = (tmp_path / "sphere_random_summary.csv").read_text()
+    assert "# pop=50\n" in summary and "# budget=10000\n" in summary
+    rows = [line for line in summary.splitlines() if not line.startswith("#")]
+    assert rows[1].endswith(",10000")  # fes_used of the one trial
+
+
+def _flags(required=(), **choices):
+    """Each flag in ``required`` once, any other at most once, values from ``choices``."""
+    def pair(flag):
+        return st.sampled_from(choices[flag]).map(lambda value: [f"--{flag}", value])
+
+    optional = st.lists(
+        st.sampled_from(sorted(set(choices) - set(required))).flatmap(pair),
+        max_size=len(choices) - len(required),
+        unique_by=lambda tokens: tokens[0],
+    )
+    return st.tuples(*map(pair, required), optional.map(lambda ps: sum(ps, []))).map(
+        lambda ps: sum(ps, [])
+    )
+
+
+PARAM_ENTRIES = st.lists(
+    st.sampled_from([
+        "F=0.5", "de.Cr=0.2", "pso.v_max=1", "embgo.beta=1.2", "budget=20",
+        "budget=12.5", "x=1", "de.F=-1", "embgo.beta=1e-300", "independent_r=0.5",
+        "delta_low=inf", "F",
+    ]),
+    max_size=1,
+).map(lambda entries: [token for e in entries for token in ("--param", e)])
+# --pop and --budget are always drawn, so that no run reaches the large defaults
+SIZES = dict(pop=["0", "1", "3", "5", "5", "x"], budget=["0", "5", "20", "30", "30"],
+             trials=["0", "1", "2", "2", "3"], seed=["0", "1", "-1"])
+PROBLEMS = ["sphere", "rastrigin:sr", "three-bar-truss", "nosuch", "sphere:srx"]
+ALGORITHM_NAMES = ["embgo", "mbgo", "de", "pso", "random", "bogus"]
+TABLES = ["complete.csv", "partial.csv", "garbage.csv", "missing.csv", "a-directory"]
+
+
+def _argv_grammar():
+    algorithm = st.sampled_from(ALGORITHM_NAMES)
+    sizes = ("pop", "budget")
+    run = st.tuples(
+        st.just(["run", "--problem"]), st.sampled_from(PROBLEMS).map(lambda p: [p]),
+        algorithm.map(lambda a: ["--algorithm", a]),
+        _flags(sizes, dim=["0", "1", "2", "3"], **SIZES), PARAM_ENTRIES,
+    )
+    compare = st.tuples(
+        st.just(["compare"]),
+        st.lists(st.sampled_from(PROBLEMS), min_size=1, max_size=2).map(
+            lambda ps: [token for p in ps for token in ("--problem", p)]),
+        st.lists(algorithm, min_size=1, max_size=3).map(
+            lambda algs: [token for a in algs for token in ("--algorithm", a)]),
+        _flags(sizes, dim=["2", "3"], alpha=["0.05", "1", "nan"], reference=["de", "bogus"],
+               **SIZES),
+        PARAM_ENTRIES,
+    )
+    arnas = st.tuples(
+        st.just(["arnas", "--table"]), st.sampled_from(TABLES).map(lambda t: [t]),
+        _flags(sizes, algorithm=ALGORITHM_NAMES, **SIZES), PARAM_ENTRIES,
+    )
+    return st.one_of(run, compare, arnas).map(lambda parts: sum(parts, []))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv_grammar())
+def test_cli_exit_is_0_1_or_2_and_nothing_escapes(argv, tmp_path):
+    tables = tmp_path / "tables"
+    if not tables.exists():
+        tables.mkdir()
+        (tables / "a-directory").mkdir()
+        save_table(synthetic_table(seed=3), tables / "complete.csv")
+        (tables / "partial.csv").write_text("code,accuracy\n000000,50.0\n")
+        (tables / "garbage.csv").write_bytes(b"\xff\xfe\x00code")
+    argv = [str(tables / a) if a in TABLES else a for a in argv]
+    try:
+        code = main([*argv, "--out", str(tmp_path / "out")])
+    except SystemExit as exc:  # argparse rejects the argv before main's handler
+        code = exc.code
+    assert code in (0, 1, 2)

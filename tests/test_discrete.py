@@ -159,6 +159,15 @@ def test_load_table_error_reporting(tmp_path):
         load_table(path)
 
 
+@pytest.mark.parametrize("name", ["missing.csv", ".", "latin1.csv"])
+def test_load_table_of_an_unreadable_path_is_a_table_error(name, tmp_path):
+    (tmp_path / "latin1.csv").write_bytes("code,accuracy\n# caf\xe9\n".encode("latin-1"))
+    path = tmp_path / name
+    with pytest.raises(TableError, match="cannot read table") as info:
+        load_table(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_load_table_accepts_comments_and_counts(tmp_path):
     table = synthetic_table(seed=1)
     path = tmp_path / "full.csv"

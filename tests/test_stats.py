@@ -243,6 +243,21 @@ def test_mw_rejects_empty():
         mann_whitney_u([1.0], [2.0], alternative="sideways")
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([math.nan, 1.0], [2.0, 3.0]),  # 2 x 2: exact path
+        ([1.0, 2.0], [3.0, math.nan]),
+        ([math.nan] * 9, [math.nan] * 9),  # 9 x 9: normal approximation
+        (list(range(9)), [*range(8), math.nan]),
+    ],
+)
+@pytest.mark.parametrize("alternative", ["two-sided", "less", "greater"])
+def test_mw_rejects_nan_in_either_sample(a, b, alternative):
+    with pytest.raises(ValueError, match="must not contain NaN"):
+        mann_whitney_u(a, b, alternative)
+
+
 def test_mw_exact_matches_oracle_with_ties():
     rng = make_rng(31)
     for _ in range(30):
