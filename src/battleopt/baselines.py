@@ -21,6 +21,7 @@ from .core import (
     Individual,
     OptimizerConfig,
     RunResult,
+    check_budget,
     check_pop_size,
     clamp,
     make_rng,
@@ -120,8 +121,7 @@ def run_pso(
     if params is None:
         params = PsoParams()
     check_pop_size("pso", config.pop_size)
-    if config.budget < config.pop_size:
-        raise ConfigurationError("budget must cover the initial evaluations")
+    check_budget("pso", config.pop_size, config.budget)
     if rng is None:
         rng = make_rng(config.seed)
     bounds = problem.bounds

@@ -24,7 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import DeParams, PsoParams, run_de, run_pso, run_random_search
-from .core import ConfigurationError, OptimizerConfig, RunResult, check_pop_size, trial_rng
+from .core import (
+    ConfigurationError,
+    OptimizerConfig,
+    RunResult,
+    check_budget,
+    check_pop_size,
+    trial_rng,
+)
 from .discrete import (
     TableError,
     brute_force_optimum,
@@ -161,14 +168,16 @@ def _params_for(algorithm: str, parsed: dict) -> dict:
     return merged
 
 
-def _check_runs(parsed: dict, selected: list, pop: int) -> None:
-    """Reject a population size or a --param value a selected algorithm cannot run with.
+def _check_runs(parsed: dict, selected: list, pop: int, budget: int) -> None:
+    """Reject a population size, budget or --param value a selected algorithm cannot run with.
 
-    Called before the first trial, so that no trial runs for a
-    configuration that a later one would reject.
+    Called before the first trial and before the output directory is
+    made, so that no trial runs and no directory appears for a
+    configuration that a later trial would reject.
     """
     for name in selected:
         check_pop_size(name, pop)
+        check_budget(name, pop, budget)
         _build_params(name, _params_for(name, parsed))
 
 
@@ -226,7 +235,7 @@ def cmd_run(args) -> int:
         )
     parsed = _parse_params(args.param)
     _check_params(parsed, [args.algorithm])
-    _check_runs(parsed, [args.algorithm], args.pop)
+    _check_runs(parsed, [args.algorithm], args.pop, args.budget)
     problem = resolve_problem(args.problem, args.dim)
     params = _params_for(args.algorithm, parsed)
     out = _resolve_out(args)
@@ -287,7 +296,6 @@ def cmd_compare(args) -> int:
     parsed = _parse_params(args.param)
     selected = list(dict.fromkeys(entries))
     _check_params(parsed, selected, extra=("budget",))
-    _check_runs(parsed, selected, args.pop)
     budgets = {}
     for label in labels:
         budget = _params_for(base_of[label], parsed).get("budget", args.budget)
@@ -297,8 +305,13 @@ def cmd_compare(args) -> int:
     if len(set(budgets.values())) != 1:
         raise ConfigurationError(f"unequal budgets {budgets} make the comparison unfair")
     budget = budgets[labels[0]]
+    _check_runs(parsed, selected, args.pop, budget)
 
     problems = [resolve_problem(name, args.dim) for name in args.problem]
+    names = [p.name for p in problems]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ConfigurationError(f"problem {name!r} is given more than once")
     samples = {}
     for problem in problems:
         for label in labels:
@@ -309,7 +322,7 @@ def cmd_compare(args) -> int:
             )
             samples[(problem.name, label)] = [r.final_fitness for r in results]
     matrix = ComparisonMatrix(
-        problems=[p.name for p in problems], algorithms=labels, samples=samples
+        problems=names, algorithms=labels, samples=samples
     )
     marks = significance_marks(matrix, reference, alpha=args.alpha)
     ranks = average_rank(matrix)
@@ -320,7 +333,7 @@ def cmd_compare(args) -> int:
         handle.write(
             _config_header(
                 {
-                    "problems": ",".join(p.name for p in problems),
+                    "problems": ",".join(names),
                     "algorithms": ",".join(labels),
                     "reference": reference,
                     "dim": args.dim,
@@ -332,7 +345,7 @@ def cmd_compare(args) -> int:
                 }
             )
         )
-        width = max(len(p.name) for p in problems) + 2
+        width = max(len("avg rank"), *map(len, names)) + 2
         col = 26
         handle.write("problem".ljust(width))
         for alg in labels:
@@ -367,7 +380,7 @@ def cmd_arnas(args) -> int:
         raise ConfigurationError(f"unknown algorithm {args.algorithm!r}")
     parsed = _parse_params(args.param)
     _check_params(parsed, [args.algorithm])
-    _check_runs(parsed, [args.algorithm], args.pop)
+    _check_runs(parsed, [args.algorithm], args.pop, args.budget)
     table = load_table(args.table)
     if not table.complete:
         raise ConfigurationError(f"table {args.table} is incomplete; arnas needs all codes")

@@ -18,6 +18,7 @@ __all__ = [
     "OptimizerConfig",
     "MIN_POP_SIZE",
     "check_pop_size",
+    "check_budget",
     "RunResult",
     "EvaluationBudget",
     "make_rng",
@@ -195,6 +196,21 @@ def check_pop_size(name: str, pop_size: int) -> None:
     if pop_size < minimum:
         raise ConfigurationError(
             f"{name} needs a population of at least {minimum}, got {pop_size}"
+        )
+
+
+def check_budget(name: str, pop_size: int, budget: int) -> None:
+    """Reject a budget below 1, or below ``pop_size`` unless ``name`` is random search.
+
+    Every optimizer but random search evaluates its whole population
+    before its first move; battle_game, run_pso and the CLI check here.
+    """
+    if budget < 1:
+        raise ConfigurationError(f"budget must be positive, got {budget}")
+    if name != "random" and budget < pop_size:
+        raise ConfigurationError(
+            f"{name} needs a budget that covers its initial population of {pop_size}, "
+            f"got {budget}"
         )
 
 

@@ -27,6 +27,7 @@ from .core import (
     OptimizerConfig,
     RunResult,
     best_worst,
+    check_budget,
     check_pop_size,
     clamp,
     greedy_replace,
@@ -226,8 +227,7 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> Run
     ``make_rng(config.seed)``.
     """
     check_pop_size(name, config.pop_size)
-    if config.budget < config.pop_size:
-        raise ConfigurationError("budget must cover the initial evaluations")
+    check_budget(name, config.pop_size, config.budget)
     if rng is None:
         rng = make_rng(config.seed)
     bounds = problem.bounds

@@ -7,9 +7,10 @@ so the transformed optimum stays inside the search region. Constrained
 problems are handled through a static penalty on the violation amounts.
 
 Every registered benchmark and its transformed variants also have a
-row-wise form, attached to the ``evaluate`` callable as ``evaluate.batch``
-and reached through :meth:`Problem.evaluate_batch`; it gives the per-row
-values bit for bit.
+row-wise form, the ``evaluate`` callable's ``evaluate.batch``, reached
+through :meth:`Problem.evaluate_batch`; it gives the per-row values bit
+for bit. A raw benchmark function is written once and is its own
+row-wise form: it takes a vector or an ``(m, D)`` array of rows.
 """
 
 import math
@@ -68,7 +69,8 @@ class Problem:
 
         Bit-identical to ``[evaluate(x) for x in X]``, except that NaN
         becomes +inf, so that no optimizer keeps NaN as its best. The fast
-        path is ``evaluate.batch`` (see :func:`_attach_batch`); an
+        path is ``evaluate.batch``: a raw benchmark function is its own,
+        other problems attach one with :func:`_attach_batch`. An
         ``evaluate`` without one, such as a wrapper put in its place, is
         called once per row in row order, so it still sees every point.
         """
@@ -103,130 +105,84 @@ def _attach_batch(evaluate: Callable):
 # ---------------------------------------------------------------------------
 
 
-# Each raw function is followed by its row-wise form. numpy's elementwise
-# calls and its reductions along a row give the same bits as on one
-# vector; where the scalar form uses ``math`` (or Python ``**``) the
-# row-wise form does too, one row at a time, because numpy's exp, sin and
-# power differ from them in the last bits. The scalar forms reduce with
-# np.add.reduce and np.multiply.reduce: np.sum and np.prod run the same
-# reduction on a vector, behind a Python wrapper that costs more than a
-# short sum.
+# Each raw function takes a vector, giving a Python float, or an (m, D)
+# array of rows, giving an (m,) float64 array; it is its own row-wise
+# form (``evaluate.batch``, set below the registry). Indexing with ``...``
+# and reducing along the last axis gives a row the same bits as the
+# vector: numpy's elementwise calls and its reductions along a row do not
+# depend on the other rows. np.add.reduce and np.multiply.reduce run the
+# reduction of np.sum and np.prod without their Python wrapper, which
+# costs more than a short sum. Where a function ends in ``math`` calls or
+# Python ``**``, :func:`_per_row` runs that tail once per row, because
+# numpy's exp, sin and power differ from them in the last bits.
 
 
-def sphere(x: np.ndarray) -> float:
-    return float(np.add.reduce(x * x))
+def _per_row(tail: Callable, x: np.ndarray, *columns):
+    """Run ``tail`` on Python floats, once for a vector ``x`` or once per row of rows.
+
+    ``columns`` hold one numpy value per row. For rows the tail's values
+    come back as an ``(m,)`` float64 array.
+    """
+    if x.ndim == 1:
+        return tail(*[float(c) for c in columns])
+    return np.fromiter(map(tail, *[c.tolist() for c in columns]), dtype=float, count=len(x))
 
 
-@_attach_batch(sphere)
-def _sphere_rows(X: np.ndarray) -> np.ndarray:
-    return np.sum(X * X, axis=1)
+def sphere(x: np.ndarray):
+    v = np.add.reduce(x * x, -1)
+    return float(v) if x.ndim == 1 else v
 
 
-def bent_cigar(x: np.ndarray) -> float:
-    return float(x[0] * x[0] + 1e6 * np.add.reduce(x[1:] * x[1:]))
+def bent_cigar(x: np.ndarray):
+    head, rest = x[..., 0], x[..., 1:]
+    v = head * head + 1e6 * np.add.reduce(rest * rest, -1)
+    return float(v) if x.ndim == 1 else v
 
 
-@_attach_batch(bent_cigar)
-def _bent_cigar_rows(X: np.ndarray) -> np.ndarray:
-    return X[:, 0] * X[:, 0] + 1e6 * np.sum(X[:, 1:] * X[:, 1:], axis=1)
+def zakharov(x: np.ndarray):
+    s1 = np.add.reduce(x * x, -1)
+    s2 = 0.5 * np.add.reduce(np.arange(1, x.shape[-1] + 1) * x, -1)
+    return _per_row(lambda a, b: a + b**2 + b**4, x, s1, s2)
 
 
-def zakharov(x: np.ndarray) -> float:
-    s1 = float(np.add.reduce(x * x))
-    s2 = 0.5 * float(np.add.reduce(np.arange(1, x.size + 1) * x))
-    return s1 + s2**2 + s2**4
+def rosenbrock(x: np.ndarray):
+    head, tail = x[..., :-1], x[..., 1:]
+    v = np.add.reduce(100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2, -1)
+    return float(v) if x.ndim == 1 else v
 
 
-@_attach_batch(zakharov)
-def _zakharov_rows(X: np.ndarray) -> np.ndarray:
-    s1 = np.sum(X * X, axis=1).tolist()
-    s2 = (0.5 * np.sum(np.arange(1, X.shape[1] + 1) * X, axis=1)).tolist()
-    return np.array([a + b**2 + b**4 for a, b in zip(s1, s2)], dtype=float)
+def rastrigin(x: np.ndarray):
+    v = 10.0 * x.shape[-1] + np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x), -1)
+    return float(v) if x.ndim == 1 else v
 
 
-def rosenbrock(x: np.ndarray) -> float:
-    return float(
-        np.add.reduce(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2)
+def ackley(x: np.ndarray):
+    d = x.shape[-1]
+    return _per_row(
+        lambda a, b: -20.0 * math.exp(-0.2 * math.sqrt(a)) - math.exp(b) + 20.0 + math.e,
+        x,
+        np.add.reduce(x * x, -1) / d,
+        np.add.reduce(np.cos(2.0 * np.pi * x), -1) / d,
     )
 
 
-@_attach_batch(rosenbrock)
-def _rosenbrock_rows(X: np.ndarray) -> np.ndarray:
-    head, tail = X[:, :-1], X[:, 1:]
-    return np.sum(100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2, axis=1)
+def griewank(x: np.ndarray):
+    prod = np.multiply.reduce(np.cos(x / np.sqrt(np.arange(1, x.shape[-1] + 1))), -1)
+    v = 1.0 + np.add.reduce(x * x, -1) / 4000.0 - prod
+    return float(v) if x.ndim == 1 else v
 
 
-def rastrigin(x: np.ndarray) -> float:
-    return float(10.0 * x.size + np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
-
-
-@_attach_batch(rastrigin)
-def _rastrigin_rows(X: np.ndarray) -> np.ndarray:
-    return 10.0 * X.shape[1] + np.sum(X * X - 10.0 * np.cos(2.0 * np.pi * X), axis=1)
-
-
-def ackley(x: np.ndarray) -> float:
-    d = x.size
-    return float(
-        -20.0 * math.exp(-0.2 * math.sqrt(np.add.reduce(x * x) / d))
-        - math.exp(np.add.reduce(np.cos(2.0 * np.pi * x)) / d)
-        + 20.0
-        + math.e
-    )
-
-
-@_attach_batch(ackley)
-def _ackley_rows(X: np.ndarray) -> np.ndarray:
-    d = X.shape[1]
-    squares = (np.sum(X * X, axis=1) / d).tolist()
-    cosines = (np.sum(np.cos(2.0 * np.pi * X), axis=1) / d).tolist()
-    return np.array(
-        [
-            -20.0 * math.exp(-0.2 * math.sqrt(a)) - math.exp(b) + 20.0 + math.e
-            for a, b in zip(squares, cosines)
-        ],
-        dtype=float,
-    )
-
-
-def griewank(x: np.ndarray) -> float:
-    prod = float(np.multiply.reduce(np.cos(x / np.sqrt(np.arange(1, x.size + 1)))))
-    return float(1.0 + np.add.reduce(x * x) / 4000.0 - prod)
-
-
-@_attach_batch(griewank)
-def _griewank_rows(X: np.ndarray) -> np.ndarray:
-    prod = np.prod(np.cos(X / np.sqrt(np.arange(1, X.shape[1] + 1))), axis=1)
-    return 1.0 + np.sum(X * X, axis=1) / 4000.0 - prod
-
-
-def levy_fn(x: np.ndarray) -> float:
+def levy_fn(x: np.ndarray):
     w = 1.0 + (x - 1.0) / 4.0
-    head = math.sin(math.pi * w[0]) ** 2
-    body = float(
-        np.add.reduce((w[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * w[:-1] + 1.0) ** 2))
-    )
-    tail = float((w[-1] - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * w[-1]) ** 2))
-    return head + body + tail
-
-
-@_attach_batch(levy_fn)
-def _levy_rows(X: np.ndarray) -> np.ndarray:
-    W = 1.0 + (X - 1.0) / 4.0
-    inner = W[:, :-1]
-    body = np.sum(
-        (inner - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * inner + 1.0) ** 2), axis=1
-    ).tolist()
-    # The tail squares a numpy scalar, as levy_fn does (Python's ** raises
-    # OverflowError where numpy's gives inf).
-    return np.array(
-        [
-            math.sin(math.pi * first) ** 2
-            + b
-            + float((last - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * last) ** 2))
-            for first, b, last in zip(W[:, 0].tolist(), body, W[:, -1])
-        ],
-        dtype=float,
+    inner = w[..., :-1]
+    body = np.add.reduce((inner - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * inner + 1.0) ** 2), -1)
+    # The tail squares ``last - 1`` as a numpy scalar: Python's ** raises
+    # OverflowError where numpy's gives inf.
+    return _per_row(
+        lambda first, b, last: math.sin(math.pi * first) ** 2
+        + b
+        + float((np.float64(last) - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * last) ** 2)),
+        x, w[..., 0], body, w[..., -1],
     )
 
 
@@ -239,29 +195,17 @@ _SCHWEFEL_INNER = 10.0 * _SCHWEFEL_OPT_COORD
 _SCHWEFEL_C = _SCHWEFEL_INNER * math.sin(math.sqrt(_SCHWEFEL_INNER))
 
 
-def schwefel(x: np.ndarray) -> float:
+def schwefel(x: np.ndarray):
     z = 10.0 * x
-    return float(_SCHWEFEL_C * x.size - np.add.reduce(z * np.sin(np.sqrt(np.abs(z)))))
+    v = _SCHWEFEL_C * x.shape[-1] - np.add.reduce(z * np.sin(np.sqrt(np.abs(z))), -1)
+    return float(v) if x.ndim == 1 else v
 
 
-@_attach_batch(schwefel)
-def _schwefel_rows(X: np.ndarray) -> np.ndarray:
-    Z = 10.0 * X
-    return _SCHWEFEL_C * X.shape[1] - np.sum(Z * np.sin(np.sqrt(np.abs(Z))), axis=1)
-
-
-def expanded_schaffer_f6(x: np.ndarray) -> float:
-    a = x
-    b = np.concatenate((x[1:], x[:1]))  # np.roll(x, -1) without its wrapper
-    s = a * a + b * b
-    return float(np.add.reduce(0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2))
-
-
-@_attach_batch(expanded_schaffer_f6)
-def _expanded_schaffer_f6_rows(X: np.ndarray) -> np.ndarray:
-    B = np.roll(X, -1, axis=1)
-    S = X * X + B * B
-    return np.sum(0.5 + (np.sin(np.sqrt(S)) ** 2 - 0.5) / (1.0 + 0.001 * S) ** 2, axis=1)
+def expanded_schaffer_f6(x: np.ndarray):
+    b = np.concatenate((x[..., 1:], x[..., :1]), -1)  # np.roll(x, -1, -1) without its wrapper
+    s = x * x + b * b
+    v = np.add.reduce(0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2, -1)
+    return float(v) if x.ndim == 1 else v
 
 
 def _zeros(dim: int) -> np.ndarray:
@@ -291,6 +235,10 @@ _REGISTRY: dict = {
 }
 
 BENCHMARK_NAMES = tuple(sorted(_REGISTRY))
+
+for fn, _, _ in _REGISTRY.values():
+    fn.batch = fn
+del fn
 
 
 def evaluate_benchmark(name: str, x: np.ndarray) -> float:
@@ -394,7 +342,7 @@ def make_problem(
         return _fn(apply_transform(_t, x))
 
     @_attach_batch(evaluate)
-    def _rows(X: np.ndarray, _fn_rows=fn.batch, _t=t) -> np.ndarray:
+    def _rows(X: np.ndarray, _fn_rows=fn, _t=t) -> np.ndarray:
         # One matrix-vector product per row: (X - o) @ M.T differs in low bits.
         Z = np.empty_like(X)
         for i, x in enumerate(X):

@@ -60,7 +60,9 @@ def benchmark(spec: str, dim: int):
     rows=st.sampled_from([0, 1, 2, 17]),
     scale=st.sampled_from([1e-3, 1.0, 100.0, 1e4]),
     seed=st.integers(0, 2**32 - 1),
-    specials=st.lists(st.sampled_from([0.0, -0.0, 1.0, -100.0, 100.0, 42.096874635998205]), max_size=4),
+    specials=st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -100.0, 100.0, 42.096874635998205, math.nan]), max_size=4
+    ),
 )
 def test_benchmark_batch_is_bit_identical(name, rotated, dim, rows, scale, seed, specials):
     problem = benchmark(f"{name}:sr" if rotated else name, dim)
@@ -70,6 +72,8 @@ def test_benchmark_batch_is_bit_identical(name, rotated, dim, rows, scale, seed,
     for value in specials:
         if rows:
             X[rng.integers(rows), rng.integers(dim)] = value
+    # A np.float64 per vector would change the repr in every serialize().
+    assert all(type(problem.evaluate(x)) is float for x in X)
     assert_same_bits(problem.evaluate_batch(X), per_row(problem, X))
 
 
@@ -87,6 +91,8 @@ def test_benchmark_batch_is_bit_identical_on_many_rows(name):
 
 def test_benchmarks_and_the_table_carry_a_batch_form():
     problems = [resolve_problem(name, 3) for name in BENCHMARK_NAMES]
+    for problem in problems:  # a raw benchmark function is its own row-wise form
+        assert problem.evaluate.batch is problem.evaluate, problem.name
     problems += [resolve_problem(f"{name}:sr", 3) for name in BENCHMARK_NAMES]
     problems.append(table_problem(synthetic_table(1)))
     for problem in problems:

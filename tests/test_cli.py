@@ -537,6 +537,71 @@ def test_compare_rejects_a_non_integer_budget_param(entry, tmp_path, capsys, mon
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--problem", "sphere", "--algorithm", "random", "--algorithm", "embgo",
+          "--dim", "2", "--pop", "50", "--budget", "20", "--trials", "2"],
+         "embgo needs a budget that covers its initial population of 50, got 20"),
+        (["compare", "--problem", "sphere", "--algorithm", "random", "--algorithm", "de",
+          "--dim", "2", "--pop", "5", "--budget", "100", "--trials", "2",
+          "--param", "budget=4"],
+         "de needs a budget that covers its initial population of 5, got 4"),
+        (["run", "--problem", "sphere", "--algorithm", "random", "--budget", "0"],
+         "budget must be positive, got 0"),
+        (["run", "--problem", "sphere", "--algorithm", "pso", "--pop", "5", "--budget", "4"],
+         "pso needs a budget that covers its initial population of 5, got 4"),
+        (["arnas", "--table", "missing.csv", "--algorithm", "mbgo", "--budget", "10"],
+         "mbgo needs a budget that covers its initial population of 50, got 10"),
+    ],
+)
+def test_budget_is_checked_before_any_trial_and_any_output(argv, message, tmp_path, capsys,
+                                                           monkeypatch):
+    started = count_trials(monkeypatch)
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
+    assert started == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_random_search_runs_with_a_budget_below_the_population(tmp_path):
+    assert run_cli(
+        "run", "--problem", "sphere", "--algorithm", "random", "--dim", "2", "--pop", "50",
+        "--budget", "3", "--out", str(tmp_path),
+    ) == 0
+
+
+@pytest.mark.parametrize(
+    "problems", [("sphere", "sphere"), ("sphere:sr", "rastrigin", "sphere:sr{seed}")]
+)
+def test_compare_rejects_a_repeated_problem_before_any_trial(problems, tmp_path, capsys,
+                                                             monkeypatch):
+    resolved = resolve_problem("sphere:sr", 2).name
+    seed = resolved.rpartition(":sr")[2]
+    started = count_trials(monkeypatch)
+    argv = [token for p in problems for token in ("--problem", p.format(seed=seed))]
+    assert run_cli(
+        "compare", *argv, "--algorithm", "de", "--algorithm", "random", *SMALL,
+        "--out", str(tmp_path / "out"),
+    ) == 2
+    name = resolved if ":" in problems[0] else "sphere"
+    assert f"problem {name!r} is given more than once" in capsys.readouterr().err
+    assert started == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_avg_rank_label_is_apart_from_its_values_for_short_problem_names(tmp_path):
+    assert run_cli(
+        "compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "random",
+        *SMALL, "--out", str(tmp_path),
+    ) == 0
+    lines = (tmp_path / "comparison.txt").read_text().splitlines()
+    header, row, rank = [line for line in lines if not line.startswith("#")]
+    assert rank.startswith("avg rank  ")
+    # the first rank starts in the column of the first mean
+    assert rank.index(rank.split()[2]) == row.index(row.split()[1]) == header.index("de")
+
+
 @pytest.mark.parametrize("name", ["missing.csv", "a-directory"])
 def test_arnas_with_an_unreadable_table_is_a_configuration_error(name, tmp_path, capsys):
     (tmp_path / "a-directory").mkdir()
