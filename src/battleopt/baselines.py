@@ -79,14 +79,13 @@ def run_de(
     r1, r2, r3 are distinct and differ from i. Binomial crossover keeps
     each mutant gene with probability Cr plus one forced dimension, so the
     trial equals the parent in every non-crossed dimension. One pass of
-    :func:`~battleopt.mbgo.battle_game` per iteration, so greedy
+    :func:`~battleopt.mbgo.battle_game` per iteration, so clamping, greedy
     replacement, budget, trace and diversity are the battle-game
     optimizers'.
     """
     if params is None:
         params = DeParams()
-    bounds = problem.bounds
-    dim = bounds.dim
+    dim = problem.bounds.dim
 
     def sweeps(pop, rng):
         n = len(pop)
@@ -100,7 +99,7 @@ def run_de(
             forced = rng.integers(dim)
             cross = rng.random(dim) < params.Cr
             cross[forced] = True
-            return clamp(np.where(cross, mutant, x), bounds)
+            return np.where(cross, mutant, x)
 
         return [trial]
 

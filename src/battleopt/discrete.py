@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Bounds, make_rng
-from .problems import Problem, _attach_batch
+from .problems import Problem
 
 __all__ = [
     "OPERATIONS",
@@ -296,14 +296,15 @@ def table_problem(table: LookupTable) -> Problem:
             raise _missing(index)
         return float(f)
 
-    @_attach_batch(evaluate)
-    def _rows(X: np.ndarray) -> np.ndarray:
+    def rows(X: np.ndarray) -> np.ndarray:
         index = np.searchsorted(_THRESHOLD_ARRAY, X, side="right") @ _PLACE
         out = fitness[index]
         missing = np.isnan(out)
         if missing.any():
             raise _missing(int(index[np.argmax(missing)]))
         return out
+
+    evaluate.batch = rows
 
     label = ":".join(part for part in (table.dataset, table.attack) if part)
     return Problem(

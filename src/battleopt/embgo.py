@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bounds, ConfigurationError, Individual, OptimizerConfig, RunResult, clamp
+from .core import ConfigurationError, Individual, OptimizerConfig, RunResult
 from .levy import DEFAULT_BETA, levy_sample, levy_sigma
 from .mbgo import MbgoParams, battle, battle_game, in_safe_zone, safe_zone_radius
 
-# Not called here (the run loop and the battle step live in battleopt.mbgo),
-# but kept as module attributes: perfbench/spans.py rebinds them by name.
-from .core import best_worst, greedy_replace, init_population  # noqa: F401
+# Not called here (the run loop, its clamp and the battle step live in
+# battleopt.mbgo), but kept as module attributes: perfbench/spans.py
+# rebinds them by name.
+from .core import best_worst, clamp, greedy_replace, init_population  # noqa: F401
 from .mbgo import battle_vs_stronger, battle_vs_weaker, pick_enemy  # noqa: F401
 from .stats import population_diversity  # noqa: F401
 
@@ -49,33 +50,30 @@ def diff_mutation(
     x_best: Individual,
     x_mean: np.ndarray,
     rng: np.random.Generator,
-    bounds: Bounds = None,
+    *,
     independent_r: bool = True,
 ) -> np.ndarray:
-    """Current-to-best&mean step.
+    """Current-to-best&mean step, unclamped.
 
     x_i + (x_best - x_i) sin(2 pi r1) + (x_mean - x_i) sin(2 pi r2),
     with r1 drawn first and r2 = r1 when ``independent_r`` is false.
     """
     r1 = rng.random()
     r2 = rng.random() if independent_r else r1
-    candidate = (
+    return (
         x_i.position
         + (x_best.position - x_i.position) * math.sin(2.0 * math.pi * r1)
         + (x_mean - x_i.position) * math.sin(2.0 * math.pi * r2)
     )
-    return clamp(candidate, bounds) if bounds is not None else candidate
 
 
 def levy_move(
     x_i: Individual,
     beta: float,
     rng: np.random.Generator,
-    bounds: Bounds = None,
 ) -> np.ndarray:
-    """Exploration step: x_i plus one heavy-tailed step per dimension."""
-    candidate = x_i.position + levy_sample(beta, x_i.position.size, rng)
-    return clamp(candidate, bounds) if bounds is not None else candidate
+    """Exploration step: x_i plus one heavy-tailed step per dimension, unclamped."""
+    return x_i.position + levy_sample(beta, x_i.position.size, rng)
 
 
 def run_embgo(
@@ -92,19 +90,18 @@ def run_embgo(
     """
     if params is None:
         params = EmbgoParams()
-    bounds = problem.bounds
 
     def sweeps(pop, rng):
         x_mean = np.mean([ind.position for ind in pop], axis=0)
 
         def merged(i, best, worst):
             if rng.random() >= 0.5:
-                return battle(pop, i, rng, bounds)
+                return battle(pop, i, rng)
             ind = pop[i]
             zone = safe_zone_radius(best, worst, rng, params.delta_low, params.delta_high)
             if in_safe_zone(ind, zone):
-                return diff_mutation(ind, best, x_mean, rng, bounds, params.independent_r)
-            return levy_move(ind, params.beta, rng, bounds)
+                return diff_mutation(ind, best, x_mean, rng, independent_r=params.independent_r)
+            return levy_move(ind, params.beta, rng)
 
         return [merged]
 

@@ -57,10 +57,9 @@ def levy_sample(beta: float, dim: int, rng: np.random.Generator) -> np.ndarray:
     Draw order is fixed (u vector first, then v) so seeded streams
     reproduce exactly.
     """
-    _check_beta(beta)
+    sigma = levy_sigma(beta)
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
-    sigma = levy_sigma(beta)
     u = rng.normal(0.0, sigma, dim)
     v = rng.normal(0.0, 1.0, dim)
     return u / np.abs(v) ** (1.0 / beta)

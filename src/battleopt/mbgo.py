@@ -3,9 +3,10 @@
 Each iteration makes two full passes over the population. The movement
 pass steers every member relative to a hypersphere (the safe zone)
 centered on the current best; the battle pass confronts every member
-with one random enemy. Every candidate is clamped to the box, evaluated,
-and kept only on strict improvement, so two evaluations per member are
-consumed per full iteration.
+with one random enemy. The operators return raw proposals; the run loop
+clamps every candidate to the box, evaluates it, and keeps it only on
+strict improvement, so two evaluations per member are consumed per full
+iteration.
 
 The run loop, :func:`battle_game`, is shared with the merged-phase
 variant in :mod:`battleopt.embgo` and with differential evolution in
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Bounds,
     ConfigurationError,
     EvaluationBudget,
     Extremes,
@@ -116,21 +116,18 @@ def move_inside(
     x_i: Individual,
     x_best: Individual,
     rng: np.random.Generator,
-    bounds: Bounds = None,
 ) -> np.ndarray:
-    """In-zone move: x_i + x_best * sin(2 pi r), one scalar r per call."""
+    """In-zone move: x_i + x_best * sin(2 pi r), one scalar r per call, unclamped."""
     r = rng.random()
-    candidate = x_i.position + x_best.position * math.sin(2.0 * math.pi * r)
-    return clamp(candidate, bounds) if bounds is not None else candidate
+    return x_i.position + x_best.position * math.sin(2.0 * math.pi * r)
 
 
 def move_outside(
     x_i: Individual,
     x_best: Individual,
     rng: np.random.Generator,
-    bounds: Bounds = None,
 ) -> np.ndarray:
-    """Out-of-zone move, each dimension independently.
+    """Out-of-zone move, each dimension independently, unclamped.
 
     With its own r ~ U(0, 1) per dimension: a standard-normal jitter when
     r < 0.5, otherwise a convex step toward the best scaled by the same r.
@@ -140,8 +137,7 @@ def move_outside(
     r = rng.random(d)
     theta = rng.normal(0.0, 1.0, d)
     toward_best = x_i.position + (x_best.position - x_i.position) * r
-    candidate = np.where(r < 0.5, x_i.position + theta, toward_best)
-    return clamp(candidate, bounds) if bounds is not None else candidate
+    return np.where(r < 0.5, x_i.position + theta, toward_best)
 
 
 def battle_dir(x_i: Individual, x_enemy: Individual) -> np.ndarray:
@@ -160,31 +156,27 @@ def battle_vs_stronger(
     x_enemy: Individual,
     direction: np.ndarray,
     rng: np.random.Generator,
-    bounds: Bounds = None,
 ) -> np.ndarray:
     """Confronting a stronger enemy: per dimension, step from self or enemy.
 
     Each dimension draws its own r, used both to pick the base point
-    (self when r < 0.5, enemy otherwise) and to scale the step.
+    (self when r < 0.5, enemy otherwise) and to scale the step. Unclamped.
     """
     d = x_i.position.size
     r = rng.random(d)
-    candidate = np.where(
+    return np.where(
         r < 0.5, x_i.position + direction * r, x_enemy.position + direction * r
     )
-    return clamp(candidate, bounds) if bounds is not None else candidate
 
 
 def battle_vs_weaker(
     x_i: Individual,
     direction: np.ndarray,
     rng: np.random.Generator,
-    bounds: Bounds = None,
 ) -> np.ndarray:
-    """Confronting a weaker enemy: x_i + dir * cos(2 pi r), scalar r."""
+    """Confronting a weaker enemy: x_i + dir * cos(2 pi r), scalar r, unclamped."""
     r = rng.random()
-    candidate = x_i.position + direction * math.cos(2.0 * math.pi * r)
-    return clamp(candidate, bounds) if bounds is not None else candidate
+    return x_i.position + direction * math.cos(2.0 * math.pi * r)
 
 
 def pick_enemy(i: int, n: int, rng: np.random.Generator) -> int:
@@ -193,8 +185,8 @@ def pick_enemy(i: int, n: int, rng: np.random.Generator) -> int:
     return j + 1 if j >= i else j
 
 
-def battle(pop: list, i: int, rng: np.random.Generator, bounds: Bounds) -> np.ndarray:
-    """Battle step of member ``i`` against one random enemy.
+def battle(pop: list, i: int, rng: np.random.Generator) -> np.ndarray:
+    """Unclamped battle step of member ``i`` against one random enemy.
 
     The enemy is drawn first; a stronger enemy gets the per-dimension
     step, a weaker or equal one the cosine step. EMBGO reuses it unchanged.
@@ -203,8 +195,8 @@ def battle(pop: list, i: int, rng: np.random.Generator, bounds: Bounds) -> np.nd
     enemy = pop[pick_enemy(i, len(pop), rng)]
     direction = battle_dir(ind, enemy)
     if enemy.fitness < ind.fitness:
-        return battle_vs_stronger(ind, enemy, direction, rng, bounds)
-    return battle_vs_weaker(ind, direction, rng, bounds)
+        return battle_vs_stronger(ind, enemy, direction, rng)
+    return battle_vs_weaker(ind, direction, rng)
 
 
 def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> RunResult:
@@ -214,10 +206,10 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> Run
     budget unit per member, Python floats, NaN already +inf), then
     repeats iterations. Each iteration starts with ``sweeps(pop, rng)``,
     which returns that iteration's passes; a pass is
-    ``propose(i, best, worst) -> candidate`` and visits the members in
-    index order. Every candidate costs one
-    evaluation and replaces member ``i`` only on strict improvement, in
-    place, so later proposals in the same iteration see it. ``best`` and
+    ``propose(i, best, worst) -> proposal`` and visits the members in
+    index order. Every proposal is clamped to the box here, once, costs
+    one evaluation, and replaces member ``i`` only on strict improvement,
+    in place, so later proposals in the same iteration see it. ``best`` and
     ``worst`` are tracked incrementally (:class:`~battleopt.core.Extremes`):
     selection costs O(1) amortized per candidate, and the population is
     rescanned only when its worst member improves. One trace point and
@@ -252,7 +244,7 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> Run
                 if budget.exhausted:
                     break
                 ind = pop[i]
-                candidate = propose(i, pop[ext.best], pop[ext.worst])
+                candidate = clamp(propose(i, pop[ext.best], pop[ext.worst]), bounds)
                 budget.take()
                 kept = pop[i] = greedy_replace(ind, Individual(candidate, evaluate(candidate)))
                 if kept is not ind:
@@ -290,18 +282,17 @@ def run_mbgo(
     MbgoParams(delta_low, delta_high)
     if not (movement_phase or battle_phase):
         raise ConfigurationError("mbgo needs the movement phase, the battle phase or both")
-    bounds = problem.bounds
 
     def sweeps(pop, rng):
         def move(i, best, worst):
             ind = pop[i]
             zone = safe_zone_radius(best, worst, rng, delta_low, delta_high)
             if in_safe_zone(ind, zone):
-                return move_inside(ind, best, rng, bounds)
-            return move_outside(ind, best, rng, bounds)
+                return move_inside(ind, best, rng)
+            return move_outside(ind, best, rng)
 
         def fight(i, best, worst):
-            return battle(pop, i, rng, bounds)
+            return battle(pop, i, rng)
 
         return [p for p, on in ((move, movement_phase), (fight, battle_phase)) if on]
 

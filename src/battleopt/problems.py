@@ -70,9 +70,10 @@ class Problem:
         Bit-identical to ``[evaluate(x) for x in X]``, except that NaN
         becomes +inf, so that no optimizer keeps NaN as its best. The fast
         path is ``evaluate.batch``: a raw benchmark function is its own,
-        other problems attach one with :func:`_attach_batch`. An
-        ``evaluate`` without one, such as a wrapper put in its place, is
-        called once per row in row order, so it still sees every point.
+        and the transformed benchmarks and the lookup-table problem set
+        one on their ``evaluate``. An ``evaluate`` without one, such as a
+        wrapper put in its place, is called once per row in row order, so
+        it still sees every point.
         """
         X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2:
@@ -84,20 +85,6 @@ class Problem:
             out = rows(X)
         out[np.isnan(out)] = np.inf
         return out
-
-
-def _attach_batch(evaluate: Callable):
-    """Decorator: attach the decorated row-wise form to ``evaluate`` as ``.batch``.
-
-    The row-wise form maps an ``(m, D)`` array to a fresh ``(m,)`` float64
-    array whose entry i is bit-identical to ``evaluate(X[i])``.
-    """
-
-    def attach(rows: Callable) -> Callable:
-        evaluate.batch = rows
-        return rows
-
-    return attach
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +328,14 @@ def make_problem(
     def evaluate(x: np.ndarray, _fn=fn, _t=t) -> float:
         return _fn(apply_transform(_t, x))
 
-    @_attach_batch(evaluate)
-    def _rows(X: np.ndarray, _fn_rows=fn, _t=t) -> np.ndarray:
+    def rows(X: np.ndarray, _fn_rows=fn, _t=t) -> np.ndarray:
         # One matrix-vector product per row: (X - o) @ M.T differs in low bits.
         Z = np.empty_like(X)
         for i, x in enumerate(X):
             Z[i] = apply_transform(_t, x)
         return _fn_rows(Z)
+
+    evaluate.batch = rows
 
     return Problem(
         name=f"{name}:sr{transform_seed}",
@@ -362,8 +350,12 @@ def resolve_problem(spec: str, dim: int) -> Problem:
     """Parse a problem name of the form ``name``, ``name:sr`` or ``name:srK``.
 
     A bare ``:sr`` suffix uses a seed derived from the name and dimension,
-    so the same string always denotes the same transformed problem.
+    so the same string always denotes the same transformed problem. A
+    ``dim`` below 1 is a :class:`ConfigurationError` for every spec, the
+    fixed 2-D three-bar truss included.
     """
+    if dim < 1:
+        raise ConfigurationError(f"dimension must be positive, got {dim}")
     if spec == "three-bar-truss":
         return three_bar_truss_problem()
     name, _, suffix = spec.partition(":")

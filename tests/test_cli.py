@@ -564,6 +564,36 @@ def test_budget_is_checked_before_any_trial_and_any_output(argv, message, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, dim",
+    [
+        (["run", "--problem", "three-bar-truss", "--algorithm", "de"], "-3"),
+        (["run", "--problem", "three-bar-truss", "--algorithm", "embgo"], "0"),
+        (["compare", "--problem", "three-bar-truss", "--algorithm", "de",
+          "--algorithm", "random"], "0"),
+        (["compare", "--problem", "sphere", "--problem", "three-bar-truss",
+          "--algorithm", "de", "--algorithm", "random"], "-1"),
+    ],
+)
+def test_a_dimension_below_one_is_rejected_for_every_problem(argv, dim, tmp_path, capsys,
+                                                             monkeypatch):
+    # the truss is 2-D whatever --dim says, but a --dim below 1 is still an error
+    started = count_trials(monkeypatch)
+    assert run_cli(*argv, "--dim", dim, "--pop", "5", "--budget", "20", "--trials", "2",
+                   "--out", str(tmp_path / "out")) == 2
+    assert f"dimension must be positive, got {dim}" in capsys.readouterr().err
+    assert started == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_truss_runs_with_any_positive_dimension(tmp_path):
+    assert run_cli(
+        "compare", "--problem", "three-bar-truss", "--algorithm", "de", "--algorithm", "random",
+        "--dim", "10", "--pop", "5", "--budget", "20", "--trials", "2", "--out", str(tmp_path),
+    ) == 0
+    assert "# problems=three-bar-truss\n" in (tmp_path / "comparison.txt").read_text()
+
+
 def test_random_search_runs_with_a_budget_below_the_population(tmp_path):
     assert run_cli(
         "run", "--problem", "sphere", "--algorithm", "random", "--dim", "2", "--pop", "50",

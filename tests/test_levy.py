@@ -74,6 +74,12 @@ def test_sample_rejects_bad_dim_and_beta():
         levy_sample(1.5, 0, make_rng(0))
     with pytest.raises(ValueError):
         levy_sample(2.0, 4, make_rng(0))
+    # a bad beta is named before a bad dim and before any draw (an empty
+    # scripted stream raises IndexError on a draw)
+    for beta, message in ((2.0, "open interval"), (math.nan, "open interval"),
+                          (1e-300, "beta=1e-300")):
+        with pytest.raises(ValueError, match=message):
+            levy_sample(beta, 0, FixedRng())
 
 
 def test_tail_and_symmetry_smoke():

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 
@@ -9,6 +10,7 @@ from battleopt import (
     ConfigurationError,
     MbgoParams,
     OptimizerConfig,
+    Problem,
     battle_dir,
     battle_vs_stronger,
     battle_vs_weaker,
@@ -16,7 +18,10 @@ from battleopt import (
     make_problem,
     move_inside,
     move_outside,
+    run_de,
+    run_embgo,
     run_mbgo,
+    run_pso,
     safe_zone_radius,
 )
 from battleopt.core import best_worst, make_rng
@@ -72,12 +77,6 @@ def test_move_inside_fixed_r():
     np.testing.assert_allclose(
         move_inside(x_i, x_best, FixedRng(uniforms=[0.75])), [-1.0, 3.0], rtol=1e-12
     )
-
-
-def test_move_inside_clamps_to_bounds():
-    box = Bounds.cube(-2.0, 2.0, 2)
-    out = move_inside(ind([1.0, 1.0]), ind([2.0, -2.0]), FixedRng(uniforms=[0.25]), box)
-    np.testing.assert_allclose(out, [2.0, -1.0], rtol=1e-12)
 
 
 def test_move_outside_branches():
@@ -246,6 +245,35 @@ def test_trace_monotone_and_final_in_bounds():
     fits = [f for _, f in result.trace]
     assert all(b <= a for a, b in zip(fits, fits[1:]))
     assert problem.bounds.contains(result.best.position)
+
+
+CLAMPED_RUNNERS = {
+    "mbgo": run_mbgo,
+    "mbgo-movement-only": functools.partial(run_mbgo, battle_phase=False),
+    "mbgo-battle-only": functools.partial(run_mbgo, movement_phase=False),
+    "embgo": run_embgo,
+    "de": run_de,
+    "pso": run_pso,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLAMPED_RUNNERS))
+def test_every_evaluated_point_is_clamped_into_the_box(name):
+    # In a small box the raw proposals overshoot; the run loop (PSO's own
+    # for PSO) clamps each one, so every evaluated point lies in the box
+    # and some lie on a face.
+    seen = []
+
+    def evaluate(x):
+        seen.append(np.array(x))
+        return float(np.dot(x - 0.9, x - 0.9))
+
+    problem = Problem("offset-sphere", 3, Bounds.cube(-1.0, 1.0, 3), evaluate)
+    CLAMPED_RUNNERS[name](problem, OptimizerConfig(pop_size=8, budget=400, seed=2))
+    points = np.array(seen)
+    assert points.shape == (400, 3)
+    assert np.all((points >= -1.0) & (points <= 1.0))
+    assert np.any(np.abs(points) == 1.0)
 
 
 @pytest.mark.parametrize(
