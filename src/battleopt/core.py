@@ -3,7 +3,11 @@
 Positions are plain numpy vectors. Fitness follows the minimization
 convention everywhere; wrap maximization objectives with a negation.
 All randomness flows through a numpy ``Generator`` backed by PCG64, so a
-fixed seed reproduces a run bit-for-bit on any platform.
+fixed seed reproduces a run bit-for-bit on one host with one numpy
+build. Across hosts that does not hold yet: the QR behind the ``:sr``
+rotations and the ``dot`` behind the safe-zone norm run in BLAS, whose
+kernel OpenBLAS picks by CPU, and seeded bits differ between an AVX-512
+host and an AVX2-only one (ROADMAP item 3).
 """
 
 import math

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gamma as scipy_gamma
 
 from battleopt import gamma_fn, levy_sample, levy_sigma
 from battleopt.core import make_rng
@@ -20,8 +23,9 @@ def gamma_by_quadrature(z: float) -> float:
 
 
 def test_gamma_integer_values():
-    assert gamma_fn(1.0) == 1.0
-    assert gamma_fn(5.0) == 24.0
+    # (n - 1)! is a float exactly up to n = 23
+    for n in range(1, 24):
+        assert gamma_fn(float(n)) == math.factorial(n - 1), n
 
 
 def test_gamma_half_matches_quadrature_oracle():
@@ -31,9 +35,35 @@ def test_gamma_half_matches_quadrature_oracle():
 
 
 def test_gamma_domain_error():
-    for z in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
+    for z in (0.0, -1.0, -0.5, math.nan, math.inf, -math.inf, 33.0, 40.0):
+        with pytest.raises(ValueError, match=f"got {z!r}"):
             gamma_fn(z)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.floats(1e-300, 33.0, exclude_min=True, exclude_max=True),
+    st.floats(2.0, 3.0, exclude_max=True),  # the rational form, no shift
+    st.floats(1e-300, 1e-9, exclude_min=True, exclude_max=True),  # small-argument branch
+))
+@example(1e-9)
+@example(math.nextafter(1e-9, 0.0))
+@example(math.nextafter(3.0, 0.0))
+@example(math.nextafter(33.0, 0.0))
+def test_gamma_is_scipy_gamma_bit_for_bit(z):
+    ours = np.float64(gamma_fn(z))
+    assert ours.view(np.int64) == scipy_gamma(np.float64(z)).view(np.int64), (z, ours)
+
+
+# levy_sigma as computed with scipy.special.gamma, as float.hex.
+SIGMA_HEX = {0.5: "0x1.7ab5ddc633b9dp+0", 1.0: "0x1.0000000000000p+0",
+             1.5: "0x1.64a569c76cf10p-1", 1.9: "0x1.55d49a826ea3bp-2",
+             3.3e-4: "0x1.25d680d5c29bap+987"}
+
+
+@pytest.mark.parametrize("beta", sorted(SIGMA_HEX))
+def test_sigma_bits_are_pinned(beta):
+    assert levy_sigma(beta).hex() == SIGMA_HEX[beta]
 
 
 def test_sigma_is_one_at_beta_one():
