@@ -81,7 +81,9 @@ def run_de(
     trial equals the parent in every non-crossed dimension. One pass of
     :func:`~battleopt.mbgo.battle_game` per iteration, so clamping, greedy
     replacement, budget, trace and diversity are the battle-game
-    optimizers'.
+    optimizers'. The peers and the forced dimension come from the loop's
+    :class:`~battleopt.core.Draws`: the values of
+    ``rng.choice(n - 1, 3, replace=False)`` and ``rng.integers(dim)``.
     """
     if params is None:
         params = DeParams()
@@ -92,9 +94,8 @@ def run_de(
 
         def trial(i, best, worst):
             x = pop[i].position
-            peers = rng.choice(n - 1, size=3, replace=False)
-            peers[peers >= i] += 1
-            x1, x2, x3 = (pop[j].position for j in peers)
+            a, b, c = rng.distinct(n - 1)
+            x1, x2, x3 = (pop[j + (j >= i)].position for j in (a, b, c))
             mutant = x + params.F * (x1 - x) + params.F * (x2 - x3)
             forced = rng.integers(dim)
             cross = rng.random(dim) < params.Cr

@@ -8,9 +8,15 @@ build. Across hosts that does not hold yet: the QR behind the ``:sr``
 rotations and the ``dot`` behind the safe-zone norm run in BLAS, whose
 kernel OpenBLAS picks by CPU, and seeded bits differ between an AVX-512
 host and an AVX2-only one (ROADMAP item 3).
+
+Inside a run, :class:`Draws` takes the per-candidate scalar draws straight
+from the Generator's bit generator. It gives the values and the final
+generator state of the Generator calls it stands for, so the stream is
+the Generator's; it only skips their per-call overhead.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +33,7 @@ __all__ = [
     "EvaluationBudget",
     "make_rng",
     "trial_rng",
+    "Draws",
     "init_population",
     "clamp",
     "greedy_replace",
@@ -47,6 +54,95 @@ def make_rng(seed: int) -> np.random.Generator:
 def trial_rng(base_seed: int, trial: int) -> np.random.Generator:
     """Stream for one trial of a multi-trial experiment (seed = base + index)."""
     return make_rng(base_seed + trial)
+
+
+# One past the largest 32-bit draw: the top of Draws' domain, above which
+# numpy bounds integers with 64-bit draws instead.
+_SPAN32 = 1 << 32
+
+
+class Draws:
+    """Scalar draws of a run, taken from ``rng``'s bit generator through ctypes.
+
+    Each method gives the values of the Generator call it stands for and
+    leaves the bit generator in the same state:
+
+    - ``random()`` is ``rng.random()``, one ``next_double``;
+    - ``integers(high)`` is ``int(rng.integers(high))`` for
+      1 <= high <= 2**32: Lemire's bounded draw over ``next_uint32``
+      (arXiv:1805.10941), as numpy computes it, no draw when high is 1;
+    - ``distinct(n)`` is ``rng.choice(n, 3, replace=False).tolist()`` for
+      3 <= n <= 2**32: Floyd's sampling, then a Fisher-Yates shuffle of
+      the three, each step one such bounded draw;
+    - ``random(size)`` and ``normal`` are passed on to ``rng``.
+
+    It skips the Generator's lock, so one object serves one run on one
+    thread. ``rng`` needs only a ``bit_generator`` attribute, so a wrapper
+    that passes it through works; anything else is a ``TypeError``.
+    """
+
+    __slots__ = ("_rng", "_state", "_next_double", "_next_uint32", "normal")
+
+    def __init__(self, rng):
+        bit_generator = getattr(rng, "bit_generator", None)
+        if bit_generator is None:
+            raise TypeError(
+                f"rng must be a numpy Generator or pass its bit_generator through, "
+                f"got {type(rng).__name__}"
+            )
+        interface = bit_generator.ctypes
+        self._rng = rng  # keeps the bit generator, and so its state, alive
+        self._state = interface.state
+        self._next_double = interface.next_double
+        self._next_uint32 = interface.next_uint32
+        self.normal = rng.normal
+
+    def random(self, size=None):
+        if size is None:
+            return self._next_double(self._state)
+        return self._rng.random(size)
+
+    def integers(self, high) -> int:
+        """Uniform int in [0, high), the value of ``rng.integers(high)``."""
+        high = operator.index(high)
+        if not 1 <= high <= _SPAN32:
+            raise ValueError(f"high must lie in [1, 2**32], got {high}")
+        return self._below(high)
+
+    def distinct(self, n) -> list:
+        """Three distinct ints in [0, n), ``rng.choice(n, 3, replace=False)``."""
+        n = operator.index(n)
+        if not 3 <= n <= _SPAN32:
+            raise ValueError(f"n must lie in [3, 2**32], got {n}")
+        below = self._below
+        # Floyd: for j = n-3 .. n-1 draw from [0, j]; a repeat takes j itself
+        a = below(n - 2)
+        b = below(n - 1)
+        if b == a:
+            b = n - 2
+        c = below(n)
+        if c == a or c == b:
+            c = n - 1
+        # Fisher-Yates from the back: swap slot 2 with one of [0, 2], then 1
+        picked = [a, b, c]
+        j = below(3)
+        picked[2], picked[j] = picked[j], picked[2]
+        j = below(2)
+        picked[1], picked[j] = picked[j], picked[1]
+        return picked
+
+    def _below(self, high: int) -> int:
+        """Lemire's draw from [0, high), 1 <= high <= 2**32, unchecked."""
+        if high == 1:
+            return 0
+        m = self._next_uint32(self._state) * high
+        leftover = m & 0xFFFFFFFF
+        if leftover < high:
+            threshold = (_SPAN32 - high) % high
+            while leftover < threshold:
+                m = self._next_uint32(self._state) * high
+                leftover = m & 0xFFFFFFFF
+        return m >> 32
 
 
 @dataclass(frozen=True)

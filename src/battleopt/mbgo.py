@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     ConfigurationError,
+    Draws,
     EvaluationBudget,
     Extremes,
     Individual,
@@ -179,17 +180,22 @@ def battle_vs_weaker(
     return x_i.position + direction * math.cos(2.0 * math.pi * r)
 
 
-def pick_enemy(i: int, n: int, rng: np.random.Generator) -> int:
-    """Uniform index over the other n - 1 members (never i itself)."""
+def pick_enemy(i: int, n: int, rng) -> int:
+    """Uniform index over the other n - 1 members (never i itself).
+
+    ``rng`` is a Generator or, inside :func:`battle_game`, the loop's
+    :class:`~battleopt.core.Draws`; both give the same index.
+    """
     j = int(rng.integers(n - 1))
     return j + 1 if j >= i else j
 
 
-def battle(pop: list, i: int, rng: np.random.Generator) -> np.ndarray:
+def battle(pop: list, i: int, rng) -> np.ndarray:
     """Unclamped battle step of member ``i`` against one random enemy.
 
     The enemy is drawn first; a stronger enemy gets the per-dimension
     step, a weaker or equal one the cosine step. EMBGO reuses it unchanged.
+    ``rng`` is a Generator or the loop's :class:`~battleopt.core.Draws`.
     """
     ind = pop[i]
     enemy = pop[pick_enemy(i, len(pop), rng)]
@@ -204,8 +210,10 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> Run
 
     It evaluates a uniform initial population in one batch call (one
     budget unit per member, Python floats, NaN already +inf), then
-    repeats iterations. Each iteration starts with ``sweeps(pop, rng)``,
-    which returns that iteration's passes; a pass is
+    repeats iterations. Each iteration starts with ``sweeps(pop, draws)``,
+    where ``draws`` is the run's :class:`~battleopt.core.Draws` over
+    ``rng``: the same stream, with cheaper scalar draws. It returns that
+    iteration's passes; a pass is
     ``propose(i, best, worst) -> proposal`` and visits the members in
     index order. Every proposal is clamped to the box here, once, costs
     one evaluation, and replaces member ``i`` only on strict improvement,
@@ -216,12 +224,14 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> Run
     one diversity point are recorded per iteration. ``name`` labels the
     configuration errors and selects the population minimum in
     :data:`~battleopt.core.MIN_POP_SIZE`; ``rng`` defaults to
-    ``make_rng(config.seed)``.
+    ``make_rng(config.seed)``, and one without a ``bit_generator`` is a
+    ``TypeError`` before anything is drawn or evaluated.
     """
     check_pop_size(name, config.pop_size)
     check_budget(name, config.pop_size, config.budget)
     if rng is None:
         rng = make_rng(config.seed)
+    draws = Draws(rng)
     bounds = problem.bounds
     evaluate = problem.evaluate
 
@@ -239,7 +249,7 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> Run
 
     while not budget.exhausted:
         iteration += 1
-        for propose in sweeps(pop, rng):
+        for propose in sweeps(pop, draws):
             for i in range(len(pop)):
                 if budget.exhausted:
                     break

@@ -6,7 +6,8 @@ for: ``minimum(maximum(...))`` with ``np.clip``, ``sqrt(d . d)`` with
 the ufunc reductions with ``np.sum``/``np.prod``, concatenated slices
 with ``np.roll``, and the cached Levy
 scale with its formula. An AST guard keeps the wrappers off the
-per-candidate path.
+per-candidate path, and another keeps ``.choice(`` calls out of the run
+loop's modules, whose peers come from ``Draws.distinct``.
 """
 
 import ast
@@ -266,4 +267,36 @@ def test_wrapper_guard_flags_each_wrapper():
     )
     assert [line.split(":")[0] for line in wrapper_calls(ast.parse(source))] == [
         "line 1", "line 2", "line 3", "line 4", "line 5",
+    ]
+
+
+# --- guard: no Generator.choice on the run path ------------------------------
+
+CHOICE_FREE_MODULES = ("core", "mbgo", "embgo", "baselines")
+
+
+def choice_calls(tree: ast.AST) -> list:
+    """Calls of any ``.choice`` attribute, whatever it is called on."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "choice"
+    ]
+
+
+@pytest.mark.parametrize("module", CHOICE_FREE_MODULES)
+def test_no_choice_calls_in_the_run_loop_modules(module):
+    source = inspect.getsource(importlib.import_module(f"battleopt.{module}"))
+    assert choice_calls(ast.parse(source)) == []
+
+
+def test_choice_guard_flags_every_choice_call():
+    source = (
+        "rng.choice(9, size=3, replace=False)\nnp.random.choice(5)\n"
+        "self._rng.choice(x)\nrng.distinct(9)\n'rng.choice(n)'\n"
+    )
+    assert [line.split(":")[0] for line in choice_calls(ast.parse(source))] == [
+        "line 1", "line 2", "line 3",
     ]

@@ -55,6 +55,22 @@ def test_identity_transform_is_identity():
     np.testing.assert_array_equal(apply_transform(t, x), x)
 
 
+@pytest.mark.parametrize("offset", [0, 8, 16, 24, 32, 40, 48, 56])
+def test_rotation_is_held_64_byte_aligned_with_the_same_bits(offset):
+    # gemv over a rotation placed 16 bytes off a 32-byte boundary is slower
+    dim = 300
+    m = random_orthogonal(dim, make_rng(3))
+    raw = np.empty(m.nbytes + 128, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    placed = raw[start:start + m.nbytes].view(np.float64).reshape(m.shape)
+    placed[...] = m
+    t = Transform(shift=np.zeros(dim), rotation=placed)
+    assert t.rotation.ctypes.data % 64 == 0
+    assert t.rotation.tobytes() == m.tobytes()
+    x = make_rng(4).uniform(-5.0, 5.0, dim)
+    assert apply_transform(t, x).tobytes() == (placed @ x).tobytes()
+
+
 def test_transform_rejects_non_orthogonal():
     with pytest.raises(ValueError):
         Transform(shift=np.zeros(2), rotation=np.array([[1.0, 1.0], [0.0, 1.0]]))
