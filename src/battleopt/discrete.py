@@ -17,7 +17,6 @@ import functools
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "transfer",
     "decode",
     "code_to_string",
-    "string_to_code",
     "lookup_fitness",
     "brute_force_optimum",
     "load_table",
@@ -82,71 +80,86 @@ def code_to_string(code) -> str:
 
 
 @functools.cache
-def _code_of() -> dict:
-    """Every valid code string -> its code tuple, built on first use."""
-    return dict(
-        zip(
-            map("".join, itertools.product("01234", repeat=N_EDGES)),
-            itertools.product(range(N_SYMBOLS), repeat=N_EDGES),
-        )
-    )
+def _string_index() -> dict:
+    """Every valid code string -> its index, in index order; built on first use."""
+    return {"".join(c): i for i, c in enumerate(itertools.product("01234", repeat=N_EDGES))}
 
 
 @functools.cache
-def _valid_codes() -> frozenset:
-    return frozenset(_code_of().values())
+def _code_index() -> dict:
+    """Every valid code tuple -> its index, in index order; built on first use."""
+    return {c: i for i, c in enumerate(itertools.product(range(N_SYMBOLS), repeat=N_EDGES))}
 
 
-def string_to_code(text: str) -> tuple:
-    code = _code_of().get(text)
-    if code is None:
-        raise TableError(f"code must be {N_EDGES} digits 0-4, got {text!r}")
-    return code
+def _index(code) -> int:
+    try:
+        return _code_index()[code]
+    except (KeyError, TypeError):
+        raise TableError(f"invalid architecture code {code!r}") from None
 
 
-@dataclass
+def _code(index: int) -> tuple:
+    return tuple(int(s) for s in np.unravel_index(index, (N_SYMBOLS,) * N_EDGES))
+
+
+def _checked_accuracy(acc) -> float:
+    # NaN fails the range comparison; a bool is an int but not an accuracy.
+    if isinstance(acc, bool) or not (isinstance(acc, (int, float)) and 0.0 <= acc <= 100.0):
+        raise TableError(f"accuracy must lie in [0, 100], got {acc!r}")
+    return float(acc)
+
+
 class LookupTable:
     """Architecture code -> accuracy percentage in [0, 100].
 
-    ``default`` supplies the accuracy of missing codes for declaredly
-    partial tables; a complete table covers all 15,625 codes.
+    ``accuracies`` is one read-only float64 array of all 15,625 codes by
+    index, NaN where a code is missing; ``entries`` is a fresh dict of the
+    codes present. ``default`` supplies the accuracy of missing codes for
+    declaredly partial tables; a complete table covers every code.
     """
 
-    entries: dict
-    dataset: str = ""
-    attack: str = ""
-    default: Optional[float] = None
+    def __init__(self, entries: dict, dataset="", attack="", default: Optional[float] = None):
+        accuracies = [math.nan] * CODE_COUNT
+        for code, acc in entries.items():
+            accuracies[_index(code)] = _checked_accuracy(acc)
+        if default is not None:
+            _checked_accuracy(default)
+        self._set(np.array(accuracies), dataset, attack, default)
 
-    def __post_init__(self):
-        for code, acc in self.entries.items():
-            _check_code(code)
-            _check_accuracy(acc)
-        if self.default is not None:
-            _check_accuracy(self.default)
+    @classmethod
+    def _of(cls, accuracies: np.ndarray, dataset: str, attack: str) -> "LookupTable":
+        """A table over an array whose values are already checked."""
+        return cls.__new__(cls)._set(accuracies, dataset, attack, None)
+
+    def _set(self, accuracies: np.ndarray, dataset, attack, default) -> "LookupTable":
+        accuracies.flags.writeable = False
+        self.accuracies = accuracies
+        self.dataset, self.attack, self.default = dataset, attack, default
+        return self
+
+    @property
+    def entries(self) -> dict:
+        present = ~np.isnan(self.accuracies)
+        return dict(zip(itertools.compress(_code_index(), present.tolist()),
+                        self.accuracies[present].tolist()))
 
     @property
     def complete(self) -> bool:
-        return len(self.entries) == CODE_COUNT
+        return not np.isnan(self.accuracies).any()
 
     def accuracy(self, code) -> float:
-        _check_code(code)
-        if code in self.entries:
-            return self.entries[code]
+        index = _index(code)
+        acc = float(self.accuracies[index])
+        if not math.isnan(acc):
+            return acc
         if self.default is not None:
             return self.default
-        raise TableError(
-            f"code {code_to_string(code)} missing and the table declares no default"
-        )
+        raise _missing(index)
 
 
-def _check_code(code) -> None:
-    if code not in _valid_codes():
-        raise TableError(f"invalid architecture code {code!r}")
-
-
-def _check_accuracy(acc: float) -> None:
-    if not (isinstance(acc, (int, float)) and 0.0 <= acc <= 100.0 and not math.isnan(acc)):
-        raise TableError(f"accuracy must lie in [0, 100], got {acc!r}")
+def _missing(index: int) -> TableError:
+    code = code_to_string(_code(index))
+    return TableError(f"code {code} missing and the table declares no default")
 
 
 def lookup_fitness(table: LookupTable, code) -> float:
@@ -158,22 +171,18 @@ def brute_force_optimum(table: LookupTable) -> tuple:
     """Exact argmax accuracy over all codes; lexicographic tie-break.
 
     Requires a complete table: the enumeration is the ground truth an
-    optimizer's result is measured against.
+    optimizer's result is measured against; ``argmax`` keeps the first.
     """
     if not table.complete:
         raise TableError("brute-force optimum requires a complete table")
-    best_code = None
-    best_acc = -math.inf
-    for code in itertools.product(range(N_SYMBOLS), repeat=N_EDGES):
-        acc = table.entries[code]
-        if acc > best_acc:
-            best_code, best_acc = code, acc
-    return best_code, best_acc
+    index = int(np.argmax(table.accuracies))
+    return _code(index), float(table.accuracies[index])
 
 
 def load_table(path) -> LookupTable:
     """Parse the delimited table format; a TableError names the path and line."""
-    entries = {}
+    codes = _string_index()
+    accuracies = [math.nan] * CODE_COUNT
     meta = {"dataset": "", "attack": ""}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -203,34 +212,42 @@ def load_table(path) -> LookupTable:
         parts = line.split(",")
         if len(parts) != 2:
             raise TableError(f"{path}:{lineno}: expected 'code,accuracy', got {line!r}")
-        try:
-            code = string_to_code(parts[0].strip())
-        except TableError as exc:
-            raise TableError(f"{path}:{lineno}: {exc}") from None
+        text = parts[0].strip()
+        index = codes.get(text)
+        if index is None:
+            raise TableError(f"{path}:{lineno}: code must be {N_EDGES} digits 0-4, got {text!r}")
         try:
             acc = float(parts[1])
         except ValueError:
             raise TableError(f"{path}:{lineno}: accuracy {parts[1]!r} is not a number") from None
-        if not 0.0 <= acc <= 100.0 or math.isnan(acc):
+        if not 0.0 <= acc <= 100.0:  # NaN fails the comparison too
             raise TableError(f"{path}:{lineno}: accuracy {acc} outside [0, 100]")
-        if code in entries:
-            raise TableError(f"{path}:{lineno}: duplicate code {parts[0].strip()}")
-        entries[code] = acc
+        if accuracies[index] == accuracies[index]:  # only the NaN of a free slot differs
+            raise TableError(f"{path}:{lineno}: duplicate code {text}")
+        accuracies[index] = acc
     if not header_seen:
         raise TableError(f"{path}: missing 'code,accuracy' header")
-    return LookupTable(entries=entries, dataset=meta["dataset"], attack=meta["attack"])
+    return LookupTable._of(np.array(accuracies), meta["dataset"], meta["attack"])
 
 
 def save_table(table: LookupTable, path) -> None:
-    """Write a table in the load format (codes in lexicographic order)."""
+    """Write a table in the load format (codes in lexicographic order).
+
+    Refuses, before opening the file, a dataset or attack that load_table
+    would not read back unchanged: more than one line, or outer whitespace.
+    """
+    meta = {"dataset": table.dataset, "attack": table.attack}
+    for field, value in meta.items():
+        if value != "" and not (isinstance(value, str) and value.strip() == value
+                                and value.splitlines() == [value]):
+            raise TableError(f"{field} {value!r} would not load back unchanged: it "
+                             "must be one line without leading or trailing whitespace")
+    present = ~np.isnan(table.accuracies)
+    rows = map("{},{!r}\n".format, itertools.compress(_string_index(), present.tolist()),
+               table.accuracies[present].tolist())
+    head = "".join(f"# {field}={value}\n" for field, value in meta.items() if value)
     with open(path, "w", encoding="utf-8") as handle:
-        if table.dataset:
-            handle.write(f"# dataset={table.dataset}\n")
-        if table.attack:
-            handle.write(f"# attack={table.attack}\n")
-        handle.write("code,accuracy\n")
-        for code in sorted(table.entries):
-            handle.write(f"{code_to_string(code)},{table.entries[code]!r}\n")
+        handle.write(head + "code,accuracy\n" + "".join(rows))
 
 
 def synthetic_table(seed: int, dataset: str = "synthetic", attack: str = "none") -> LookupTable:
@@ -241,48 +258,25 @@ def synthetic_table(seed: int, dataset: str = "synthetic", attack: str = "none")
     moving toward the elite. Accuracies stay within [0, 96].
     """
     rng = make_rng(seed)
-    elite = tuple(int(s) for s in rng.integers(0, N_SYMBOLS, N_EDGES))
+    elite = rng.integers(0, N_SYMBOLS, N_EDGES)
     base = rng.uniform(0.0, 60.0, CODE_COUNT)
-    entries = {}
-    for idx, code in enumerate(itertools.product(range(N_SYMBOLS), repeat=N_EDGES)):
-        matches = sum(a == b for a, b in zip(code, elite))
-        entries[code] = float(base[idx] + 6.0 * matches)
-    return LookupTable(entries=entries, dataset=dataset, attack=attack)
-
-
-def _dense_accuracy(table: LookupTable) -> np.ndarray:
-    """Accuracy of every code by its index; the default or NaN where missing."""
-    dense = np.full(
-        CODE_COUNT, math.nan if table.default is None else table.default, dtype=float
-    )
-    n = len(table.entries)
-    if n:
-        codes = np.fromiter(
-            itertools.chain.from_iterable(table.entries), dtype=np.int64, count=n * N_EDGES
-        )
-        dense[codes.reshape(n, N_EDGES) @ _PLACE] = np.fromiter(
-            table.entries.values(), dtype=float, count=n
-        )
-    return dense
-
-
-def _missing(index: int) -> TableError:
-    code = np.unravel_index(index, (N_SYMBOLS,) * N_EDGES)
-    return TableError(
-        f"code {code_to_string(int(s) for s in code)} missing and the table declares no default"
-    )
+    matches = (np.arange(CODE_COUNT)[:, None] // _PLACE % N_SYMBOLS == elite).sum(axis=1)
+    return LookupTable._of(base + 6.0 * matches, dataset, attack)
 
 
 def table_problem(table: LookupTable) -> Problem:
     """Continuous 6-D problem whose fitness is the decoded table lookup.
 
-    The problem keeps a snapshot of the table: one dense array of the
-    negated accuracies of all 15,625 codes, indexed by the base-5 code of
-    the transfer bands (``decode``), so an evaluation is one index and no
-    tuple or dict lookup. Later edits to ``table`` do not reach it.
+    The problem keeps a snapshot of the table, so later edits do not reach
+    it: the negated accuracies, the default in missing slots, indexed by
+    the base-5 code of the transfer bands (``decode``). One evaluation
+    indexes a list of Python floats; a batch indexes the array.
     """
     bounds = Bounds.cube(-100.0, 100.0, N_EDGES)
-    fitness = -_dense_accuracy(table)
+    fitness = -table.accuracies
+    if table.default is not None:
+        fitness[np.isnan(fitness)] = -float(table.default)
+    scores = fitness.tolist()
 
     def evaluate(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -291,10 +285,10 @@ def table_problem(table: LookupTable) -> Problem:
         index = 0
         for v in x.tolist():
             index = index * N_SYMBOLS + transfer(v)
-        f = fitness[index]
+        f = scores[index]
         if math.isnan(f):
             raise _missing(index)
-        return float(f)
+        return f
 
     def rows(X: np.ndarray) -> np.ndarray:
         index = np.searchsorted(_THRESHOLD_ARRAY, X, side="right") @ _PLACE

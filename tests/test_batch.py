@@ -179,6 +179,10 @@ def test_table_partial_with_an_integer_default_keeps_float_entries():
 def test_table_problem_returns_python_floats_for_integer_accuracies():
     problem = table_problem(LookupTable(entries={(0,) * 6: 50}, default=10))
     assert repr(problem.evaluate(np.full(6, -99.0))) == "-50.0"
+    # an integer default of 0 is negated as a float, to -0.0
+    zero = table_problem(LookupTable(entries={}, default=0))
+    assert repr(zero.evaluate(np.zeros(6))) == "-0.0"
+    assert repr(zero.evaluate_batch(np.zeros((1, 6)))[0]) == "np.float64(-0.0)"
 
 
 def test_replaced_evaluate_drops_the_batch_form_and_sees_every_row():
