@@ -6,7 +6,9 @@ evolution, particle swarm, random search), continuous and constrained
 test problems, a discrete architecture-search adapter, population
 diversity instrumentation, and the nonparametric statistics used to
 compare algorithms. Runs are deterministic given a configuration and
-seed.
+seed. Every optimizer is called as
+``run_X(problem, config, rng=None, *, params=None)``, where ``params`` is
+its params dataclass; random search, which has no tunables, has no ``params``.
 """
 
 from .baselines import DeParams, PsoParams, run_de, run_pso, run_random_search

@@ -71,8 +71,9 @@ class PsoParams:
 def run_de(
     problem,
     config: OptimizerConfig,
-    params: DeParams = None,
     rng: np.random.Generator = None,
+    *,
+    params: DeParams = None,
 ) -> RunResult:
     """DE/cur-to-rand/1: V = x_i + F (x_r1 - x_i) + F (x_r2 - x_r3).
 
@@ -84,9 +85,10 @@ def run_de(
     optimizers'. The peers and the forced dimension come from the loop's
     :class:`~battleopt.core.Draws`: the values of
     ``rng.choice(n - 1, 3, replace=False)`` and ``rng.integers(dim)``.
+    ``rng`` defaults to ``make_rng(config.seed)`` and ``params`` to
+    ``DeParams()``.
     """
-    if params is None:
-        params = DeParams()
+    params = params or DeParams()
     dim = problem.bounds.dim
 
     def sweeps(pop, rng):
@@ -110,16 +112,17 @@ def run_de(
 def run_pso(
     problem,
     config: OptimizerConfig,
-    params: PsoParams = None,
     rng: np.random.Generator = None,
+    *,
+    params: PsoParams = None,
 ) -> RunResult:
     """Global-best PSO with zero initial velocities.
 
     Members accept every move; monotonicity lives in the personal and
-    global bests, and the trace reports the global best.
+    global bests, and the trace reports the global best. ``rng`` defaults
+    to ``make_rng(config.seed)`` and ``params`` to ``PsoParams()``.
     """
-    if params is None:
-        params = PsoParams()
+    params = params or PsoParams()
     check_pop_size("pso", config.pop_size)
     check_budget("pso", config.pop_size, config.budget)
     if rng is None:
@@ -188,7 +191,7 @@ def run_random_search(
     Samples are drawn and evaluated in chunks of
     :data:`RANDOM_SEARCH_CHUNK`. The trace records every improvement plus
     the final budget point; no persistent population exists, so the
-    diversity trace is empty.
+    diversity trace is empty. ``rng`` defaults to ``make_rng(config.seed)``.
     """
     if rng is None:
         rng = make_rng(config.seed)

@@ -86,33 +86,23 @@ def _build_params(algorithm: str, params: dict):
     return spec(**given)
 
 
-def _run_mbgo(problem, config, rng, params):
-    p = _build_params("mbgo", params)
-    return run_mbgo(problem, config, rng, delta_low=p.delta_low, delta_high=p.delta_high)
-
-
-def _run_embgo(problem, config, rng, params):
-    return run_embgo(problem, config, rng, _build_params("embgo", params))
-
-
-def _run_de(problem, config, rng, params):
-    return run_de(problem, config, _build_params("de", params), rng)
-
-
-def _run_pso(problem, config, rng, params):
-    return run_pso(problem, config, _build_params("pso", params), rng)
-
-
-def _run_random(problem, config, rng, params):
-    return run_random_search(problem, config, rng)
-
-
+# Each entry takes (problem, config, rng, params), params being the raw
+# --param floats, and looks its run_* name up at call time, so that a name
+# rebound on this module (perfbench/spans.py does so) is the one called.
 ALGORITHMS = {
-    "mbgo": _run_mbgo,
-    "embgo": _run_embgo,
-    "de": _run_de,
-    "pso": _run_pso,
-    "random": _run_random,
+    "mbgo": lambda problem, config, rng, params: run_mbgo(
+        problem, config, rng, params=_build_params("mbgo", params)
+    ),
+    "embgo": lambda problem, config, rng, params: run_embgo(
+        problem, config, rng, params=_build_params("embgo", params)
+    ),
+    "de": lambda problem, config, rng, params: run_de(
+        problem, config, rng, params=_build_params("de", params)
+    ),
+    "pso": lambda problem, config, rng, params: run_pso(
+        problem, config, rng, params=_build_params("pso", params)
+    ),
+    "random": lambda problem, config, rng, params: run_random_search(problem, config, rng),
 }
 
 
@@ -160,6 +150,20 @@ def _check_params(parsed: dict, selected: list, extra: tuple = ()) -> None:
                     f"unknown --param {name!r}; valid keys for {', '.join(owners)}: "
                     f"{', '.join(declared) or 'none'}"
                 )
+
+
+def _select(args, selected: list, min_trials: int, extra: tuple = ()) -> dict:
+    """Check --trials, the algorithm names and the --param keys; return the parsed --param."""
+    if args.trials < min_trials:
+        raise ConfigurationError(f"--trials must be at least {min_trials}")
+    for name in selected:
+        if name not in ALGORITHMS:
+            raise ConfigurationError(
+                f"unknown algorithm {name!r}; known: {', '.join(sorted(ALGORITHMS))}"
+            )
+    parsed = _parse_params(args.param)
+    _check_params(parsed, selected, extra)
+    return parsed
 
 
 def _params_for(algorithm: str, parsed: dict) -> dict:
@@ -227,14 +231,7 @@ def _summary_rows(results) -> tuple:
 
 
 def cmd_run(args) -> int:
-    if args.trials < 1:
-        raise ConfigurationError("--trials must be at least 1")
-    if args.algorithm not in ALGORITHMS:
-        raise ConfigurationError(
-            f"unknown algorithm {args.algorithm!r}; known: {', '.join(sorted(ALGORITHMS))}"
-        )
-    parsed = _parse_params(args.param)
-    _check_params(parsed, [args.algorithm])
+    parsed = _select(args, [args.algorithm], 1)
     _check_runs(parsed, [args.algorithm], args.pop, args.budget)
     problem = resolve_problem(args.problem, args.dim)
     params = _params_for(args.algorithm, parsed)
@@ -277,11 +274,11 @@ def cmd_compare(args) -> int:
     entries = list(args.algorithm)
     if len(entries) < 2:
         raise ConfigurationError("compare needs at least two --algorithm entries")
+    selected = list(dict.fromkeys(entries))
+    parsed = _select(args, selected, 2, extra=("budget",))
     # duplicate entries get distinct column labels (embgo, embgo#2, ...)
     labels, base_of, counts = [], {}, {}
     for name in entries:
-        if name not in ALGORITHMS:
-            raise ConfigurationError(f"unknown algorithm {name!r}")
         counts[name] = counts.get(name, 0) + 1
         label = name if counts[name] == 1 else f"{name}#{counts[name]}"
         labels.append(label)
@@ -289,13 +286,8 @@ def cmd_compare(args) -> int:
     reference = args.reference or labels[0]
     if reference not in labels:
         raise ConfigurationError(f"--reference {reference!r} is not among the algorithms")
-    if args.trials < 2:
-        raise ConfigurationError("compare needs at least 2 trials for the tests")
     if not 0.0 < args.alpha < 1.0:
         raise ConfigurationError(f"--alpha must lie strictly between 0 and 1, got {args.alpha!r}")
-    parsed = _parse_params(args.param)
-    selected = list(dict.fromkeys(entries))
-    _check_params(parsed, selected, extra=("budget",))
     budgets = {}
     for label in labels:
         budget = _params_for(base_of[label], parsed).get("budget", args.budget)
@@ -374,12 +366,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_arnas(args) -> int:
-    if args.trials < 1:
-        raise ConfigurationError("--trials must be at least 1")
-    if args.algorithm not in ALGORITHMS:
-        raise ConfigurationError(f"unknown algorithm {args.algorithm!r}")
-    parsed = _parse_params(args.param)
-    _check_params(parsed, [args.algorithm])
+    parsed = _select(args, [args.algorithm], 1)
     _check_runs(parsed, [args.algorithm], args.pop, args.budget)
     table = load_table(args.table)
     if not table.complete:
@@ -428,10 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, **trials):
         p.add_argument("--pop", type=int, help="population size (default %(default)s)")
         p.add_argument("--budget", type=int, help="evaluation budget (default %(default)s)")
-        p.add_argument("--trials", type=int, default=1, help="number of seeded trials")
+        p.add_argument("--trials", type=int, help="number of seeded trials", **trials)
         p.add_argument("--seed", type=int, default=0, help="base seed; trial k uses seed+k")
         p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT_DIR})")
         p.add_argument(
@@ -445,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--problem", required=True, help="problem name, e.g. sphere or rastrigin:sr7")
     run_p.add_argument("--algorithm", required=True, help=f"one of {', '.join(sorted(ALGORITHMS))}")
     run_p.add_argument("--dim", type=int, default=10)
-    common(run_p)
+    common(run_p, default=1)
     run_p.set_defaults(func=cmd_run, pop=50, budget=10000)
 
     cmp_p = sub.add_parser("compare", help="compare algorithms under equal budgets")
@@ -454,13 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--reference", default=None, help="reference algorithm for the marks")
     cmp_p.add_argument("--dim", type=int, default=10)
     cmp_p.add_argument("--alpha", type=float, default=0.05)
-    common(cmp_p)
+    common(cmp_p, required=True)
     cmp_p.set_defaults(func=cmd_compare, pop=50, budget=10000)
 
     arnas_p = sub.add_parser("arnas", help="discrete cell search over a lookup table")
     arnas_p.add_argument("--table", required=True, help="path to a code,accuracy table file")
     arnas_p.add_argument("--algorithm", default="embgo")
-    common(arnas_p)
+    common(arnas_p, default=1)
     arnas_p.set_defaults(func=cmd_arnas, pop=50, budget=5000)
     return parser
 

@@ -234,14 +234,16 @@ def save_table(table: LookupTable, path) -> None:
     """Write a table in the load format (codes in lexicographic order).
 
     Refuses, before opening the file, a dataset or attack that load_table
-    would not read back unchanged: more than one line, or outer whitespace.
+    would not read back unchanged: more than one line, outer whitespace, or
+    a character UTF-8 cannot encode (a lone surrogate).
     """
     meta = {"dataset": table.dataset, "attack": table.attack}
     for field, value in meta.items():
         if value != "" and not (isinstance(value, str) and value.strip() == value
-                                and value.splitlines() == [value]):
-            raise TableError(f"{field} {value!r} would not load back unchanged: it "
-                             "must be one line without leading or trailing whitespace")
+                                and value.splitlines() == [value]
+                                and value.encode("utf-8", "replace").decode("utf-8") == value):
+            raise TableError(f"{field} {value!r} would not load back unchanged: it must be one "
+                             "line of UTF-8 text without leading or trailing whitespace")
     present = ~np.isnan(table.accuracies)
     rows = map("{},{!r}\n".format, itertools.compress(_string_index(), present.tolist()),
                table.accuracies[present].tolist())

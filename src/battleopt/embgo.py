@@ -80,6 +80,7 @@ def run_embgo(
     problem,
     config: OptimizerConfig,
     rng: np.random.Generator = None,
+    *,
     params: EmbgoParams = None,
 ) -> RunResult:
     """Merged-phase :func:`~battleopt.mbgo.battle_game`: one coin-flip pass.
@@ -87,9 +88,10 @@ def run_embgo(
     The population centroid is recomputed once per iteration; the safe
     zone is recomputed from the current best/worst on each movement-branch
     entry, and the battle branch is MBGO's :func:`~battleopt.mbgo.battle`.
+    ``rng`` defaults to ``make_rng(config.seed)`` and ``params`` to
+    ``EmbgoParams()``.
     """
-    if params is None:
-        params = EmbgoParams()
+    params = params or EmbgoParams()
 
     def sweeps(pop, rng):
         x_mean = np.mean([ind.position for ind in pop], axis=0)

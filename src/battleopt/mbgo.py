@@ -277,8 +277,7 @@ def run_mbgo(
     config: OptimizerConfig,
     rng: np.random.Generator = None,
     *,
-    delta_low: float = MbgoParams.delta_low,
-    delta_high: float = MbgoParams.delta_high,
+    params: MbgoParams = None,
     movement_phase: bool = True,
     battle_phase: bool = True,
 ) -> RunResult:
@@ -286,17 +285,18 @@ def run_mbgo(
 
     The safe zone is recomputed from the current best/worst before each
     individual's movement step, and enemies are redrawn per battle step.
-    The deltas are checked as :class:`MbgoParams`. The phase flags exist
-    for ablation studies only; at least one must stay on.
+    ``rng`` defaults to ``make_rng(config.seed)`` and ``params`` to
+    ``MbgoParams()``. The phase flags exist for ablation studies only; at
+    least one must stay on.
     """
-    MbgoParams(delta_low, delta_high)
+    params = params or MbgoParams()
     if not (movement_phase or battle_phase):
         raise ConfigurationError("mbgo needs the movement phase, the battle phase or both")
 
     def sweeps(pop, rng):
         def move(i, best, worst):
             ind = pop[i]
-            zone = safe_zone_radius(best, worst, rng, delta_low, delta_high)
+            zone = safe_zone_radius(best, worst, rng, params.delta_low, params.delta_high)
             if in_safe_zone(ind, zone):
                 return move_inside(ind, best, rng)
             return move_outside(ind, best, rng)

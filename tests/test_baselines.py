@@ -32,7 +32,7 @@ def test_de_requires_four_members():
 def test_de_degenerate_parameters_keep_population():
     problem = make_problem("sphere", 4)
     config = OptimizerConfig(pop_size=6, budget=6 + 6 * 3, seed=4)
-    result = run_de(problem, config, DeParams(F=0.0, Cr=0.0))
+    result = run_de(problem, config, params=DeParams(F=0.0, Cr=0.0))
     # V = x_i, so even the forced dimension inherits the parent's value and
     # the population (hence the best) never moves.
     baseline = run_de(problem, OptimizerConfig(pop_size=6, budget=6, seed=4))
@@ -55,7 +55,7 @@ def test_de_crossover_respects_non_crossed_dimensions():
     )
     n = 5
     config = OptimizerConfig(pop_size=n, budget=n + n, seed=8)
-    run_de(problem, config, DeParams(F=0.5, Cr=0.0))
+    run_de(problem, config, params=DeParams(F=0.5, Cr=0.0))
     parents = calls[:n]
     trials = calls[n:]
     for i, trial in enumerate(trials):

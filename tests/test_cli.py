@@ -146,7 +146,7 @@ def test_compare_identical_algorithms_all_tilde(tmp_path):
 def test_compare_rejects_single_algorithm_and_unequal_budgets(tmp_path):
     assert run_cli(
         "compare", "--problem", "sphere", "--algorithm", "embgo",
-        "--out", str(tmp_path),
+        "--trials", "2", "--out", str(tmp_path),
     ) == 2
     assert run_cli(
         "compare", "--problem", "sphere",
@@ -154,6 +154,33 @@ def test_compare_rejects_single_algorithm_and_unequal_budgets(tmp_path):
         "--param", "de.budget=100", "--budget", "200",
         "--trials", "3", "--out", str(tmp_path),
     ) == 2
+
+
+def test_compare_requires_trials_and_run_and_arnas_default_to_one(tmp_path, capsys):
+    argv = ["compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "random",
+            "--dim", "2", "--pop", "5", "--budget", "20", "--out", str(tmp_path / "compare")]
+    with pytest.raises(SystemExit) as exc:  # argparse, before main's handler
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "the following arguments are required: --trials" in capsys.readouterr().err
+    assert run_cli(*argv, "--trials", "1") == 2
+    assert "--trials must be at least 2" in capsys.readouterr().err
+    assert run_cli(*argv, "--trials", "2") == 0
+    parser = cli.build_parser()
+    for command, extra in (("run", ["--problem", "sphere", "--algorithm", "de"]),
+                           ("arnas", ["--table", "table.csv"])):
+        assert parser.parse_args([command, *extra]).trials == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "sphere", "--algorithm", "bogus", "--trials", "1"],
+    ["compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "bogus", "--trials", "2"],
+    ["arnas", "--table", "missing.csv", "--algorithm", "bogus"],
+])
+def test_unknown_algorithm_lists_the_known_names(argv, tmp_path, capsys):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert "unknown algorithm 'bogus'; known: de, embgo, mbgo, pso, random" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_arnas_reports_regret_and_defaults(tmp_path):
@@ -271,15 +298,15 @@ def test_internal_key_error_is_a_runtime_error(tmp_path, monkeypatch):
     "algorithm, params, expected",
     [
         ("mbgo", {}, lambda p, c, r: run_mbgo(p, c, r)),
-        ("mbgo", {"delta_high": 1.5, "beta": 1.1}, lambda p, c, r: run_mbgo(p, c, r, delta_high=1.5)),
+        ("mbgo", {"delta_high": 1.5, "beta": 1.1}, lambda p, c, r: run_mbgo(p, c, r, params=MbgoParams(delta_high=1.5))),
         ("embgo", {}, lambda p, c, r: run_embgo(p, c, r)),
         (
             "embgo",
             {"independent_r": 0.0, "F": 0.1},
-            lambda p, c, r: run_embgo(p, c, r, EmbgoParams(independent_r=False)),
+            lambda p, c, r: run_embgo(p, c, r, params=EmbgoParams(independent_r=False)),
         ),
-        ("de", {"Cr": 0.3}, lambda p, c, r: run_de(p, c, DeParams(Cr=0.3), r)),
-        ("pso", {"v_max": 4.0, "w": 0.7}, lambda p, c, r: run_pso(p, c, PsoParams(w=0.7, v_max=4.0), r)),
+        ("de", {"Cr": 0.3}, lambda p, c, r: run_de(p, c, r, params=DeParams(Cr=0.3))),
+        ("pso", {"v_max": 4.0, "w": 0.7}, lambda p, c, r: run_pso(p, c, r, params=PsoParams(w=0.7, v_max=4.0))),
     ],
 )
 def test_params_default_to_the_library_defaults(algorithm, params, expected):
@@ -515,7 +542,7 @@ def test_bool_param_zero_or_one_runs(value, flag, tmp_path):
     ) == 0
     problem = resolve_problem("sphere", 2)
     config = OptimizerConfig(pop_size=5, budget=20, seed=0)
-    expected = run_embgo(problem, config, make_rng(0), EmbgoParams(independent_r=flag))
+    expected = run_embgo(problem, config, make_rng(0), params=EmbgoParams(independent_r=flag))
     trace = (out / "sphere_embgo_trial000.csv").read_text().splitlines()
     assert f"# params=[('independent_r', {float(value)!r})]" in trace
     assert trace[-1].split(",")[1] == repr(expected.trace[-1][1])

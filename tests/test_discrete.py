@@ -277,6 +277,17 @@ def test_save_table_refuses_metadata_that_would_not_load_back(field, value, tmp_
     assert not path.exists()
 
 
+@pytest.mark.parametrize("field", ["dataset", "attack"])
+def test_save_table_refuses_a_lone_surrogate_and_keeps_the_file(field, tmp_path):
+    # UTF-8 cannot encode a lone surrogate; the check runs before the
+    # file is opened, so an existing file keeps its bytes
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"kept")
+    with pytest.raises(TableError, match=f"^{field} 'a\\\\ud800' would not load back unchanged"):
+        save_table(synthetic_table(1, **{field: "a\ud800"}), path)
+    assert path.read_bytes() == b"kept"
+
+
 def test_load_table_accepts_comments_and_counts(tmp_path):
     table = synthetic_table(seed=1)
     path = tmp_path / "full.csv"

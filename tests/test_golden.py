@@ -25,6 +25,7 @@ from battleopt import (
     BENCHMARK_NAMES,
     DeParams,
     EmbgoParams,
+    MbgoParams,
     OptimizerConfig,
     PsoParams,
     resolve_problem,
@@ -51,16 +52,16 @@ VARIANTS = {
     "mbgo": lambda p, c: run_mbgo(p, c),
     "mbgo-movement-only": lambda p, c: run_mbgo(p, c, battle_phase=False),
     "mbgo-battle-only": lambda p, c: run_mbgo(p, c, movement_phase=False),
-    "mbgo-delta": lambda p, c: run_mbgo(p, c, delta_low=0.5, delta_high=1.5),
+    "mbgo-delta": lambda p, c: run_mbgo(p, c, params=MbgoParams(delta_low=0.5, delta_high=1.5)),
     "embgo": lambda p, c: run_embgo(p, c),
     "embgo-shared-r": lambda p, c: run_embgo(p, c, params=EmbgoParams(independent_r=False)),
     "embgo-params": lambda p, c: run_embgo(
         p, c, params=EmbgoParams(delta_low=0.6, delta_high=1.4, beta=1.2)
     ),
     "de": lambda p, c: run_de(p, c),
-    "de-params": lambda p, c: run_de(p, c, DeParams(F=0.5, Cr=0.3)),
+    "de-params": lambda p, c: run_de(p, c, params=DeParams(F=0.5, Cr=0.3)),
     "pso": lambda p, c: run_pso(p, c),
-    "pso-params": lambda p, c: run_pso(p, c, PsoParams(w=0.7, c1=1.5, c2=1.5, v_max=5.0)),
+    "pso-params": lambda p, c: run_pso(p, c, params=PsoParams(w=0.7, c1=1.5, c2=1.5, v_max=5.0)),
     "random": lambda p, c: run_random_search(p, c),
 }
 

@@ -8,9 +8,12 @@ import pytest
 from battleopt import (
     Bounds,
     ConfigurationError,
+    DeParams,
+    EmbgoParams,
     MbgoParams,
     OptimizerConfig,
     Problem,
+    PsoParams,
     battle_dir,
     battle_vs_stronger,
     battle_vs_weaker,
@@ -276,6 +279,37 @@ def test_every_evaluated_point_is_clamped_into_the_box(name):
     assert np.any(np.abs(points) == 1.0)
 
 
+# Each optimizer called in an argument order it used to take.
+STALE_CALLS = {
+    run_mbgo: lambda p, c, rng: run_mbgo(p, c, rng, delta_low=0.5, delta_high=1.5),
+    run_embgo: lambda p, c, rng: run_embgo(p, c, rng, EmbgoParams()),
+    run_de: lambda p, c, rng: run_de(p, c, DeParams()),
+    run_pso: lambda p, c, rng: run_pso(p, c, PsoParams(), rng),
+}
+
+
+@pytest.mark.parametrize("runner", list(STALE_CALLS), ids=lambda runner: runner.__name__)
+def test_optimizers_share_one_signature_and_stale_calls_fail_before_evaluating(runner):
+    parameters = list(inspect.signature(runner).parameters.values())
+    assert [p.name for p in parameters[:3]] == ["problem", "config", "rng"]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in parameters[:3])
+    assert parameters[2].default is None
+    params = inspect.signature(runner).parameters["params"]
+    assert params.kind is inspect.Parameter.KEYWORD_ONLY
+    assert params.default is None
+
+    calls = []
+
+    def evaluate(x):
+        calls.append(x)
+        return float(np.dot(x, x))
+
+    problem = Problem("counted", 2, Bounds.cube(-1.0, 1.0, 2), evaluate)
+    with pytest.raises(TypeError):
+        STALE_CALLS[runner](problem, OptimizerConfig(pop_size=6, budget=30, seed=0), make_rng(0))
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "delta_low, delta_high",
     [(1.2, 0.8), (1.0, 1.0), (-1.0, 1.2), (0.0, 1.2), (0.8, math.inf), (math.nan, 1.2)],
@@ -285,14 +319,11 @@ def test_bad_deltas_are_rejected_before_the_run(delta_low, delta_high):
         MbgoParams(delta_low, delta_high)
     with pytest.raises(ConfigurationError, match="delta_low < delta_high"):
         run_mbgo(make_problem("sphere", 2), OptimizerConfig(4, 20, 0),
-                 delta_low=delta_low, delta_high=delta_high)
+                 params=MbgoParams(delta_low=delta_low, delta_high=delta_high))
 
 
 def test_run_mbgo_defaults_are_the_mbgo_params_defaults():
-    signature = inspect.signature(run_mbgo).parameters
     defaults = MbgoParams()
-    assert signature["delta_low"].default == defaults.delta_low
-    assert signature["delta_high"].default == defaults.delta_high
     safe_zone = inspect.signature(safe_zone_radius).parameters
     assert safe_zone["delta_low"].default == defaults.delta_low
     assert safe_zone["delta_high"].default == defaults.delta_high
