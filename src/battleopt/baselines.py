@@ -6,8 +6,11 @@ floor. All three honor the shared run contract: seeded stream, hard
 evaluation budget, non-increasing best-so-far trace. DE is one pass of
 :func:`~battleopt.mbgo.battle_game`; PSO keeps its own loop, since its
 global best moves only on strict improvement, its diversity is over
-positions, not personal bests, and it returns the global best. Initial
-populations and random search's samples go through ``Problem.evaluate_batch``.
+positions, not personal bests, and it returns the global best. That loop
+moves windows of particles as arrays: only the global best couples the
+particles of a sweep, so a window is exact until one of its particles
+improves it (see :func:`run_pso`). Initial populations and random
+search's samples go through ``Problem.evaluate_batch``.
 """
 
 import math
@@ -23,21 +26,25 @@ from .core import (
     RunResult,
     check_budget,
     check_pop_size,
-    clamp,
     make_rng,
+    resolve_params,
 )
 from .mbgo import battle_game
 from .stats import population_diversity
 
-# Not called here (DE runs on battleopt.mbgo's loop), but kept as module
-# attributes: perfbench/spans.py rebinds them by name.
-from .core import best_worst, greedy_replace, init_population  # noqa: F401
+# Not called here (DE runs on battleopt.mbgo's loop, PSO clamps whole
+# windows of rows), but kept as module attributes: perfbench/spans.py
+# rebinds them by name.
+from .core import best_worst, clamp, greedy_replace, init_population  # noqa: F401
 
 __all__ = ["RANDOM_SEARCH_CHUNK", "DeParams", "PsoParams", "run_de", "run_pso", "run_random_search"]
 
 # Samples random search draws and evaluates per chunk. The stream does
 # not depend on it: one (m, D) uniform draw equals m single draws.
 RANDOM_SEARCH_CHUNK = 256
+
+# The most particles PSO moves in one window of a sweep (see run_pso).
+_PSO_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,7 @@ def run_de(
     ``rng`` defaults to ``make_rng(config.seed)`` and ``params`` to
     ``DeParams()``.
     """
-    params = params or DeParams()
+    params = resolve_params(params, DeParams)
     dim = problem.bounds.dim
 
     def sweeps(pop, rng):
@@ -121,8 +128,23 @@ def run_pso(
     Members accept every move; monotonicity lives in the personal and
     global bests, and the trace reports the global best. ``rng`` defaults
     to ``make_rng(config.seed)`` and ``params`` to ``PsoParams()``.
+
+    A sweep draws every r1 and r2 in one ``rng.random((m, 2, dim))`` call,
+    m being the particles the budget lets move; that is the stream, values
+    and final state, of m pairs of ``rng.random(dim)`` calls. Particles
+    then move in windows: velocity, velocity clamp and position clamp are
+    computed for a window at once with the current global best, by the
+    same elementwise expressions as for one particle, and the window's
+    rows are evaluated one at a time in index order. A particle's update
+    reads only its own row and the global best, so the rows stay exact
+    until one strictly improves the global best; the window is committed
+    up to that particle and the next one opens just after it. A window is
+    one particle after an improvement and doubles while the best holds,
+    up to ``_PSO_WINDOW``, so a sweep in which every particle improves
+    costs about what a per-particle loop does. ``evaluate`` sees the same
+    points in the same order as that loop, and the run's bits are its.
     """
-    params = params or PsoParams()
+    params = resolve_params(params, PsoParams)
     check_pop_size("pso", config.pop_size)
     check_budget("pso", config.pop_size, config.budget)
     if rng is None:
@@ -130,6 +152,7 @@ def run_pso(
     bounds = problem.bounds
     evaluate = problem.evaluate
     n, dim = config.pop_size, bounds.dim
+    w, c1, c2, v_max = params.w, params.c1, params.c2, params.v_max
 
     positions = rng.uniform(bounds.lower, bounds.upper, size=(n, dim))
     velocities = np.zeros((n, dim))
@@ -144,31 +167,46 @@ def run_pso(
     trace = [(budget.used, gbest_fit)]
     diversity = [(0, population_diversity(positions, bounds))]
     iteration = 0
+    width = 1
 
     while not budget.exhausted:
         iteration += 1
-        for i in range(n):
-            if budget.exhausted:
-                break
-            r1 = rng.random(dim)
-            r2 = rng.random(dim)
-            velocities[i] = (
-                params.w * velocities[i]
-                + params.c1 * r1 * (pbest[i] - positions[i])
-                + params.c2 * r2 * (gbest - positions[i])
+        m = min(n, budget.limit - budget.used)
+        budget.take(m)
+        # r[i] holds particle i's r1 and r2: the doubles, in the order,
+        # of m pairs of rng.random(dim) calls.
+        r = rng.random((m, 2, dim))
+        start = 0
+        while start < m:
+            # Particles start:stop move with the current global best; rows
+            # after one that improves it are recomputed in the next window.
+            stop = min(start + width, m)
+            x = positions[start:stop]
+            v = (
+                w * velocities[start:stop]
+                + c1 * r[start:stop, 0] * (pbest[start:stop] - x)
+                + c2 * r[start:stop, 1] * (gbest - x)
             )
             # np.clip(v, -v_max, v_max, out=v) without its Python wrapper
-            v = velocities[i]
-            np.minimum(np.maximum(v, -params.v_max, out=v), params.v_max, out=v)
-            positions[i] = clamp(positions[i] + velocities[i], bounds)
-            budget.take()
-            f = evaluate(positions[i])
-            if f < pbest_fit[i]:
-                pbest_fit[i] = f
-                pbest[i] = positions[i]
-                if f < gbest_fit:
-                    gbest_fit = float(f)
-                    gbest = positions[i].copy()
+            np.minimum(np.maximum(v, -v_max, out=v), v_max, out=v)
+            # core.clamp's minimum(maximum(...)) on the whole window
+            x = np.minimum(np.maximum(x + v, bounds.lower), bounds.upper)
+            for i, xi in enumerate(x, start):
+                f = evaluate(xi)
+                if f < pbest_fit[i]:
+                    pbest_fit[i] = f
+                    pbest[i] = xi
+                    if f < gbest_fit:
+                        gbest_fit = float(f)
+                        gbest = xi.copy()
+                        width = 1
+                        break
+            else:
+                width = min(2 * width, _PSO_WINDOW)
+            stop = i + 1
+            velocities[start:stop] = v[: stop - start]
+            positions[start:stop] = x[: stop - start]
+            start = stop
         trace.append((budget.used, gbest_fit))
         diversity.append((iteration, population_diversity(positions, bounds)))
 

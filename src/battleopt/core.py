@@ -29,6 +29,7 @@ __all__ = [
     "MIN_POP_SIZE",
     "check_pop_size",
     "check_budget",
+    "resolve_params",
     "RunResult",
     "EvaluationBudget",
     "make_rng",
@@ -312,6 +313,19 @@ def check_budget(name: str, pop_size: int, budget: int) -> None:
             f"{name} needs a budget that covers its initial population of {pop_size}, "
             f"got {budget}"
         )
+
+
+def resolve_params(params, cls):
+    """``params``, or ``cls()`` when it is None.
+
+    Anything that is not a ``cls`` (a subclass passes) is a ``TypeError``
+    naming ``cls``, raised before the run draws or evaluates anything.
+    """
+    if params is None:
+        return cls()
+    if not isinstance(params, cls):
+        raise TypeError(f"params must be a {cls.__name__}, got {type(params).__name__}")
+    return params
 
 
 class EvaluationBudget:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, Individual, OptimizerConfig, RunResult
+from .core import ConfigurationError, Individual, OptimizerConfig, RunResult, resolve_params
 from .levy import DEFAULT_BETA, levy_sample, levy_sigma
 from .mbgo import MbgoParams, battle, battle_game, in_safe_zone, safe_zone_radius
 
@@ -91,7 +91,7 @@ def run_embgo(
     ``rng`` defaults to ``make_rng(config.seed)`` and ``params`` to
     ``EmbgoParams()``.
     """
-    params = params or EmbgoParams()
+    params = resolve_params(params, EmbgoParams)
 
     def sweeps(pop, rng):
         x_mean = np.mean([ind.position for ind in pop], axis=0)

@@ -34,6 +34,7 @@ from .core import (
     greedy_replace,
     init_population,
     make_rng,
+    resolve_params,
 )
 from .stats import population_diversity
 
@@ -289,7 +290,7 @@ def run_mbgo(
     ``MbgoParams()``. The phase flags exist for ablation studies only; at
     least one must stay on.
     """
-    params = params or MbgoParams()
+    params = resolve_params(params, MbgoParams)
     if not (movement_phase or battle_phase):
         raise ConfigurationError("mbgo needs the movement phase, the battle phase or both")
 

@@ -97,7 +97,7 @@ def test_clamp_keeps_its_shape_check():
                     st.floats(min_value=5e-324, allow_nan=False)),
 )
 def test_pso_velocity_clamp_is_np_clip_out(v, v_max):
-    # the in-place clamp run_pso applies to each velocity row
+    # the in-place clamp run_pso applies to each window of velocity rows
     expected = v.copy()
     np.clip(expected, -v_max, v_max, out=expected)
     got = v.copy()

@@ -310,6 +310,51 @@ def test_optimizers_share_one_signature_and_stale_calls_fail_before_evaluating(r
     assert calls == []
 
 
+# Each runner with its own params dataclass; a subclass of it is accepted.
+OWN_PARAMS = {run_mbgo: MbgoParams, run_embgo: EmbgoParams, run_de: DeParams, run_pso: PsoParams}
+FOREIGN_PARAMS = [
+    (runner, foreign)
+    for runner, own in OWN_PARAMS.items()
+    for foreign in OWN_PARAMS.values()
+    if not issubclass(foreign, own)
+]
+
+
+@pytest.mark.parametrize(
+    ("runner", "foreign"),
+    FOREIGN_PARAMS,
+    ids=[f"{runner.__name__}-{foreign.__name__}" for runner, foreign in FOREIGN_PARAMS],
+)
+def test_another_algorithms_params_fail_before_anything_is_drawn_or_evaluated(runner, foreign):
+    calls = []
+
+    def evaluate(x):
+        calls.append(x)
+        return float(np.dot(x, x))
+
+    problem = Problem("counted", 2, Bounds.cube(-1.0, 1.0, 2), evaluate)
+    rng = make_rng(0)
+    state = rng.bit_generator.state
+    message = f"params must be a {OWN_PARAMS[runner].__name__}, got {foreign.__name__}"
+    with pytest.raises(TypeError, match=message):
+        runner(problem, OptimizerConfig(pop_size=6, budget=30, seed=0), rng, params=foreign())
+    assert len(calls) == 0
+    assert rng.bit_generator.state == state
+
+
+def test_foreign_params_cover_every_pair_and_a_subclass_passes():
+    assert len(FOREIGN_PARAMS) == 11
+    problem = make_problem("sphere", 2)
+    config = OptimizerConfig(pop_size=6, budget=60, seed=3)
+    # EmbgoParams extends MbgoParams: run_mbgo reads only the MBGO fields.
+    assert (
+        run_mbgo(problem, config, params=EmbgoParams(0.7, 1.3)).serialize()
+        == run_mbgo(problem, config, params=MbgoParams(0.7, 1.3)).serialize()
+    )
+    with pytest.raises(TypeError, match="params must be a DeParams, got dict"):
+        run_de(problem, config, params={"F": 0.5})
+
+
 @pytest.mark.parametrize(
     "delta_low, delta_high",
     [(1.2, 0.8), (1.0, 1.0), (-1.0, 1.2), (0.0, 1.2), (0.8, math.inf), (math.nan, 1.2)],
