@@ -3,14 +3,17 @@
 Differential evolution with the cur-to-rand/1 scheme, global-best PSO
 with a hard velocity clamp, and uniform random search as the sanity
 floor. All three honor the shared run contract: seeded stream, hard
-evaluation budget, non-increasing best-so-far trace. DE is one pass of
-:func:`~battleopt.mbgo.battle_game`; PSO keeps its own loop, since its
-global best moves only on strict improvement, its diversity is over
-positions, not personal bests, and it returns the global best. That loop
-moves windows of particles as arrays: only the global best couples the
-particles of a sweep, so a window is exact until one of its particles
-improves it (see :func:`run_pso`). Initial populations and random
-search's samples go through ``Problem.evaluate_batch``.
+evaluation budget, non-increasing best-so-far trace. DE is one sweep of
+:func:`~battleopt.mbgo.battle_game` per iteration; PSO keeps its own
+loop, since its global best moves only on strict improvement, its
+diversity is over positions, not personal bests, and it returns the
+global best. Both take a sweep's draws at once and compute their
+candidates for windows of rows as arrays, evaluating the rows one at a
+time in index order. A PSO window is exact until one of its particles
+improves the global best (see :func:`run_pso`); a DE row is recomputed
+when one of its peers was replaced after its window was computed (see
+:func:`run_de`). Initial populations and random search's samples go
+through ``Problem.evaluate_batch``.
 """
 
 import math
@@ -26,14 +29,15 @@ from .core import (
     RunResult,
     check_budget,
     check_pop_size,
+    fitness_value,
     make_rng,
     resolve_params,
 )
 from .mbgo import battle_game
 from .stats import population_diversity
 
-# Not called here (DE runs on battleopt.mbgo's loop, PSO clamps whole
-# windows of rows), but kept as module attributes: perfbench/spans.py
+# Not called here (DE runs on battleopt.mbgo's loop, DE and PSO clamp
+# whole windows of rows), but kept as module attributes: perfbench/spans.py
 # rebinds them by name.
 from .core import best_worst, clamp, greedy_replace, init_population  # noqa: F401
 
@@ -46,24 +50,31 @@ RANDOM_SEARCH_CHUNK = 256
 # The most particles PSO moves in one window of a sweep (see run_pso).
 _PSO_WINDOW = 64
 
+# The rows DE computes trials for at once (see run_de).
+_DE_WINDOW = 32
+
 
 @dataclass(frozen=True)
 class DeParams:
-    """DE/cur-to-rand/1 with binomial crossover."""
+    """DE/cur-to-rand/1 with binomial crossover: F finite and >= 0, Cr in [0, 1]."""
 
     F: float = 0.8
     Cr: float = 0.9
 
     def __post_init__(self):
-        if self.F < 0:
-            raise ConfigurationError("scaling factor F must be non-negative")
+        if not 0.0 <= self.F < math.inf:
+            raise ConfigurationError("scaling factor F must be finite and non-negative")
         if not 0.0 <= self.Cr <= 1.0:
             raise ConfigurationError("crossover rate Cr must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Global-best PSO; velocities are clamped to [-v_max, v_max]."""
+    """Global-best PSO; velocities are clamped to [-v_max, v_max].
+
+    ``w``, ``c1`` and ``c2`` are finite; ``v_max`` lies in (0, inf], and
+    inf leaves velocities unclamped.
+    """
 
     w: float = 1.0
     c1: float = 2.05
@@ -71,8 +82,11 @@ class PsoParams:
     v_max: float = 2.0
 
     def __post_init__(self):
-        if self.v_max <= 0:
-            raise ConfigurationError("v_max must be positive")
+        for name in ("w", "c1", "c2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
+        if not 0.0 < self.v_max <= math.inf:
+            raise ConfigurationError("v_max must lie in (0, inf]")
 
 
 def run_de(
@@ -86,34 +100,66 @@ def run_de(
 
     r1, r2, r3 are distinct and differ from i. Binomial crossover keeps
     each mutant gene with probability Cr plus one forced dimension, so the
-    trial equals the parent in every non-crossed dimension. One pass of
-    :func:`~battleopt.mbgo.battle_game` per iteration, so clamping, greedy
+    trial equals the parent in every non-crossed dimension. One sweep of
+    :func:`~battleopt.mbgo.battle_game` per iteration, so greedy
     replacement, budget, trace and diversity are the battle-game
-    optimizers'. The peers and the forced dimension come from the loop's
-    :class:`~battleopt.core.Draws`: the values of
-    ``rng.choice(n - 1, 3, replace=False)`` and ``rng.integers(dim)``.
-    ``rng`` defaults to ``make_rng(config.seed)`` and ``params`` to
-    ``DeParams()``.
+    optimizers'. ``rng`` defaults to ``make_rng(config.seed)`` and
+    ``params`` to ``DeParams()``.
+
+    A member's draws depend on no position or fitness, so a sweep takes
+    all of them at once: :meth:`~battleopt.core.Draws.sweep` gives the
+    values, and the final generator state, of m rounds of
+    ``rng.choice(n - 1, 3, replace=False)``, ``rng.integers(dim)`` and
+    ``rng.random(dim)``, m being the members the budget lets through.
+    Trials are then computed for a window of rows at once from the
+    current positions, by the same elementwise expressions as for one
+    member (mutant, crossover mask, forced gene, clamp), and the window's
+    rows are evaluated one at a time in index order. A row whose peers
+    include a row accepted since the window was computed is recomputed
+    from the current rows before it is evaluated, so ``evaluate`` sees the
+    points of a per-member loop, in its order, and the run's bits are its.
     """
     params = resolve_params(params, DeParams)
-    dim = problem.bounds.dim
+    F, Cr = params.F, params.Cr
+    bounds = problem.bounds
+    lower, upper, dim = bounds.lower, bounds.upper, bounds.dim
+    positions = None
 
-    def sweeps(pop, rng):
-        n = len(pop)
+    def rows(pop, draws, step, m):
+        nonlocal positions
+        if positions is None:
+            # kept equal to the members' positions: only this sweep moves them
+            positions = np.array([ind.position for ind in pop])
+        picks, forced, r = draws.sweep(m, len(pop) - 1, dim, dim)
+        members = np.arange(m)
+        # distinct(n - 1) draws over the other members: skip i itself
+        peers = picks + (picks >= members[:, None])
+        cross = r < Cr
+        cross[members, forced] = True
 
-        def trial(i, best, worst):
-            x = pop[i].position
-            a, b, c = rng.distinct(n - 1)
-            x1, x2, x3 = (pop[j + (j >= i)].position for j in (a, b, c))
-            mutant = x + params.F * (x1 - x) + params.F * (x2 - x3)
-            forced = rng.integers(dim)
-            cross = rng.random(dim) < params.Cr
-            cross[forced] = True
-            return np.where(cross, mutant, x)
+        def trials(lo, hi):
+            x = positions[lo:hi]
+            x1, x2, x3 = (positions[p] for p in peers[lo:hi].T)
+            mutant = x + F * (x1 - x) + F * (x2 - x3)
+            # core.clamp's minimum(maximum(...)) on every row at once
+            return np.minimum(np.maximum(np.where(cross[lo:hi], mutant, x), lower), upper)
 
-        return [trial]
+        for lo in range(0, m, _DE_WINDOW):
+            hi = min(lo + _DE_WINDOW, m)
+            window = trials(lo, hi)
+            moved = set()
+            for i, row_peers in enumerate(peers[lo:hi].tolist(), lo):
+                if moved and not moved.isdisjoint(row_peers):
+                    candidate = trials(i, i + 1)[0]
+                else:
+                    candidate = window[i - lo]
+                if step(i, candidate):
+                    # the kept member views its row, not the window it came from
+                    positions[i] = candidate
+                    pop[i].position = positions[i]
+                    moved.add(i)
 
-    return battle_game(problem, config, rng, "de", sweeps)
+    return battle_game(problem, config, rng, "de", rows=rows)
 
 
 def run_pso(
@@ -193,6 +239,8 @@ def run_pso(
             x = np.minimum(np.maximum(x + v, bounds.lower), bounds.upper)
             for i, xi in enumerate(x, start):
                 f = evaluate(xi)
+                if type(f) is not float or f != f:
+                    f = fitness_value(f, problem.name)
                 if f < pbest_fit[i]:
                     pbest_fit[i] = f
                     pbest[i] = xi

@@ -10,9 +10,12 @@ kernel OpenBLAS picks by CPU, and seeded bits differ between an AVX-512
 host and an AVX2-only one (ROADMAP item 3).
 
 Inside a run, :class:`Draws` takes the per-candidate scalar draws straight
-from the Generator's bit generator. It gives the values and the final
-generator state of the Generator calls it stands for, so the stream is
-the Generator's; it only skips their per-call overhead.
+from the Generator's bit generator, and :meth:`Draws.sweep` a whole DE
+sweep's draws from one ``random_raw`` call. Both give the values and the
+final generator state of the Generator calls they stand for, so the
+stream is the Generator's; they only skip the per-call overhead.
+:func:`fitness_value` is the one rule for an objective's value: a float,
+NaN as +inf.
 """
 
 import math
@@ -37,6 +40,7 @@ __all__ = [
     "Draws",
     "init_population",
     "clamp",
+    "fitness_value",
     "greedy_replace",
     "best_worst",
     "Extremes",
@@ -132,6 +136,42 @@ class Draws:
         picked[1], picked[j] = picked[j], picked[1]
         return picked
 
+    def sweep(self, m: int, n: int, high: int, size: int) -> tuple:
+        """``m`` rounds of ``distinct(n)``, ``integers(high)``, ``random(size)``.
+
+        Returns ``(picks, ints, doubles)`` with shapes ``(m, 3)``, ``(m,)``
+        and ``(m, size)``: the values of those calls made in that order,
+        round after round, and the generator is left in their final state.
+        For PCG64, PCG64DXSM, SFC64 and Philox the draws come from one
+        ``bit_generator.random_raw`` call: a 32-bit draw is the low, then
+        the high half of a 64-bit output, the unused half carried in the
+        state's ``has_uint32``/``uinteger``; a double is
+        ``(raw >> 11) * 2**-53``; Lemire's bound is applied as a vector.
+        A bounded draw that numpy would retry, or any other bit generator
+        (MT19937 has other rules), restores the state saved at the start
+        and makes the calls one round at a time.
+        """
+        n, high = operator.index(n), operator.index(high)
+        if not 3 <= n <= _SPAN32:
+            raise ValueError(f"n must lie in [3, 2**32], got {n}")
+        if not 1 <= high <= _SPAN32:
+            raise ValueError(f"high must lie in [1, 2**32], got {high}")
+        bit_generator = self._rng.bit_generator
+        if type(bit_generator) in _DECODED:
+            start = bit_generator.state
+            drawn = _decode_sweep(bit_generator, start, m, n, high, size)
+            if drawn is not None:
+                return drawn
+            bit_generator.state = start
+        picks = np.empty((m, 3), dtype=np.int64)
+        ints = np.empty(m, dtype=np.int64)
+        doubles = np.empty((m, size))
+        for k in range(m):
+            picks[k] = self.distinct(n)
+            ints[k] = self._below(high)
+            doubles[k] = self.random(size)
+        return picks, ints, doubles
+
     def _below(self, high: int) -> int:
         """Lemire's draw from [0, high), 1 <= high <= 2**32, unchecked."""
         if high == 1:
@@ -144,6 +184,67 @@ class Draws:
                 m = self._next_uint32(self._state) * high
                 leftover = m & 0xFFFFFFFF
         return m >> 32
+
+
+# The bit generators whose next_uint32 halves a 64-bit output through
+# has_uint32/uinteger and whose next_double is (raw >> 11) * 2**-53, so
+# that Draws.sweep can decode their raw outputs.
+_DECODED = frozenset({np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox})
+_LOW32 = 0xFFFFFFFF
+
+
+def _decode_sweep(bit_generator, start: dict, m: int, n: int, high: int, size: int):
+    """:meth:`Draws.sweep` from one ``random_raw`` call; None if numpy would retry a draw."""
+    # One round's bounded 32-bit draws: Floyd's three, the shuffle's two,
+    # then integers(high); a bound of 1 takes no draw and gives 0.
+    bounds = [n - 2, n - 1, n, 3, 2, high]
+    drawn = [h > 1 for h in bounds]
+    his = np.array([h for h in bounds if h > 1], dtype=np.uint64)
+    k = his.size
+    buffered = start["has_uint32"]
+    rounds = np.arange(m)
+    # After round r's 32-bit draws, ceil(((r + 1) k - buffered) / 2) raw
+    # outputs have been split into halves; round r's doubles follow them.
+    # Doubles are decoded first, so that the raw outputs can go.
+    fed = ((rounds + 1) * k - buffered + 1) // 2
+    words = int(fed[-1])
+    raw = bit_generator.random_raw(words + m * size)
+    # output q of the 32-bit draws sits after the doubles of the rounds before its own
+    at = np.arange(words) + np.repeat(rounds, np.diff(fed, prepend=0)) * size
+    split = raw[at]
+    is_double = np.ones(raw.size, dtype=bool)
+    is_double[at] = False
+    doubles = raw[is_double]
+    del raw, at, is_double
+    doubles >>= 11
+    doubles = doubles.astype(np.float64).reshape(m, size)
+    doubles *= 2.0**-53
+    halves = np.empty(buffered + 2 * words, dtype=np.uint64)
+    halves[:buffered] = start["uinteger"]
+    halves[buffered::2] = split & _LOW32
+    halves[buffered + 1::2] = split >> 32
+    # what the per-round calls leave buffered: the last output's high half
+    has_uint32, uinteger = halves.size - m * k, int(halves[-1])
+    scaled = halves[: m * k].reshape(m, k) * his
+    del split, halves
+    if ((scaled & _LOW32) < (2**32 - his) % his).any():
+        return None
+    values = np.zeros((m, len(bounds)), dtype=np.int64)
+    values[:, drawn] = scaled >> 32
+    a, b, c, j3, j2, ints = values.T
+    # Floyd: a repeat takes the top of its range
+    b = np.where(b == a, n - 2, b)
+    c = np.where((c == a) | (c == b), n - 1, c)
+    picks = np.stack([a, b, c], axis=1)
+    # Fisher-Yates from the back: slot 2 swaps with slot j3, then 1 with j2
+    for slot, j in ((2, j3), (1, j2)):
+        held = picks[:, slot].copy()
+        picks[:, slot] = picks[rounds, j]
+        picks[rounds, j] = held
+    state = bit_generator.state
+    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+    bit_generator.state = state
+    return picks, ints.copy(), doubles
 
 
 @dataclass(frozen=True)
@@ -222,6 +323,27 @@ def init_population(
         raise ConfigurationError(f"population size must be at least 2, got {n}")
     positions = rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.dim))
     return [Individual(positions[i]) for i in range(n)]
+
+
+def fitness_value(value, name: str) -> float:
+    """An objective's value as the optimizers store it: ``float(value)``, NaN as +inf.
+
+    A value that ``float()`` refuses, or an array with more than zero
+    dimensions, is a ``TypeError`` naming the problem ``name``. The
+    per-evaluation paths call this only for a value that is not already
+    a non-NaN ``float``, which it returns unchanged.
+    """
+    if getattr(value, "ndim", 0) == 0:
+        try:
+            f = float(value)
+        except (TypeError, ValueError):
+            pass
+        else:
+            return math.inf if math.isnan(f) else f
+    raise TypeError(
+        f"problem {name!r}: the objective returned {type(value).__name__} "
+        f"{value!r:.60}, not one real number"
+    )
 
 
 def greedy_replace(parent: Individual, offspring: Individual) -> Individual:

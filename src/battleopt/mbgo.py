@@ -31,6 +31,7 @@ from .core import (
     check_budget,
     check_pop_size,
     clamp,
+    fitness_value,
     greedy_replace,
     init_population,
     make_rng,
@@ -206,27 +207,37 @@ def battle(pop: list, i: int, rng) -> np.ndarray:
     return battle_vs_weaker(ind, direction, rng)
 
 
-def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> RunResult:
+def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps=None, *,
+                rows=None) -> RunResult:
     """Run loop shared by MBGO, EMBGO and DE until the evaluation budget is exhausted.
 
     It evaluates a uniform initial population in one batch call (one
     budget unit per member, Python floats, NaN already +inf), then
-    repeats iterations. Each iteration starts with ``sweeps(pop, draws)``,
-    where ``draws`` is the run's :class:`~battleopt.core.Draws` over
-    ``rng``: the same stream, with cheaper scalar draws. It returns that
-    iteration's passes; a pass is
-    ``propose(i, best, worst) -> proposal`` and visits the members in
-    index order. Every proposal is clamped to the box here, once, costs
-    one evaluation, and replaces member ``i`` only on strict improvement,
-    in place, so later proposals in the same iteration see it. ``best`` and
-    ``worst`` are tracked incrementally (:class:`~battleopt.core.Extremes`):
-    selection costs O(1) amortized per candidate, and the population is
-    rescanned only when its worst member improves. One trace point and
-    one diversity point are recorded per iteration. ``name`` labels the
-    configuration errors and selects the population minimum in
-    :data:`~battleopt.core.MIN_POP_SIZE`; ``rng`` defaults to
-    ``make_rng(config.seed)``, and one without a ``bit_generator`` is a
-    ``TypeError`` before anything is drawn or evaluated.
+    repeats iterations. ``draws`` below is the run's
+    :class:`~battleopt.core.Draws` over ``rng``: the same stream, with
+    cheaper scalar draws. Each iteration either
+
+    - calls ``sweeps(pop, draws)``, which returns that iteration's passes
+      (MBGO, EMBGO). A pass is ``propose(i, best, worst) -> proposal`` and
+      visits the members in index order; every proposal is clamped to the
+      box here, once, and goes to ``step``; or
+    - calls ``rows(pop, draws, step, m)`` (DE), which proposes for members
+      ``0 .. m - 1`` itself, in index order, with ``m`` the members the
+      budget lets through, and hands ``step`` candidates it has clamped.
+
+    ``step(i, candidate)`` costs one evaluation, turns the objective's
+    value into a float (:func:`~battleopt.core.fitness_value`) and
+    replaces member ``i`` only on strict improvement, in place, so later
+    proposals in the same iteration see it; it returns whether it did.
+    ``best`` and ``worst`` are tracked incrementally
+    (:class:`~battleopt.core.Extremes`): selection costs O(1) amortized
+    per candidate, and the population is rescanned only when its worst
+    member improves. One trace point and one diversity point are recorded
+    per iteration. ``name`` labels the configuration errors and selects
+    the population minimum in :data:`~battleopt.core.MIN_POP_SIZE`;
+    ``rng`` defaults to ``make_rng(config.seed)``, and one without a
+    ``bit_generator`` is a ``TypeError`` before anything is drawn or
+    evaluated.
     """
     check_pop_size(name, config.pop_size)
     check_budget(name, config.pop_size, config.budget)
@@ -237,8 +248,9 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> Run
     evaluate = problem.evaluate
 
     pop = init_population(config.pop_size, bounds, rng)
+    n = len(pop)
     budget = EvaluationBudget(config.budget)
-    budget.take(len(pop))
+    budget.take(n)
     fits = problem.evaluate_batch(np.array([ind.position for ind in pop]))
     for ind, f in zip(pop, fits.tolist()):
         ind.fitness = f
@@ -248,18 +260,26 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps) -> Run
     diversity = [(0, population_diversity(pop, bounds))]
     iteration = 0
 
+    def step(i, candidate):
+        budget.take()
+        f = evaluate(candidate)
+        if type(f) is not float or f != f:
+            f = fitness_value(f, problem.name)
+        ind = pop[i]
+        kept = pop[i] = greedy_replace(ind, Individual(candidate, f))
+        if kept is ind:
+            return False
+        ext.replaced(i, f)
+        return True
+
     while not budget.exhausted:
         iteration += 1
-        for propose in sweeps(pop, draws):
-            for i in range(len(pop)):
-                if budget.exhausted:
-                    break
-                ind = pop[i]
-                candidate = clamp(propose(i, pop[ext.best], pop[ext.worst]), bounds)
-                budget.take()
-                kept = pop[i] = greedy_replace(ind, Individual(candidate, evaluate(candidate)))
-                if kept is not ind:
-                    ext.replaced(i, kept.fitness)
+        if rows is not None:
+            rows(pop, draws, step, min(n, budget.limit - budget.used))
+        else:
+            for propose in sweeps(pop, draws):
+                for i in range(min(n, budget.limit - budget.used)):
+                    step(i, clamp(propose(i, pop[ext.best], pop[ext.worst]), bounds))
         trace.append((budget.used, pop[ext.best].fitness))
         diversity.append((iteration, population_diversity(pop, bounds)))
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Bounds, ConfigurationError, make_rng
+from .core import Bounds, ConfigurationError, fitness_value, make_rng
 
 __all__ = [
     "Problem",
@@ -55,6 +55,15 @@ class Problem:
     wrappers map singular points to +inf). ``constraints`` hold the raw
     g_i(x) <= 0 functions when the objective came from a constrained
     formulation; the penalty is already folded into ``evaluate``.
+
+    ``evaluate`` returns one real number: a float, a numpy scalar, an int
+    or a 0-d array. Every optimizer stores ``float(value)``, with NaN as
+    +inf, so no optimizer keeps NaN as its best and a run serializes the
+    same whichever of these types the objective returns
+    (:func:`~battleopt.core.fitness_value`). A value that ``float()``
+    refuses, or an array with more than zero dimensions, is a
+    ``TypeError`` naming the problem. An exception raised by ``evaluate``
+    itself propagates unchanged.
     """
 
     name: str
@@ -67,8 +76,9 @@ class Problem:
     def evaluate_batch(self, X) -> np.ndarray:
         """Objective values of the rows of ``X`` as an ``(m,)`` float64 array.
 
-        Bit-identical to ``[evaluate(x) for x in X]``, except that NaN
-        becomes +inf, so that no optimizer keeps NaN as its best. The fast
+        Bit-identical to ``[evaluate(x) for x in X]`` under the value rule
+        of the class docstring: each value as a float, NaN as +inf, so that
+        no optimizer keeps NaN as its best. The fast
         path is ``evaluate.batch``: a raw benchmark function is its own,
         and the transformed benchmarks and the lookup-table problem set
         one on their ``evaluate``. An ``evaluate`` without one, such as a
@@ -80,7 +90,10 @@ class Problem:
             raise ValueError(f"evaluate_batch expects an (m, dim) array, got shape {X.shape}")
         rows = getattr(self.evaluate, "batch", None)
         if rows is None:
-            out = np.fromiter(map(self.evaluate, X), dtype=float, count=len(X))
+            name = self.name
+            values = (f if type(f) is float else fitness_value(f, name)
+                      for f in map(self.evaluate, X))
+            out = np.fromiter(values, dtype=float, count=len(X))
         else:
             out = rows(X)
         out[np.isnan(out)] = np.inf

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from battleopt import OptimizerConfig, make_problem, run_random_search
+from battleopt import OptimizerConfig, Problem, make_problem, run_random_search
 
 
 class FixedRng:
@@ -62,6 +62,63 @@ class RecordingRng:
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
+
+
+# --- objectives and a recording problem for the sweep oracles ----------------
+
+
+def recording(problem, make_objective, batch=True):
+    """``problem`` with a fresh ``make_objective()``, or its own objective, recording each point.
+
+    With ``batch``, the wrapper has a ``.batch`` that records each row and
+    then evaluates it through the single-point objective, so the initial
+    population is recorded as well; without, ``evaluate_batch`` calls the
+    wrapper once per row.
+    """
+    objective = make_objective() if make_objective else problem.evaluate
+    seen = []
+
+    def evaluate(x):
+        seen.append(np.array(x))
+        return objective(x)
+
+    if batch:
+        evaluate.batch = lambda X: np.array([evaluate(x) for x in X], dtype=float)
+    return Problem(problem.name, problem.dim, problem.bounds, evaluate), seen
+
+
+def sphere():
+    return lambda x: float(np.dot(x, x))
+
+
+def decreasing():
+    # Every call returns less than the one before: each PSO particle
+    # improves its personal and the global best, each DE trial is kept.
+    calls = iter(range(10**9))
+    return lambda x: -float(next(calls))
+
+
+def plateaus():
+    # A step function: many evaluations tie with a best, and a tie must
+    # not move it.
+    return lambda x: float(np.floor(np.abs(x).sum()))
+
+
+def nonfinite():
+    # NaN, +inf and one -inf between sphere values, by call count.
+    calls = iter(range(10**9))
+
+    def f(x):
+        k = next(calls)
+        if k == 70:
+            return -math.inf
+        if k % 5 == 2:
+            return math.nan
+        if k % 7 == 3:
+            return math.inf
+        return float(np.dot(x, x))
+
+    return f
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,26 @@ def test_de_params_validation():
         DeParams(Cr=1.5)
     with pytest.raises(ConfigurationError):
         PsoParams(v_max=0.0)
+
+
+@pytest.mark.parametrize("F", [math.nan, math.inf, -math.inf])
+def test_de_params_reject_a_non_finite_scale(F):
+    with pytest.raises(ConfigurationError, match="F must be finite"):
+        DeParams(F=F)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in ("w", "c1", "c2") for v in (math.nan, math.inf, -math.inf)]
+    + [("v_max", v) for v in (math.nan, -math.inf, 0.0, -1.0)],
+)
+def test_pso_params_reject_non_finite_coefficients_and_a_bad_v_max(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        PsoParams(**{field: value})
+
+
+def test_pso_params_take_an_infinite_v_max():
+    assert PsoParams(v_max=math.inf).v_max == math.inf
 
 
 def test_de_requires_four_members():

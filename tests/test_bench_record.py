@@ -85,3 +85,21 @@ def test_seed_list_and_checkout_arguments(tmp_path):
     for text in ("no-equals-sign", f"={PATH.parent.parent}", f"empty={tmp_path}"):
         with pytest.raises(argparse.ArgumentTypeError, match="LABEL=CHECKOUT"):
             bench_record.checkout(text)
+
+
+def test_nd_summary_gives_quartiles_per_optimizer_and_cell():
+    by_seed = {1: {"de": {"N=50 D=10": 3.0}}, 2: {"de": {"N=50 D=10": 5.0}},
+               3: {"de": {"N=50 D=10": 4.0}}, 4: {"error": "exit 1: boom"}}
+    summary = bench_record.nd_summary(by_seed)
+    assert summary["de"]["N=50 D=10"]["median"] == 4.0
+    assert summary["de"]["N=50 D=10"]["n"] == 3
+    assert summary["run_errors"] == {"4": "exit 1: boom"}
+    assert bench_record.nd_summary({1: {"error": "exit 2"}}) == {"run_errors": {"1": "exit 2"}}
+
+
+def test_time_nd_times_every_optimizer_in_the_checkouts_own_package():
+    table = bench_record.time_nd(PATH.parent.parent, seed=3, pops=(4, 6), dims=(2,))
+    assert sorted(table) == sorted(bench_record.ND_OPTIMIZERS)
+    for cells in table.values():
+        assert sorted(cells) == ["N=4 D=2", "N=6 D=2"]
+        assert all(0.0 < us < 1e5 for us in cells.values())

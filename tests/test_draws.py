@@ -2,7 +2,8 @@
 
 Twin generators of each numpy bit generator run the same call sequence,
 one through ``Generator`` and one through ``Draws``; every value and the
-final ``bit_generator.state`` must agree. Whole runs of DE, MBGO and
+final ``bit_generator.state`` must agree; so must a DE sweep's bulk draws
+(``Draws.sweep``) and the per-member calls they stand for. Whole runs of DE, MBGO and
 EMBGO are pinned by a digest of the caller's generator state afterwards,
 recorded before the battle-game loop took its scalar draws through
 ``Draws``.
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from battleopt import OptimizerConfig, Problem, resolve_problem, run_de, run_embgo, run_mbgo
-from battleopt.core import Bounds, Draws, make_rng
+from battleopt.core import Bounds, Draws, _decode_sweep, make_rng
 
 from conftest import FixedRng, RecordingRng
 
@@ -163,6 +164,94 @@ def test_numpy_integer_bounds_act_as_ints():
     assert draws.integers(np.int64(2**32)) == int(reference.integers(2**32))
     assert draws.distinct(np.uint32(3 * 2**30)) == reference.choice(3 * 2**30, 3, replace=False).tolist()
     assert_same_state(twin, reference)
+
+
+# --- a DE sweep's draws in bulk -----------------------------------------------
+
+
+def per_member(draws, m, n, high, size):
+    """What Draws.sweep stands for: m rounds of distinct, integers and random(size)."""
+    rounds = [(draws.distinct(n), draws.integers(high), draws.random(size).tolist())
+              for _ in range(m)]
+    return [list(column) for column in zip(*rounds)]
+
+
+def assert_sweep_is_per_member(bit_generator, seed, m, n, high, size, buffered):
+    bulk, twin = twins(bit_generator, seed)
+    if buffered:
+        # one 32-bit draw leaves the other half of its output buffered
+        Draws(bulk).integers(7), Draws(twin).integers(7)
+        if bit_generator is not np.random.MT19937:
+            assert bulk.bit_generator.state["has_uint32"] == 1
+    picks, ints, doubles = Draws(bulk).sweep(m, n, high, size)
+    assert (picks.shape, ints.shape, doubles.shape) == ((m, 3), (m,), (m, size))
+    assert [picks.tolist(), ints.tolist(), doubles.tolist()] == per_member(
+        Draws(twin), m, n, high, size)
+    assert_same_state(bulk, twin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bit_generator=st.sampled_from(BIT_GENERATORS),
+    seed=st.integers(0, 2**64 - 1),
+    pop=st.sampled_from((4, 5, 3200)) | st.integers(4, 3200),
+    dim=st.sampled_from((1, 2, 10)) | st.integers(1, 40),
+    rounds=st.integers(1, 3200),
+    buffered=st.booleans(),
+)
+def test_a_de_sweep_is_its_per_member_draws(bit_generator, seed, pop, dim, rounds, buffered):
+    # DE's sweep over a population of pop: distinct(pop - 1), integers(dim),
+    # random(dim) per member, for up to pop members
+    assert_sweep_is_per_member(bit_generator, seed, min(rounds, pop), pop - 1, dim, dim, buffered)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bit_generator=st.sampled_from(BIT_GENERATORS),
+    seed=st.integers(0, 2**64 - 1),
+    m=st.integers(1, 60),
+    n=st.sampled_from(NS) | st.integers(3, 2**32),
+    high=st.sampled_from(HIGHS) | st.integers(1, 2**32),
+    size=st.integers(1, 5),
+    buffered=st.booleans(),
+)
+def test_sweep_is_its_per_member_draws_over_its_whole_domain(bit_generator, seed, m, n, high,
+                                                              size, buffered):
+    assert_sweep_is_per_member(bit_generator, seed, m, n, high, size, buffered)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+@pytest.mark.parametrize("n, dim", [(3, 1), (3, 4), (4, 1), (49, 1), (49, 10), (3199, 10)])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_sweep_at_the_smallest_population_and_one_dimension(bit_generator, n, dim, buffered):
+    # n = 3: Floyd's first bound is 1 and draws nothing; dim = 1: neither
+    # does integers(1), and the buffered half alternates from round to round
+    assert_sweep_is_per_member(bit_generator, 5, n + 1, n, dim, dim, buffered)
+
+
+@pytest.mark.parametrize("seed", [11, 54])
+def test_a_sweep_that_numpy_would_retry_is_drawn_per_member(seed):
+    # At these seeds one of 3200 rounds' bounded draws is rejected, which
+    # only shows after the raw outputs are drawn.
+    generator = np.random.Generator(np.random.PCG64(seed))
+    start = generator.bit_generator.state
+    assert _decode_sweep(generator.bit_generator, start, 3200, 3199, 10, 10) is None
+    assert_sweep_is_per_member(np.random.PCG64, seed, 3200, 3199, 10, 10, False)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_frequent_retries(bit_generator):
+    # about a quarter of the draws below 3 * 2**30 are rejected
+    for seed in range(5):
+        assert_sweep_is_per_member(bit_generator, seed, 40, 3 * 2**30 + 2, 3 * 2**30, 3, seed % 2)
+
+
+@pytest.mark.parametrize("n, high", [(2, 5), (2**32 + 1, 5), (5, 0), (5, 2**32 + 1)])
+def test_sweep_outside_its_domain_is_a_value_error(n, high):
+    generator, untouched = twins(np.random.PCG64, 0)
+    with pytest.raises(ValueError, match="must lie in"):
+        Draws(generator).sweep(4, n, high, 2)
+    assert_same_state(generator, untouched)
 
 
 # --- the battle-game loop ----------------------------------------------------

@@ -26,6 +26,8 @@ from battleopt.core import (
 )
 from battleopt.stats import population_diversity
 
+from conftest import decreasing, nonfinite, plateaus, recording, sphere
+
 
 def reference_pso(problem, config, rng=None, *, params=None):
     params = params or PsoParams()
@@ -84,60 +86,6 @@ def reference_pso(problem, config, rng=None, *, params=None):
         seed=config.seed,
         fes_used=budget.used,
     )
-
-
-def recording(problem, make_objective, batch=True):
-    """``problem`` with a fresh ``make_objective()``, or its own objective, recording each point.
-
-    With ``batch``, the wrapper has a ``.batch`` that records each row and
-    then evaluates it through the single-point objective, so the initial
-    population is recorded as well; without, ``evaluate_batch`` calls the
-    wrapper once per row.
-    """
-    objective = make_objective() if make_objective else problem.evaluate
-    seen = []
-
-    def evaluate(x):
-        seen.append(np.array(x))
-        return objective(x)
-
-    if batch:
-        evaluate.batch = lambda X: np.array([evaluate(x) for x in X], dtype=float)
-    return Problem(problem.name, problem.dim, problem.bounds, evaluate), seen
-
-
-def sphere():
-    return lambda x: float(np.dot(x, x))
-
-
-def decreasing():
-    # Every call returns less than the one before: each particle improves
-    # its personal and the global best.
-    calls = iter(range(10**9))
-    return lambda x: -float(next(calls))
-
-
-def plateaus():
-    # A step function: many evaluations tie with a best, and a tie must
-    # not move it.
-    return lambda x: float(np.floor(np.abs(x).sum()))
-
-
-def nonfinite():
-    # NaN, +inf and one -inf between sphere values, by call count.
-    calls = iter(range(10**9))
-
-    def f(x):
-        k = next(calls)
-        if k == 70:
-            return -math.inf
-        if k % 5 == 2:
-            return math.nan
-        if k % 7 == 3:
-            return math.inf
-        return float(np.dot(x, x))
-
-    return f
 
 
 def assert_same_run(problem, config, make_objective=None, bit_generator=np.random.PCG64,

@@ -18,6 +18,13 @@ end-to-end metric with ``failed``, ``attempted``, ``digest_changed`` and
 ``versus`` block compares each one with the first: the ratio of medians
 and the number of seeds on which it read better.
 
+After each seed's workloads, every checkout (in the same alternating
+order) also times the ``nd_table``: raw µs/FE of embgo, mbgo, de and pso
+on sphere at N in {50, 200, 800, 3200} and D in {10, 100}, one run of
+``N + max(2 N, 4000)`` evaluations per cell, seeded with the seed. Its
+quartiles over the seeds go into the record next to the workloads. The
+table is not gated: no metric of ``BENCHMARK.json`` reads it.
+
 Seed lists and the run timeout come from ``perfbench/report.py``, and
 quartiles use its method, so the spreads match the table it prints.
 Nothing under ``perfbench/`` is changed; the file is rewritten after
@@ -42,6 +49,31 @@ _SPEC.loader.exec_module(report)
 
 # The paths whose content a perfbench run depends on.
 MEASURED = ("src", "perfbench")
+
+ND_OPTIMIZERS = ("embgo", "mbgo", "de", "pso")
+ND_POPS = (50, 200, 800, 3200)
+ND_DIMS = (10, 100)
+
+# Runs in the checkout's own package (PYTHONPATH=<checkout>/src), so it
+# uses only the API every checkout has: run_X(problem, config).
+ND_TIMER = """
+import json, sys, time
+import battleopt as bo
+seed, pops, dims, names = int(sys.argv[1]), *map(json.loads, sys.argv[2:])
+table = {}
+for dim in dims:
+    problem = bo.make_problem("sphere", dim)
+    for n in pops:
+        budget = n + max(2 * n, 4000)
+        config = bo.OptimizerConfig(pop_size=n, budget=budget, seed=seed)
+        for name in names:
+            run = getattr(bo, "run_" + name)
+            start = time.perf_counter()
+            run(problem, config)
+            wall = time.perf_counter() - start
+            table.setdefault(name, {})[f"N={n} D={dim}"] = wall / budget * 1e6
+print(json.dumps(table))
+"""
 
 
 def checkout(text: str) -> tuple:
@@ -87,6 +119,28 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     path = root / "perfbench-out" / "results" / f"{workload}-seed{seed}-trace0.json"
     return json.loads(path.read_text())
+
+
+def time_nd(root: Path, seed: int, pops=ND_POPS, dims=ND_DIMS, names=ND_OPTIMIZERS) -> dict:
+    """The checkout's raw µs/FE per optimizer and ``"N=<n> D=<d>"`` cell, or its error."""
+    cmd = [sys.executable, "-c", ND_TIMER, str(seed),
+           json.dumps(list(pops)), json.dumps(list(dims)), json.dumps(list(names))]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
+                          timeout=report.RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+    return json.loads(proc.stdout)
+
+
+def nd_summary(by_seed: dict) -> dict:
+    """Per optimizer and cell: µs/FE quartiles over the seeds that ran."""
+    tables = [t for t in by_seed.values() if "error" not in t]
+    out = {"run_errors": {str(s): t["error"] for s, t in by_seed.items() if "error" in t}}
+    for name in (tables[0] if tables else {}):
+        out[name] = {cell: quartiles([t[name][cell] for t in tables])
+                     for cell in tables[0][name]}
+    return out
 
 
 def quartiles(values: list) -> dict:
@@ -156,8 +210,31 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = spec["end_to_end"]
     records = {label: {w: {} for w in workloads} for label in labels}
+    nd = {label: {} for label in labels}
     measured = {label: identity(root) for label, root in args.checkouts}
     envs: dict = {}
+
+    def write():
+        bench = {
+            "seeds": args.seeds,
+            "run_seconds": seconds,
+            "quartiles": "statistics.quantiles(n=4), as perfbench/report.py",
+            "order": "per seed and workload, checkouts alternate which runs first",
+            "checkouts": {k: {**measured[k], "env": envs.get(k),
+                              "workloads": summarize(records[k], metrics)}
+                          for k in labels},
+            "versus": {k: versus(records[labels[0]], records[k], metrics)
+                       for k in labels[1:]},
+            "nd_table": {
+                "gated": False,
+                "unit": "us per FE, raw wall over budget",
+                "problem": "sphere",
+                "budget": "N + max(2 N, 4000), one run per cell and seed",
+                "checkouts": {k: nd_summary(nd[k]) for k in labels},
+            },
+        }
+        args.out.write_text(json.dumps(bench, indent=1) + "\n")
+
     for i, seed in enumerate(report.seed_list(args.seeds)):
         order = args.checkouts if i % 2 == 0 else args.checkouts[::-1]
         for workload in workloads:
@@ -170,18 +247,12 @@ def main(argv=None) -> int:
                          f"failed {record['failed']}/{record['attempted']}  "
                          f"setup_s {record['metrics']['setup_s']['value']:.3f}"),
                       flush=True)
-                bench = {
-                    "seeds": args.seeds,
-                    "run_seconds": seconds,
-                    "quartiles": "statistics.quantiles(n=4), as perfbench/report.py",
-                    "order": "per seed and workload, checkouts alternate which runs first",
-                    "checkouts": {k: {**measured[k], "env": envs.get(k),
-                                      "workloads": summarize(records[k], metrics)}
-                                  for k in labels},
-                    "versus": {k: versus(records[labels[0]], records[k], metrics)
-                               for k in labels[1:]},
-                }
-                args.out.write_text(json.dumps(bench, indent=1) + "\n")
+                write()
+        for label, root in order:
+            nd[label][seed] = time_nd(root, seed)
+            print(f"{label} nd_table seed {seed}: {nd[label][seed].get('error', 'ok')}",
+                  flush=True)
+            write()
     return 0
 
 
