@@ -3,17 +3,17 @@
 Differential evolution with the cur-to-rand/1 scheme, global-best PSO
 with a hard velocity clamp, and uniform random search as the sanity
 floor. All three honor the shared run contract: seeded stream, hard
-evaluation budget, non-increasing best-so-far trace. DE is one sweep of
-:func:`~battleopt.mbgo.battle_game` per iteration; PSO keeps its own
-loop, since its global best moves only on strict improvement, its
-diversity is over positions, not personal bests, and it returns the
-global best. Both take a sweep's draws at once and compute their
-candidates for windows of rows as arrays, evaluating the rows one at a
-time in index order. A PSO window is exact until one of its particles
-improves the global best (see :func:`run_pso`); a DE row is recomputed
-when one of its peers was replaced after its window was computed (see
-:func:`run_de`). Initial populations and random search's samples go
-through ``Problem.evaluate_batch``.
+evaluation budget, non-increasing best-so-far trace. DE runs one
+:func:`~battleopt.mbgo.battle_game` sweep per iteration over the loop's
+position array; PSO keeps its own loop, since its global best moves only
+on strict improvement, its diversity is over positions, not personal
+bests, and it returns the global best. Both take a sweep's draws at once
+and compute their candidates for windows of rows as arrays, evaluating
+the rows one at a time in index order. A PSO window is exact until one
+of its particles improves the global best (see :func:`run_pso`); a DE
+row is recomputed when one of its peers was replaced after its window
+was computed (see :func:`run_de`). Initial populations and random
+search's samples go through ``Problem.evaluate_batch``.
 """
 
 import math
@@ -103,33 +103,28 @@ def run_de(
     trial equals the parent in every non-crossed dimension. One sweep of
     :func:`~battleopt.mbgo.battle_game` per iteration, so greedy
     replacement, budget, trace and diversity are the battle-game
-    optimizers'. ``rng`` defaults to ``make_rng(config.seed)`` and
-    ``params`` to ``DeParams()``.
+    optimizers'; DE reads no best or worst, so it keeps none. ``rng``
+    defaults to ``make_rng(config.seed)`` and ``params`` to ``DeParams()``.
 
     A member's draws depend on no position or fitness, so a sweep takes
     all of them at once: :meth:`~battleopt.core.Draws.sweep` gives the
     values, and the final generator state, of m rounds of
     ``rng.choice(n - 1, 3, replace=False)``, ``rng.integers(dim)`` and
     ``rng.random(dim)``, m being the members the budget lets through.
-    Trials are then computed for a window of rows at once from the
-    current positions, by the same elementwise expressions as for one
+    Trials are then computed for a window of rows at once from the loop's
+    position array ``X``, by the same elementwise expressions as for one
     member (mutant, crossover mask, forced gene, clamp), and the window's
     rows are evaluated one at a time in index order. A row whose peers
     include a row accepted since the window was computed is recomputed
-    from the current rows before it is evaluated, so ``evaluate`` sees the
+    from the current ``X`` before it is evaluated, so ``evaluate`` sees the
     points of a per-member loop, in its order, and the run's bits are its.
     """
     params = resolve_params(params, DeParams)
     F, Cr = params.F, params.Cr
-    bounds = problem.bounds
-    lower, upper, dim = bounds.lower, bounds.upper, bounds.dim
-    positions = None
+    lower, upper, dim = problem.bounds.lower, problem.bounds.upper, problem.bounds.dim
 
-    def rows(pop, draws, step, m):
-        nonlocal positions
-        if positions is None:
-            # kept equal to the members' positions: only this sweep moves them
-            positions = np.array([ind.position for ind in pop])
+    def sweep(pop, X, draws, step, left):
+        m = min(len(pop), left)
         picks, forced, r = draws.sweep(m, len(pop) - 1, dim, dim)
         members = np.arange(m)
         # distinct(n - 1) draws over the other members: skip i itself
@@ -138,8 +133,8 @@ def run_de(
         cross[members, forced] = True
 
         def trials(lo, hi):
-            x = positions[lo:hi]
-            x1, x2, x3 = (positions[p] for p in peers[lo:hi].T)
+            x = X[lo:hi]
+            x1, x2, x3 = (X[p] for p in peers[lo:hi].T)
             mutant = x + F * (x1 - x) + F * (x2 - x3)
             # core.clamp's minimum(maximum(...)) on every row at once
             return np.minimum(np.maximum(np.where(cross[lo:hi], mutant, x), lower), upper)
@@ -154,12 +149,9 @@ def run_de(
                 else:
                     candidate = window[i - lo]
                 if step(i, candidate):
-                    # the kept member views its row, not the window it came from
-                    positions[i] = candidate
-                    pop[i].position = positions[i]
                     moved.add(i)
 
-    return battle_game(problem, config, rng, "de", rows=rows)
+    return battle_game(problem, config, rng, "de", sweep)
 
 
 def run_pso(

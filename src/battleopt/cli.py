@@ -118,8 +118,8 @@ def _parse_params(raw: list) -> dict:
             number = float(value)
         except ValueError:
             raise ConfigurationError(f"--param value must be numeric, got {item!r}")
-        if not math.isfinite(number):
-            raise ConfigurationError(f"--param value must be finite, got {item!r}")
+        if math.isnan(number):  # ±inf goes on to the params dataclass, which judges it
+            raise ConfigurationError(f"--param value must be finite or ±inf, got {item!r}")
         if "." in key:
             scope, _, name = key.partition(".")
             out.setdefault(scope.strip(), {})[name.strip()] = number
@@ -291,7 +291,7 @@ def cmd_compare(args) -> int:
     budgets = {}
     for label in labels:
         budget = _params_for(base_of[label], parsed).get("budget", args.budget)
-        if budget != int(budget):
+        if isinstance(budget, float) and not budget.is_integer():
             raise ConfigurationError(f"--param budget must be an integer, got {budget!r}")
         budgets[label] = int(budget)
     if len(set(budgets.values())) != 1:

@@ -249,7 +249,7 @@ def _decode_sweep(bit_generator, start: dict, m: int, n: int, high: int, size: i
 
 @dataclass(frozen=True)
 class Bounds:
-    """Per-dimension box constraints with strictly positive width."""
+    """Box constraints: one or more dimensions, each of finite, positive width."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -259,10 +259,13 @@ class Bounds:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        if lower.ndim != 1 or lower.shape != upper.shape:
-            raise ValueError("bounds must be 1-D vectors of equal length")
+        if lower.ndim != 1 or lower.shape != upper.shape or lower.size == 0:
+            raise ValueError("bounds must be non-empty 1-D vectors of equal length")
         if not np.all(lower < upper):
             raise ValueError("each lower bound must lie strictly below its upper bound")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(upper - lower).all():
+                raise ValueError("bounds and their widths upper - lower must be finite")
 
     @classmethod
     def cube(cls, low: float, high: float, dim: int) -> "Bounds":
@@ -373,11 +376,11 @@ class Extremes:
     __slots__ = ("fit", "best", "worst")
 
     def __init__(self, pop: list[Individual]):
-        self.fit = np.array([ind.fitness for ind in pop], dtype=np.float64)
-        if np.isnan(self.fit).any():
+        fit = self.fit = np.array([ind.fitness for ind in pop], dtype=np.float64)
+        self.best = int(fit.argmin())  # argmin picks a NaN, if there is one
+        if math.isnan(fit[self.best]):
             raise ValueError("population contains unevaluated individuals")
-        self.best = int(np.argmin(self.fit))
-        self.worst = int(np.argmax(self.fit))
+        self.worst = int(fit.argmax())
 
     def replaced(self, i: int, f: float) -> None:
         """Record that slot ``i`` now holds fitness ``f``, no higher than before."""
@@ -387,7 +390,7 @@ class Extremes:
         if f < fit[best] or (f == fit[best] and i < best):
             self.best = i
         if i == self.worst:
-            self.worst = int(np.argmax(fit))
+            self.worst = int(fit.argmax())
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ import numpy as np
 
 from .core import ConfigurationError, Individual, OptimizerConfig, RunResult, resolve_params
 from .levy import DEFAULT_BETA, levy_sample, levy_sigma
-from .mbgo import MbgoParams, battle, battle_game, in_safe_zone, safe_zone_radius
+from .mbgo import MbgoParams, battle, battle_game, in_safe_zone, member_sweep, safe_zone_radius
 
-# Not called here (the run loop, its clamp and the battle step live in
-# battleopt.mbgo), but kept as module attributes: perfbench/spans.py
-# rebinds them by name.
+# Not called here (the run loop, the pass loop with its clamp and the
+# battle step live in battleopt.mbgo), but kept as module attributes:
+# perfbench/spans.py rebinds them by name.
 from .core import best_worst, clamp, greedy_replace, init_population  # noqa: F401
 from .mbgo import battle_vs_stronger, battle_vs_weaker, pick_enemy  # noqa: F401
 from .stats import population_diversity  # noqa: F401
@@ -85,16 +85,16 @@ def run_embgo(
 ) -> RunResult:
     """Merged-phase :func:`~battleopt.mbgo.battle_game`: one coin-flip pass.
 
-    The population centroid is recomputed once per iteration; the safe
-    zone is recomputed from the current best/worst on each movement-branch
-    entry, and the battle branch is MBGO's :func:`~battleopt.mbgo.battle`.
+    The centroid of the loop's positions is taken once per iteration,
+    the safe zone from the current best/worst on each movement-branch
+    entry; the battle branch is MBGO's :func:`~battleopt.mbgo.battle`.
     ``rng`` defaults to ``make_rng(config.seed)`` and ``params`` to
     ``EmbgoParams()``.
     """
     params = resolve_params(params, EmbgoParams)
 
-    def sweeps(pop, rng):
-        x_mean = np.mean([ind.position for ind in pop], axis=0)
+    def passes(pop, X, rng):
+        x_mean = X.mean(axis=0)
 
         def merged(i, best, worst):
             if rng.random() >= 0.5:
@@ -107,4 +107,4 @@ def run_embgo(
 
         return [merged]
 
-    return battle_game(problem, config, rng, "embgo", sweeps)
+    return battle_game(problem, config, rng, "embgo", member_sweep(problem.bounds, passes))

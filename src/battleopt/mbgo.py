@@ -3,15 +3,14 @@
 Each iteration makes two full passes over the population. The movement
 pass steers every member relative to a hypersphere (the safe zone)
 centered on the current best; the battle pass confronts every member
-with one random enemy. The operators return raw proposals; the run loop
-clamps every candidate to the box, evaluates it, and keeps it only on
-strict improvement, so two evaluations per member are consumed per full
-iteration.
+with one random enemy. The operators return raw proposals;
+:func:`member_sweep` clamps every candidate to the box, and the run loop
+evaluates it and keeps it only on strict improvement, so two evaluations
+per member are consumed per full iteration.
 
-The run loop, :func:`battle_game`, is shared with the merged-phase
-variant in :mod:`battleopt.embgo` and with differential evolution in
-:mod:`battleopt.baselines`; the battle step, :func:`battle`, with the
-merged-phase variant.
+The run loop, :func:`battle_game`, is shared with differential evolution
+in :mod:`battleopt.baselines`; :func:`member_sweep` and the battle step,
+:func:`battle`, with the merged-phase variant in :mod:`battleopt.embgo`.
 """
 
 import math
@@ -52,6 +51,7 @@ __all__ = [
     "battle_vs_weaker",
     "pick_enemy",
     "battle",
+    "member_sweep",
     "battle_game",
     "run_mbgo",
 ]
@@ -207,33 +207,44 @@ def battle(pop: list, i: int, rng) -> np.ndarray:
     return battle_vs_weaker(ind, direction, rng)
 
 
-def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps=None, *,
-                rows=None) -> RunResult:
+def member_sweep(bounds, passes):
+    """:func:`battle_game` sweep of per-member passes, as MBGO and EMBGO run them.
+
+    ``passes(pop, X, draws)`` gives an iteration's passes, each a
+    ``propose(i, best, worst)``. A pass visits members ``0 .. min(N, left) - 1``
+    in index order and clamps each proposal to ``bounds`` for ``step``.
+    ``best`` and ``worst`` come from an :class:`~battleopt.core.Extremes`
+    built once per iteration and told of each accepted step.
+    """
+
+    def sweep(pop, X, draws, step, left):
+        ext = Extremes(pop)
+        for propose in passes(pop, X, draws):
+            m = min(len(pop), left)
+            left -= m
+            for i in range(m):
+                if step(i, clamp(propose(i, pop[ext.best], pop[ext.worst]), bounds)):
+                    ext.replaced(i, pop[i].fitness)
+
+    return sweep
+
+
+def battle_game(problem, config: OptimizerConfig, rng, name: str, sweep) -> RunResult:
     """Run loop shared by MBGO, EMBGO and DE until the evaluation budget is exhausted.
 
     It evaluates a uniform initial population in one batch call (one
-    budget unit per member, Python floats, NaN already +inf), then
-    repeats iterations. ``draws`` below is the run's
+    budget unit per member, Python floats, NaN already +inf) into an
+    ``(N, D)`` array ``X`` whose rows the members' positions view, then
+    calls ``sweep(pop, X, draws, step, left)`` once per iteration, with
+    ``left`` the evaluations the budget has left and ``draws`` the run's
     :class:`~battleopt.core.Draws` over ``rng``: the same stream, with
-    cheaper scalar draws. Each iteration either
-
-    - calls ``sweeps(pop, draws)``, which returns that iteration's passes
-      (MBGO, EMBGO). A pass is ``propose(i, best, worst) -> proposal`` and
-      visits the members in index order; every proposal is clamped to the
-      box here, once, and goes to ``step``; or
-    - calls ``rows(pop, draws, step, m)`` (DE), which proposes for members
-      ``0 .. m - 1`` itself, in index order, with ``m`` the members the
-      budget lets through, and hands ``step`` candidates it has clamped.
-
-    ``step(i, candidate)`` costs one evaluation, turns the objective's
-    value into a float (:func:`~battleopt.core.fitness_value`) and
-    replaces member ``i`` only on strict improvement, in place, so later
-    proposals in the same iteration see it; it returns whether it did.
-    ``best`` and ``worst`` are tracked incrementally
-    (:class:`~battleopt.core.Extremes`): selection costs O(1) amortized
-    per candidate, and the population is rescanned only when its worst
-    member improves. One trace point and one diversity point are recorded
-    per iteration. ``name`` labels the configuration errors and selects
+    cheaper scalar draws. ``step(i, candidate)`` costs one evaluation,
+    turns its value into a float (:func:`~battleopt.core.fitness_value`)
+    and, only on strict improvement, copies ``candidate`` into ``X[i]``
+    and points member ``i`` at that row; it returns whether it did. A
+    sweep steps members in index order, at most ``left`` times. Each
+    iteration adds a trace point, the members' minimum fitness, and a
+    diversity point. ``name`` labels the configuration errors and selects
     the population minimum in :data:`~battleopt.core.MIN_POP_SIZE`;
     ``rng`` defaults to ``make_rng(config.seed)``, and one without a
     ``bit_generator`` is a ``TypeError`` before anything is drawn or
@@ -248,17 +259,15 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps=None, *
     evaluate = problem.evaluate
 
     pop = init_population(config.pop_size, bounds, rng)
-    n = len(pop)
+    X = np.array([ind.position for ind in pop])
     budget = EvaluationBudget(config.budget)
-    budget.take(n)
-    fits = problem.evaluate_batch(np.array([ind.position for ind in pop]))
-    for ind, f in zip(pop, fits.tolist()):
-        ind.fitness = f
+    budget.take(len(pop))
+    # a copy: no array the objective is handed is written to afterwards
+    for i, f in enumerate(problem.evaluate_batch(X.copy()).tolist()):
+        pop[i].position, pop[i].fitness = X[i], f
 
-    ext = Extremes(pop)
-    trace = [(budget.used, pop[ext.best].fitness)]
-    diversity = [(0, population_diversity(pop, bounds))]
-    iteration = 0
+    trace = [(budget.used, min([ind.fitness for ind in pop]))]
+    diversity = [(0, population_diversity(X, bounds))]
 
     def step(i, candidate):
         budget.take()
@@ -269,19 +278,14 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweeps=None, *
         kept = pop[i] = greedy_replace(ind, Individual(candidate, f))
         if kept is ind:
             return False
-        ext.replaced(i, f)
+        X[i] = candidate
+        kept.position = X[i]
         return True
 
     while not budget.exhausted:
-        iteration += 1
-        if rows is not None:
-            rows(pop, draws, step, min(n, budget.limit - budget.used))
-        else:
-            for propose in sweeps(pop, draws):
-                for i in range(min(n, budget.limit - budget.used)):
-                    step(i, clamp(propose(i, pop[ext.best], pop[ext.worst]), bounds))
-        trace.append((budget.used, pop[ext.best].fitness))
-        diversity.append((iteration, population_diversity(pop, bounds)))
+        sweep(pop, X, draws, step, budget.limit - budget.used)
+        trace.append((budget.used, min([ind.fitness for ind in pop])))
+        diversity.append((len(diversity), population_diversity(X, bounds)))
 
     best, _ = best_worst(pop)
     return RunResult(
@@ -314,7 +318,7 @@ def run_mbgo(
     if not (movement_phase or battle_phase):
         raise ConfigurationError("mbgo needs the movement phase, the battle phase or both")
 
-    def sweeps(pop, rng):
+    def passes(pop, X, rng):
         def move(i, best, worst):
             ind = pop[i]
             zone = safe_zone_radius(best, worst, rng, params.delta_low, params.delta_high)
@@ -327,4 +331,4 @@ def run_mbgo(
 
         return [p for p, on in ((move, movement_phase), (fight, battle_phase)) if on]
 
-    return battle_game(problem, config, rng, "mbgo", sweeps)
+    return battle_game(problem, config, rng, "mbgo", member_sweep(problem.bounds, passes))

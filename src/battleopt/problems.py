@@ -359,12 +359,12 @@ def make_problem(
     def evaluate(x: np.ndarray, _fn=fn, _t=t) -> float:
         return _fn(apply_transform(_t, x))
 
-    def rows(X: np.ndarray, _fn_rows=fn, _t=t) -> np.ndarray:
+    def rows(X: np.ndarray, _fn=fn, _t=t) -> np.ndarray:
         # One matrix-vector product per row: (X - o) @ M.T differs in low bits.
         Z = np.empty_like(X)
         for i, x in enumerate(X):
             Z[i] = apply_transform(_t, x)
-        return _fn_rows(Z)
+        return _fn(Z)
 
     evaluate.batch = rows
 

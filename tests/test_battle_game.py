@@ -1,0 +1,107 @@
+"""The shared run loop: one ``sweep`` per iteration over one position array.
+
+``battle_game`` keeps every position in one ``(N, D)`` array ``X`` whose
+rows the members view, and calls ``sweep(pop, X, draws, step, left)``
+once per iteration. These tests wrap each optimizer's sweep and check
+that ``X`` and the members agree around every call, including the last
+one, which the budget cuts short; that no array the objective is handed
+is written to afterwards, although the rows of ``X`` are; and that DE,
+which reads no best or worst, keeps no :class:`~battleopt.core.Extremes`.
+"""
+
+import numpy as np
+import pytest
+
+from battleopt import Bounds, OptimizerConfig, Problem, make_problem, run_de, run_embgo, run_mbgo
+from battleopt import baselines, embgo, mbgo
+from battleopt.core import Extremes
+
+N = 6
+
+# name -> (runner, evaluations per full iteration)
+RUNS = {
+    "mbgo": (run_mbgo, 2 * N),
+    "mbgo-movement": (lambda p, c: run_mbgo(p, c, battle_phase=False), N),
+    "mbgo-battle": (lambda p, c: run_mbgo(p, c, movement_phase=False), N),
+    "embgo": (run_embgo, N),
+    "de": (run_de, N),
+}
+
+
+def assert_members_view_rows(pop, X):
+    assert X.shape == (len(pop), pop[0].position.size)
+    for i, ind in enumerate(pop):
+        assert ind.position.base is X
+        assert np.shares_memory(ind.position, X[i])
+        assert np.array_equal(ind.position, X[i])
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The ``left`` of every sweep call; members and ``X`` are checked around each."""
+    lefts = []
+    loop = mbgo.battle_game
+
+    def checked_loop(problem, config, rng, name, sweep):
+        def checked(pop, X, draws, step, left):
+            lefts.append(left)
+            assert_members_view_rows(pop, X)
+            sweep(pop, X, draws, step, left)
+            assert_members_view_rows(pop, X)
+
+        return loop(problem, config, rng, name, checked)
+
+    for module in (mbgo, embgo, baselines):
+        monkeypatch.setattr(module, "battle_game", checked_loop)
+    return lefts
+
+
+# (name, evaluations of a last iteration the budget cuts short; 0: none)
+CUTS = [(name, cut) for name, (_, per) in sorted(RUNS.items())
+        for cut in sorted({0, 1, per - 1, (N + 1) % per})]
+
+
+@pytest.mark.parametrize("name, cut", CUTS)
+def test_members_view_the_rows_of_x_around_every_sweep(name, cut, sweeps):
+    runner, per_iteration = RUNS[name]
+    budget = N + 3 * per_iteration + cut
+    result = runner(make_problem("rastrigin", 3), OptimizerConfig(pop_size=N, budget=budget, seed=2))
+    assert result.fes_used == budget
+    # one sweep per iteration, each handed what the budget has left
+    assert sweeps == [budget - N - k * per_iteration for k in range(3 + (cut > 0))]
+
+
+@pytest.mark.parametrize("name", ["mbgo", "embgo", "de"])
+@pytest.mark.parametrize("batch", [True, False])
+def test_no_evaluated_array_is_written_afterwards(name, batch):
+    handed, copies = [], []
+
+    def evaluate(x):
+        handed.append(x)
+        copies.append(np.array(x))
+        return float(x @ x)
+
+    if batch:
+        evaluate.batch = lambda X: np.array([evaluate(x) for x in X])
+    problem = Problem("kept", 3, Bounds.cube(-5.0, 5.0, 3), evaluate)
+    RUNS[name][0](problem, OptimizerConfig(pop_size=N, budget=N + 4 * N, seed=1))
+    assert len(handed) == N + 4 * N
+    assert all(np.array_equal(x, c) for x, c in zip(handed, copies))
+
+
+def test_de_keeps_no_best_or_worst(monkeypatch):
+    calls = []
+    for method in ("__init__", "replaced"):
+        original = getattr(Extremes, method)
+
+        def counted(self, *args, _method=method, _original=original):
+            calls.append(_method)
+            return _original(self, *args)
+
+        monkeypatch.setattr(Extremes, method, counted)
+    problem = make_problem("sphere", 4)
+    run_de(problem, OptimizerConfig(pop_size=10, budget=10 + 10 * 8 + 3, seed=1))
+    assert calls == []
+    # the same counters see MBGO's selection
+    run_mbgo(problem, OptimizerConfig(pop_size=10, budget=10 + 20 * 8, seed=1))
+    assert calls.count("__init__") == 8 and "replaced" in calls

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import fields
 
 import pytest
@@ -377,23 +378,47 @@ SMALL = ["--dim", "2", "--pop", "5", "--budget", "20", "--trials", "2"]
 
 
 @pytest.mark.parametrize(
-    "argv, entry",
+    "argv, expected",
     [
-        (["run", "--problem", "sphere", "--algorithm", "de", "--param", "de.F=nan"], "'de.F=nan'"),
-        (["run", "--problem", "sphere", "--algorithm", "de", "--param", "F=inf"], "'F=inf'"),
-        (["run", "--problem", "sphere", "--algorithm", "pso", "--param", "pso.w=nan"], "'pso.w=nan'"),
-        (
-            ["compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "pso",
-             "--param", "w=-inf"],
-            "'w=-inf'",
-        ),
+        (["run", "--problem", "sphere", "--algorithm", "de", "--param", "de.F=nan"],
+         ["'de.F=nan'", "finite"]),
+        (["run", "--problem", "sphere", "--algorithm", "pso", "--param", "pso.w=nan"],
+         ["'pso.w=nan'", "finite"]),
+        # ±inf reaches the params dataclass, and its message is the one shown
+        (["run", "--problem", "sphere", "--algorithm", "de", "--param", "F=inf"],
+         ["scaling factor F must be finite and non-negative"]),
+        (["compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "pso",
+          "--param", "w=-inf"],
+         ["w must be finite"]),
+        (["compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "pso",
+          "--param", "budget=inf"],
+         ["--param budget must be an integer, got inf"]),
     ],
 )
-def test_non_finite_param_values_are_configuration_errors(argv, entry, tmp_path, capsys):
+def test_non_finite_param_values_are_configuration_errors(argv, expected, tmp_path, capsys):
     assert run_cli(*argv, *SMALL, "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert entry in err and "finite" in err, err
+    assert all(text in err for text in expected), err
     assert not list(tmp_path.iterdir())
+
+
+def test_pso_v_max_inf_leaves_velocities_unclamped(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(
+        "run", "--problem", "sphere", "--algorithm", "pso", "--param", "pso.v_max=inf",
+        *SMALL, "--out", str(out),
+    ) == 0
+    lines = (out / "sphere_pso_trial000.csv").read_text().splitlines()
+    rows = [line for line in lines if line and not line.startswith(("#", "fes,"))]
+
+    def trace_rows(params):
+        result = run_pso(resolve_problem("sphere", 2), OptimizerConfig(pop_size=5, budget=20),
+                         make_rng(0), params=params)
+        return [f"{fes},{fit!r},{pd!r}"
+                for (fes, fit), (_, pd) in zip(result.trace, result.diversity_trace)]
+
+    assert rows == trace_rows(PsoParams(v_max=math.inf))
+    assert rows != trace_rows(PsoParams())
 
 
 def test_arnas_rejects_non_finite_param_before_loading_the_table(tmp_path, capsys):

@@ -32,6 +32,30 @@ def test_bounds_reject_mismatched_lengths():
         Bounds(np.zeros(2), np.ones(3))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Bounds.cube(-math.inf, math.inf, 2),
+        lambda: Bounds.cube(0.0, math.inf, 1),
+        lambda: Bounds([-math.inf, 0.0], [0.0, 1.0]),
+        lambda: Bounds([-1e308, 0.0], [1e308, 1.0]),  # finite edges, width overflows
+        lambda: Bounds.cube(0.0, 1.0, 0),
+        lambda: Bounds([], []),
+    ],
+    ids=["infinite-cube", "infinite-upper", "infinite-lower", "width-overflows", "zero-dim-cube",
+         "empty"],
+)
+def test_bounds_reject_a_box_no_population_can_be_drawn_in(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_the_widest_accepted_box_can_be_sampled():
+    box = Bounds([-8e307, 0.0], [8e307, 1.0])
+    pop = init_population(3, box, make_rng(0))
+    assert all(box.contains(ind.position) for ind in pop)
+
+
 def test_clamp_projects_outside_components():
     box = Bounds.cube(-100.0, 100.0, 2)
     np.testing.assert_array_equal(
