@@ -29,6 +29,7 @@ from .core import (
     RunResult,
     check_budget,
     check_pop_size,
+    clamp,
     fitness_value,
     make_rng,
     resolve_params,
@@ -36,10 +37,9 @@ from .core import (
 from .mbgo import battle_game
 from .stats import population_diversity
 
-# Not called here (DE runs on battleopt.mbgo's loop, DE and PSO clamp
-# whole windows of rows), but kept as module attributes: perfbench/spans.py
-# rebinds them by name.
-from .core import best_worst, clamp, greedy_replace, init_population  # noqa: F401
+# Not called here (DE runs on battleopt.mbgo's loop), but kept as module
+# attributes: perfbench/spans.py rebinds them by name.
+from .core import best_worst, greedy_replace, init_population  # noqa: F401
 
 __all__ = ["RANDOM_SEARCH_CHUNK", "DeParams", "PsoParams", "run_de", "run_pso", "run_random_search"]
 
@@ -121,7 +121,7 @@ def run_de(
     """
     params = resolve_params(params, DeParams)
     F, Cr = params.F, params.Cr
-    lower, upper, dim = problem.bounds.lower, problem.bounds.upper, problem.bounds.dim
+    bounds, dim = problem.bounds, problem.bounds.dim
 
     def sweep(pop, X, draws, step, left):
         m = min(len(pop), left)
@@ -136,8 +136,7 @@ def run_de(
             x = X[lo:hi]
             x1, x2, x3 = (X[p] for p in peers[lo:hi].T)
             mutant = x + F * (x1 - x) + F * (x2 - x3)
-            # core.clamp's minimum(maximum(...)) on every row at once
-            return np.minimum(np.maximum(np.where(cross[lo:hi], mutant, x), lower), upper)
+            return clamp(np.where(cross[lo:hi], mutant, x), bounds)
 
         for lo in range(0, m, _DE_WINDOW):
             hi = min(lo + _DE_WINDOW, m)
@@ -197,7 +196,8 @@ def run_pso(
     budget = EvaluationBudget(config.budget)
     budget.take(n)
     pbest = positions.copy()
-    pbest_fit = problem.evaluate_batch(positions)
+    # a copy: the objective may keep the rows it is handed, and positions moves
+    pbest_fit = problem.evaluate_batch(positions.copy())
     g = int(np.argmin(pbest_fit))
     gbest = pbest[g].copy()
     gbest_fit = float(pbest_fit[g])
@@ -227,8 +227,7 @@ def run_pso(
             )
             # np.clip(v, -v_max, v_max, out=v) without its Python wrapper
             np.minimum(np.maximum(v, -v_max, out=v), v_max, out=v)
-            # core.clamp's minimum(maximum(...)) on the whole window
-            x = np.minimum(np.maximum(x + v, bounds.lower), bounds.upper)
+            x = clamp(x + v, bounds)
             for i, xi in enumerate(x, start):
                 f = evaluate(xi)
                 if type(f) is not float or f != f:

@@ -128,12 +128,12 @@ def _parse_params(raw: list) -> dict:
     return out
 
 
-def _check_params(parsed: dict, selected: list, extra: tuple = ()) -> None:
+def _check_params(parsed: dict, selected: list) -> None:
     """Reject --param keys that would be ignored.
 
     A scoped key must name a selected algorithm and one of its declared
-    keys or ``extra`` (the keys the command itself reads); an unscoped key
-    must be declared by at least one selected algorithm or be in ``extra``.
+    keys; an unscoped key must be declared by at least one selected
+    algorithm.
     """
     for scope, values in parsed.items():
         if scope and scope not in selected:
@@ -142,7 +142,7 @@ def _check_params(parsed: dict, selected: list, extra: tuple = ()) -> None:
                 f"selected: {', '.join(selected)}"
             )
         owners = [scope] if scope else selected
-        declared = sorted({key for name in owners for key in PARAM_KEYS[name]} | set(extra))
+        declared = sorted({key for name in owners for key in PARAM_KEYS[name]})
         for key in values:
             if key not in declared:
                 name = f"{scope}.{key}" if scope else key
@@ -152,8 +152,15 @@ def _check_params(parsed: dict, selected: list, extra: tuple = ()) -> None:
                 )
 
 
-def _select(args, selected: list, min_trials: int, extra: tuple = ()) -> dict:
-    """Check --trials, the algorithm names and the --param keys; return the parsed --param."""
+def _select(args, selected: list, min_trials: int) -> dict:
+    """Check every argument a trial reads; return each selected algorithm's --param dict.
+
+    Checks --trials, the algorithm names and the --param keys, then, for
+    each selected algorithm, the population size, the budget and its
+    params. Called before the first trial and before the output directory
+    is made, so that no trial runs and no directory appears for a
+    configuration that a later trial would reject.
+    """
     if args.trials < min_trials:
         raise ConfigurationError(f"--trials must be at least {min_trials}")
     for name in selected:
@@ -162,27 +169,14 @@ def _select(args, selected: list, min_trials: int, extra: tuple = ()) -> dict:
                 f"unknown algorithm {name!r}; known: {', '.join(sorted(ALGORITHMS))}"
             )
     parsed = _parse_params(args.param)
-    _check_params(parsed, selected, extra)
-    return parsed
-
-
-def _params_for(algorithm: str, parsed: dict) -> dict:
-    merged = dict(parsed.get("", {}))
-    merged.update(parsed.get(algorithm, {}))
-    return merged
-
-
-def _check_runs(parsed: dict, selected: list, pop: int, budget: int) -> None:
-    """Reject a population size, budget or --param value a selected algorithm cannot run with.
-
-    Called before the first trial and before the output directory is
-    made, so that no trial runs and no directory appears for a
-    configuration that a later trial would reject.
-    """
+    _check_params(parsed, selected)
+    params = {}
     for name in selected:
-        check_pop_size(name, pop)
-        check_budget(name, pop, budget)
-        _build_params(name, _params_for(name, parsed))
+        params[name] = {**parsed.get("", {}), **parsed.get(name, {})}
+        check_pop_size(name, args.pop)
+        check_budget(name, args.pop, args.budget)
+        _build_params(name, params[name])
+    return params
 
 
 def _resolve_out(args) -> Path:
@@ -231,10 +225,8 @@ def _summary_rows(results) -> tuple:
 
 
 def cmd_run(args) -> int:
-    parsed = _select(args, [args.algorithm], 1)
-    _check_runs(parsed, [args.algorithm], args.pop, args.budget)
+    params = _select(args, [args.algorithm], 1)[args.algorithm]
     problem = resolve_problem(args.problem, args.dim)
-    params = _params_for(args.algorithm, parsed)
     out = _resolve_out(args)
     header_pairs = {
         "problem": problem.name,
@@ -275,7 +267,7 @@ def cmd_compare(args) -> int:
     if len(entries) < 2:
         raise ConfigurationError("compare needs at least two --algorithm entries")
     selected = list(dict.fromkeys(entries))
-    parsed = _select(args, selected, 2, extra=("budget",))
+    params = _select(args, selected, 2)
     # duplicate entries get distinct column labels (embgo, embgo#2, ...)
     labels, base_of, counts = [], {}, {}
     for name in entries:
@@ -288,17 +280,6 @@ def cmd_compare(args) -> int:
         raise ConfigurationError(f"--reference {reference!r} is not among the algorithms")
     if not 0.0 < args.alpha < 1.0:
         raise ConfigurationError(f"--alpha must lie strictly between 0 and 1, got {args.alpha!r}")
-    budgets = {}
-    for label in labels:
-        budget = _params_for(base_of[label], parsed).get("budget", args.budget)
-        if isinstance(budget, float) and not budget.is_integer():
-            raise ConfigurationError(f"--param budget must be an integer, got {budget!r}")
-        budgets[label] = int(budget)
-    if len(set(budgets.values())) != 1:
-        raise ConfigurationError(f"unequal budgets {budgets} make the comparison unfair")
-    budget = budgets[labels[0]]
-    _check_runs(parsed, selected, args.pop, budget)
-
     problems = [resolve_problem(name, args.dim) for name in args.problem]
     names = [p.name for p in problems]
     for k, name in enumerate(names):
@@ -307,10 +288,9 @@ def cmd_compare(args) -> int:
     samples = {}
     for problem in problems:
         for label in labels:
-            params = _params_for(base_of[label], parsed)
-            params.pop("budget", None)
+            name = base_of[label]
             results = _execute_trials(
-                problem, base_of[label], params, args.pop, budget, args.trials, args.seed
+                problem, name, params[name], args.pop, args.budget, args.trials, args.seed
             )
             samples[(problem.name, label)] = [r.final_fitness for r in results]
     matrix = ComparisonMatrix(
@@ -330,7 +310,7 @@ def cmd_compare(args) -> int:
                     "reference": reference,
                     "dim": args.dim,
                     "pop": args.pop,
-                    "budget": budget,
+                    "budget": args.budget,
                     "trials": args.trials,
                     "seed": args.seed,
                     "alpha": args.alpha,
@@ -366,13 +346,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_arnas(args) -> int:
-    parsed = _select(args, [args.algorithm], 1)
-    _check_runs(parsed, [args.algorithm], args.pop, args.budget)
+    params = _select(args, [args.algorithm], 1)[args.algorithm]
     table = load_table(args.table)
     if not table.complete:
         raise ConfigurationError(f"table {args.table} is incomplete; arnas needs all codes")
     problem = table_problem(table)
-    params = _params_for(args.algorithm, parsed)
     opt_code, opt_acc = brute_force_optimum(table)
 
     results = _execute_trials(

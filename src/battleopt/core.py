@@ -287,15 +287,17 @@ class Bounds:
 
 
 def clamp(position: np.ndarray, bounds: Bounds) -> np.ndarray:
-    """Project a position component-wise onto the box.
+    """Project a position, or each row of an ``(m, D)`` block, component-wise onto the box.
 
     ``minimum(maximum(x, lower), upper)`` is what ``np.clip`` computes for
-    floats (NaN and signed zeros included), without its Python wrapper.
+    one position of floats (NaN and signed zeros included), without its
+    Python wrapper; a block gets, row by row, what its rows would.
     """
     position = np.asarray(position, dtype=float)
-    if position.shape != bounds.lower.shape:
+    if position.shape[-1:] != bounds.lower.shape:
         raise ValueError(
-            f"position has {position.size} components, bounds expect {bounds.dim}"
+            f"position has {position.shape[-1] if position.ndim else 1} components, "
+            f"bounds expect {bounds.dim}"
         )
     return np.minimum(np.maximum(position, bounds.lower), bounds.upper)
 

@@ -5,14 +5,25 @@ rows the members view, and calls ``sweep(pop, X, draws, step, left)``
 once per iteration. These tests wrap each optimizer's sweep and check
 that ``X`` and the members agree around every call, including the last
 one, which the budget cuts short; that no array the objective is handed
-is written to afterwards, although the rows of ``X`` are; and that DE,
+is written to afterwards, although the rows of ``X`` are (PSO's and
+random search's own loops included); and that DE,
 which reads no best or worst, keeps no :class:`~battleopt.core.Extremes`.
 """
 
 import numpy as np
 import pytest
 
-from battleopt import Bounds, OptimizerConfig, Problem, make_problem, run_de, run_embgo, run_mbgo
+from battleopt import (
+    Bounds,
+    OptimizerConfig,
+    Problem,
+    make_problem,
+    run_de,
+    run_embgo,
+    run_mbgo,
+    run_pso,
+    run_random_search,
+)
 from battleopt import baselines, embgo, mbgo
 from battleopt.core import Extremes
 
@@ -71,7 +82,12 @@ def test_members_view_the_rows_of_x_around_every_sweep(name, cut, sweeps):
     assert sweeps == [budget - N - k * per_iteration for k in range(3 + (cut > 0))]
 
 
-@pytest.mark.parametrize("name", ["mbgo", "embgo", "de"])
+# PSO and random search run their own loops, but are held to the same rule
+KEEPERS = {"mbgo": run_mbgo, "embgo": run_embgo, "de": run_de, "pso": run_pso,
+           "random": run_random_search}
+
+
+@pytest.mark.parametrize("name", sorted(KEEPERS))
 @pytest.mark.parametrize("batch", [True, False])
 def test_no_evaluated_array_is_written_afterwards(name, batch):
     handed, copies = [], []
@@ -84,7 +100,7 @@ def test_no_evaluated_array_is_written_afterwards(name, batch):
     if batch:
         evaluate.batch = lambda X: np.array([evaluate(x) for x in X])
     problem = Problem("kept", 3, Bounds.cube(-5.0, 5.0, 3), evaluate)
-    RUNS[name][0](problem, OptimizerConfig(pop_size=N, budget=N + 4 * N, seed=1))
+    KEEPERS[name](problem, OptimizerConfig(pop_size=N, budget=N + 4 * N, seed=1))
     assert len(handed) == N + 4 * N
     assert all(np.array_equal(x, c) for x, c in zip(handed, copies))
 

@@ -144,17 +144,21 @@ def test_compare_identical_algorithms_all_tilde(tmp_path):
     assert rank_line.count("1.50") == 2
 
 
-def test_compare_rejects_single_algorithm_and_unequal_budgets(tmp_path):
+def test_compare_rejects_single_algorithm_and_a_per_algorithm_budget(tmp_path, capsys):
     assert run_cli(
         "compare", "--problem", "sphere", "--algorithm", "embgo",
         "--trials", "2", "--out", str(tmp_path),
     ) == 2
+    assert "compare needs at least two --algorithm entries" in capsys.readouterr().err
+    # --budget is the one budget, so every algorithm gets the same
     assert run_cli(
         "compare", "--problem", "sphere",
         "--algorithm", "embgo", "--algorithm", "de",
         "--param", "de.budget=100", "--budget", "200",
         "--trials", "3", "--out", str(tmp_path),
     ) == 2
+    assert "unknown --param 'de.budget'; valid keys for de: Cr, F" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_compare_requires_trials_and_run_and_arnas_default_to_one(tmp_path, capsys):
@@ -323,9 +327,17 @@ def test_params_default_to_the_library_defaults(algorithm, params, expected):
     [
         (["run", "--algorithm", "de", "--param", "de.f=0.1"], ["'de.f'", "Cr, F"]),
         (["run", "--algorithm", "random", "--param", "w=0.5"], ["'w'", "none"]),
-        # only compare reads a per-algorithm budget; run and arnas take --budget
+        # --budget is the only budget of every command
         (["run", "--algorithm", "mbgo", "--param", "budget=7"], ["'budget'", "delta_high, delta_low"]),
         (["run", "--algorithm", "de", "--param", "de.budget=7"], ["'de.budget'", "Cr, F"]),
+        (
+            ["compare", "--algorithm", "de", "--algorithm", "random", "--param", "budget=60"],
+            ["'budget'", "de, random", "Cr, F"],
+        ),
+        (
+            ["compare", "--algorithm", "de", "--algorithm", "random", "--param", "de.budget=60"],
+            ["'de.budget'", "valid keys for de: Cr, F"],
+        ),
         (["run", "--algorithm", "mbgo", "--param", "mbgo.beta=1.2"], ["'mbgo.beta'", "delta_high, delta_low"]),
         (["run", "--algorithm", "de", "--param", "pso.w=0.5"], ["'pso'", "de"]),
         (
@@ -356,7 +368,7 @@ def test_declared_param_keys_are_accepted(tmp_path):
     # an unscoped key needs only one selected algorithm that declares it
     assert run_cli(
         "compare", "--algorithm", "de", "--algorithm", "pso", "--param", "w=0.5",
-        "--param", "de.F=0.5", "--param", "pso.budget=20",
+        "--param", "de.F=0.5",
         *common, "--budget", "20", "--out", str(tmp_path / "compare"),
     ) == 0
 
@@ -392,7 +404,7 @@ SMALL = ["--dim", "2", "--pop", "5", "--budget", "20", "--trials", "2"]
          ["w must be finite"]),
         (["compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "pso",
           "--param", "budget=inf"],
-         ["--param budget must be an integer, got inf"]),
+         ["unknown --param 'budget'; valid keys for de, pso: Cr, F, c1, c2, v_max, w"]),
     ],
 )
 def test_non_finite_param_values_are_configuration_errors(argv, expected, tmp_path, capsys):
@@ -536,18 +548,6 @@ def test_beta_whose_levy_scale_overflows_is_rejected_before_any_trial(tmp_path, 
     assert not list(tmp_path.iterdir())
 
 
-def test_compare_runs_with_the_budget_param(tmp_path):
-    argv = ["compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "random",
-            "--dim", "2", "--pop", "5", "--trials", "2"]
-    assert run_cli(*argv, "--budget", "60", "--out", str(tmp_path / "flag")) == 0
-    for entry in ("budget=60", "budget=60.0"):
-        assert run_cli(*argv, "--budget", "100", "--param", entry,
-                       "--out", str(tmp_path / entry)) == 0
-        report = (tmp_path / entry / "comparison.txt").read_text()
-        assert "# budget=60\n" in report
-        assert report == (tmp_path / "flag" / "comparison.txt").read_text()
-
-
 @pytest.mark.parametrize("value", ["0.5", "2", "-1", "1e-9"])
 def test_bool_param_takes_only_zero_or_one(value, tmp_path, capsys):
     assert run_cli(
@@ -577,18 +577,6 @@ def test_mbgo_param_keys_are_the_mbgo_params_fields():
     assert cli.PARAM_KEYS["mbgo"] == tuple(f.name for f in fields(MbgoParams))
 
 
-@pytest.mark.parametrize("entry", ["budget=60.5", "de.budget=60.5", "random.budget=1e-3"])
-def test_compare_rejects_a_non_integer_budget_param(entry, tmp_path, capsys, monkeypatch):
-    started = count_trials(monkeypatch)
-    assert run_cli(
-        "compare", "--problem", "sphere", "--algorithm", "de", "--algorithm", "random",
-        *SMALL, "--param", entry, "--out", str(tmp_path),
-    ) == 2
-    assert repr(float(entry.partition("=")[2])) in capsys.readouterr().err
-    assert started == []
-    assert not list(tmp_path.iterdir())
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -596,8 +584,7 @@ def test_compare_rejects_a_non_integer_budget_param(entry, tmp_path, capsys, mon
           "--dim", "2", "--pop", "50", "--budget", "20", "--trials", "2"],
          "embgo needs a budget that covers its initial population of 50, got 20"),
         (["compare", "--problem", "sphere", "--algorithm", "random", "--algorithm", "de",
-          "--dim", "2", "--pop", "5", "--budget", "100", "--trials", "2",
-          "--param", "budget=4"],
+          "--dim", "2", "--pop", "5", "--budget", "4", "--trials", "2"],
          "de needs a budget that covers its initial population of 5, got 4"),
         (["run", "--problem", "sphere", "--algorithm", "random", "--budget", "0"],
          "budget must be positive, got 0"),

@@ -73,6 +73,13 @@ def test_clamp_is_np_clip(case):
     np.testing.assert_array_equal(
         bits(clamp(x, bounds)), bits(np.clip(x, bounds.lower, bounds.upper))
     )
+    # an (m, D) block, as DE and PSO clamp a window, row by row: np.clip on
+    # the block itself can give +0.0 where its rows give -0.0
+    block = np.array([x, x[::-1], -x])
+    np.testing.assert_array_equal(
+        bits(clamp(block, bounds)),
+        bits([np.clip(row, bounds.lower, bounds.upper) for row in block]),
+    )
 
 
 @pytest.mark.parametrize("lo, hi", EDGES)
@@ -88,6 +95,10 @@ def test_clamp_is_np_clip_at_the_edges(lo, hi):
 def test_clamp_keeps_its_shape_check():
     with pytest.raises(ValueError, match="3 components, bounds expect 2"):
         clamp(np.zeros(3), Bounds.cube(0.0, 1.0, 2))
+    with pytest.raises(ValueError, match="3 components, bounds expect 2"):
+        clamp(np.zeros((4, 3)), Bounds.cube(0.0, 1.0, 2))
+    with pytest.raises(ValueError, match="1 components, bounds expect 2"):
+        clamp(0.5, Bounds.cube(0.0, 1.0, 2))
 
 
 @settings(max_examples=200, deadline=None)
