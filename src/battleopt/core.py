@@ -79,7 +79,9 @@ class Draws:
     - ``distinct(n)`` is ``rng.choice(n, 3, replace=False).tolist()`` for
       3 <= n <= 2**32: Floyd's sampling, then a Fisher-Yates shuffle of
       the three, each step one such bounded draw;
-    - ``random(size)`` and ``normal`` are passed on to ``rng``.
+    - ``random(size)`` and ``normal`` are passed on to ``rng``;
+    - ``save()`` and ``restore(state)`` read and set the bit generator's
+      state, so that a run can take draws again from an earlier point.
 
     It skips the Generator's lock, so one object serves one run on one
     thread. ``rng`` needs only a ``bit_generator`` attribute, so a wrapper
@@ -171,6 +173,14 @@ class Draws:
             ints[k] = self._below(high)
             doubles[k] = self.random(size)
         return picks, ints, doubles
+
+    def save(self) -> dict:
+        """The bit generator's state, for :meth:`restore`."""
+        return self._rng.bit_generator.state
+
+    def restore(self, state: dict) -> None:
+        """Put the bit generator back in a state :meth:`save` gave."""
+        self._rng.bit_generator.state = state
 
     def _below(self, high: int) -> int:
         """Lemire's draw from [0, high), 1 <= high <= 2**32, unchecked."""

@@ -4,7 +4,10 @@ Instead of two fixed passes, every individual flips a fair coin each
 iteration: heads enters the movement branch (differential mutation
 inside the safe zone, a Levy flight outside), tails enters the battle
 branch (unchanged from the original). One evaluation per individual per
-iteration, half the original's per-iteration cost.
+iteration, half the original's per-iteration cost. The pass runs in
+MBGO's :func:`~battleopt.mbgo.member_sweep`, which takes the movement
+branch as a :class:`~battleopt.mbgo.Movement`; :func:`diff_mutation` and
+:func:`levy_move` are its steps for one member.
 """
 
 import math
@@ -14,13 +17,14 @@ import numpy as np
 
 from .core import ConfigurationError, Individual, OptimizerConfig, RunResult, resolve_params
 from .levy import DEFAULT_BETA, levy_sample, levy_sigma
-from .mbgo import MbgoParams, battle, battle_game, in_safe_zone, member_sweep, safe_zone_radius
+from .mbgo import MbgoParams, Movement, battle_game, member_sweep
 
-# Not called here (the run loop, the pass loop with its clamp and the
-# battle step live in battleopt.mbgo), but kept as module attributes:
+# Not called here (the run loop, the pass loop with its zone test, clamp
+# and battles live in battleopt.mbgo), but kept as module attributes:
 # perfbench/spans.py rebinds them by name.
 from .core import best_worst, clamp, greedy_replace, init_population  # noqa: F401
-from .mbgo import battle_vs_stronger, battle_vs_weaker, pick_enemy  # noqa: F401
+from .mbgo import battle_vs_stronger, battle_vs_weaker, in_safe_zone, pick_enemy  # noqa: F401
+from .mbgo import safe_zone_radius  # noqa: F401
 from .stats import population_diversity  # noqa: F401
 
 __all__ = ["EmbgoParams", "diff_mutation", "levy_move", "run_embgo"]
@@ -88,23 +92,28 @@ def run_embgo(
     The centroid of the loop's positions is taken once per iteration,
     the safe zone from the current best/worst on each movement-branch
     entry; the battle branch is MBGO's :func:`~battleopt.mbgo.battle`.
-    ``rng`` defaults to ``make_rng(config.seed)`` and ``params`` to
-    ``EmbgoParams()``.
+    The movement branch is :func:`diff_mutation`'s and :func:`levy_move`'s
+    steps as a :class:`~battleopt.mbgo.Movement`, with the same draws in
+    the same order. ``rng`` defaults to ``make_rng(config.seed)`` and
+    ``params`` to ``EmbgoParams()``.
     """
     params = resolve_params(params, EmbgoParams)
+    beta, independent_r, dim = params.beta, params.independent_r, problem.bounds.dim
 
-    def passes(pop, X, rng):
+    def draw_inside(draws):
+        s1 = math.sin(2.0 * math.pi * draws.random())
+        return s1, (math.sin(2.0 * math.pi * draws.random()) if independent_r else s1)
+
+    def passes(X, draws):
         x_mean = X.mean(axis=0)
-
-        def merged(i, best, worst):
-            if rng.random() >= 0.5:
-                return battle(pop, i, rng)
-            ind = pop[i]
-            zone = safe_zone_radius(best, worst, rng, params.delta_low, params.delta_high)
-            if in_safe_zone(ind, zone):
-                return diff_mutation(ind, best, x_mean, rng, independent_r=params.independent_r)
-            return levy_move(ind, params.beta, rng)
-
-        return [merged]
+        move = Movement(
+            params.delta_low,
+            params.delta_high,
+            draw_inside,
+            lambda x, xb, s1, s2: x + (xb - x) * s1 + (x_mean - x) * s2,
+            lambda draws: levy_sample(beta, dim, draws),
+            lambda x, xb, step: x + step,
+        )
+        return [(move, True)]
 
     return battle_game(problem, config, rng, "embgo", member_sweep(problem.bounds, passes))

@@ -103,3 +103,30 @@ def test_time_nd_times_every_optimizer_in_the_checkouts_own_package():
     for cells in table.values():
         assert sorted(cells) == ["N=4 D=2", "N=6 D=2"]
         assert all(0.0 < us < 1e5 for us in cells.values())
+
+
+DURATIONS = """\
+........................................................................ [ 99%]
+...                                                                      [100%]
+============================= slowest durations ==============================
+39.33s call     tests/test_acceptance.py::test_criterion_06_directional_check
+5.83s call     tests/test_acceptance.py::test_criterion_05_dominance_anchor
+0.02s setup    tests/test_acceptance.py::test_criterion_06_directional_check
+0.01s teardown tests/test_acceptance.py::test_criterion_06_directional_check
+0.01s call     tests/test_other.py::test_criterion_06_directional_check_helper
+
+(120 durations < 0.005s hidden.  Use -vv to show these durations.)
+2 failed, 865 passed, 5 warnings, 1 error in 88.11s (0:01:28)
+"""
+
+
+def test_parse_tier1_reads_the_walls_and_counts_of_a_durations_run():
+    parsed = bench_record.parse_tier1(DURATIONS)
+    assert parsed["wall_s"] == 88.11
+    assert parsed["criterion_06_s"] == pytest.approx(39.36)
+    assert (parsed["passed"], parsed["failed"], parsed["errors"]) == (865, 2, 1)
+    # the short summary pytest prints on failures is framed in "=" signs
+    framed = bench_record.parse_tier1("== 867 passed in 3.50s ==\n")
+    assert framed == {"wall_s": 3.5, "criterion_06_s": None, "passed": 867, "failed": 0,
+                      "errors": 0}
+    assert bench_record.parse_tier1("no summary at all\n")["wall_s"] is None

@@ -14,7 +14,7 @@ from battleopt import mbgo
 from battleopt.core import best_worst, make_rng
 from battleopt.levy import levy_sample
 
-from conftest import FixedRng, make_individual as ind
+from conftest import FixedRng, make_individual as ind, recording
 
 
 def test_diff_mutation_zero_differences():
@@ -115,26 +115,23 @@ def test_best_worst_calls_do_not_grow_with_population(monkeypatch):
 
 
 def test_branch_choice_is_balanced(monkeypatch):
-    # the safe zone is drawn once per movement entry, the enemy once per battle
-    counts = {"movement": 0, "battle": 0}
+    # one enemy is drawn per battle; every other evaluation after the
+    # initial population is a movement
+    battles = []
+    pick_enemy = mbgo.pick_enemy
 
-    def counting(which, fn):
-        def counted(*args):
-            counts[which] += 1
-            return fn(*args)
+    def counted(*args):
+        battles.append(args[0])
+        return pick_enemy(*args)
 
-        return counted
-
-    monkeypatch.setattr(
-        "battleopt.embgo.safe_zone_radius", counting("movement", mbgo.safe_zone_radius)
-    )
-    monkeypatch.setattr("battleopt.mbgo.pick_enemy", counting("battle", mbgo.pick_enemy))
-    problem = make_problem("rastrigin", 6)
+    monkeypatch.setattr("battleopt.mbgo.pick_enemy", counted)
+    problem, seen = recording(make_problem("rastrigin", 6), None)
     config = OptimizerConfig(pop_size=50, budget=50 + 10_000, seed=9)
     run_embgo(problem, config)
-    total = counts["movement"] + counts["battle"]
+    total = len(seen) - 50
+    movements = total - len(battles)
     assert total == 10_000
-    assert abs(counts["movement"] / total - 0.5) <= 0.02
+    assert abs(movements / total - 0.5) <= 0.02
 
 
 def test_solves_sphere_to_tight_tolerance():

@@ -25,6 +25,13 @@ on sphere at N in {50, 200, 800, 3200} and D in {10, 100}, one run of
 quartiles over the seeds go into the record next to the workloads. The
 table is not gated: no metric of ``BENCHMARK.json`` reads it.
 
+Before the first seed, every checkout runs its own tier-1 suite once,
+with ``--durations=0``, the checkouts one after the other in the order
+given. The record keeps, per checkout, the suite's wall (pytest's own
+``in <s>s`` summary), criterion 06's wall (its setup, call and teardown
+durations summed) and the pass and fail counts. These are not gated
+either.
+
 Seed lists and the run timeout come from ``perfbench/report.py``, and
 quartiles use its method, so the spreads match the table it prints.
 Nothing under ``perfbench/`` is changed; the file is rewritten after
@@ -35,6 +42,7 @@ import argparse
 import importlib.util
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -74,6 +82,52 @@ for dim in dims:
             table.setdefault(name, {})[f"N={n} D={dim}"] = wall / budget * 1e6
 print(json.dumps(table))
 """
+
+
+# The tier-1 command of ROADMAP.md, with every test's durations listed.
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0"]
+TIER1_TIMEOUT_S = 1800
+CRITERION_06 = "test_criterion_06_directional_check"
+_DURATION = re.compile(r"^(\d+(?:\.\d+)?)s\s+(setup|call|teardown)\s+(\S+)")
+_SUMMARY = re.compile(r"^=*\s*(.*?)\s+in\s+(\d+(?:\.\d+)?)s\b")
+_COUNT = re.compile(r"(\d+) (passed|failed|errors?)")
+
+
+def parse_tier1(text: str) -> dict:
+    """Suite wall, criterion 06's wall and test counts from pytest's ``--durations=0`` output.
+
+    The wall is the last ``... in <s>s`` summary line; criterion 06's wall
+    sums the setup, call and teardown lines of its test, which pytest
+    lists only when they are 0.005 s or longer. A part not found is None.
+    """
+    wall, criterion, counts = None, None, {"passed": 0, "failed": 0, "errors": 0}
+    for line in text.splitlines():
+        duration = _DURATION.match(line.strip())
+        if duration and duration.group(3).endswith("::" + CRITERION_06):
+            criterion = (criterion or 0.0) + float(duration.group(1))
+        summary = _SUMMARY.match(line.strip())
+        if summary and _COUNT.search(summary.group(1)):
+            wall = float(summary.group(2))
+            counts = {"passed": 0, "failed": 0, "errors": 0}
+            for number, kind in _COUNT.findall(summary.group(1)):
+                counts["errors" if kind.startswith("error") else kind] += int(number)
+    return {"wall_s": wall, "criterion_06_s": criterion, **counts}
+
+
+def time_tier1(root: Path) -> dict:
+    """One tier-1 run of the checkout's own suite, parsed; or its error."""
+    src = str(root / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    try:
+        proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=TIER1_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"error": f"timed out after {TIER1_TIMEOUT_S} s"}
+    parsed = parse_tier1(proc.stdout)
+    if parsed["wall_s"] is None:
+        return {"error": f"exit {proc.returncode}: no summary line: {proc.stdout.strip()[-300:]}"}
+    return {"exit": proc.returncode, **parsed}
 
 
 def checkout(text: str) -> tuple:
@@ -211,6 +265,7 @@ def main(argv=None) -> int:
     metrics = spec["end_to_end"]
     records = {label: {w: {} for w in workloads} for label in labels}
     nd = {label: {} for label in labels}
+    tier1: dict = {}
     measured = {label: identity(root) for label, root in args.checkouts}
     envs: dict = {}
 
@@ -232,9 +287,19 @@ def main(argv=None) -> int:
                 "budget": "N + max(2 N, 4000), one run per cell and seed",
                 "checkouts": {k: nd_summary(nd[k]) for k in labels},
             },
+            "tier1": {
+                "gated": False,
+                "command": "PYTHONPATH=src python " + " ".join(TIER1),
+                "runs": "one per checkout, before the first seed, in the order given",
+                "checkouts": {k: tier1.get(k) for k in labels},
+            },
         }
         args.out.write_text(json.dumps(bench, indent=1) + "\n")
 
+    for label, root in args.checkouts:
+        tier1[label] = time_tier1(root)
+        print(f"{label} tier-1: {tier1[label]}", flush=True)
+        write()
     for i, seed in enumerate(report.seed_list(args.seeds)):
         order = args.checkouts if i % 2 == 0 else args.checkouts[::-1]
         for workload in workloads:
