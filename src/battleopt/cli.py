@@ -122,6 +122,8 @@ def _parse_params(raw: list) -> dict:
             raise ConfigurationError(f"--param value must be finite or ±inf, got {item!r}")
         if "." in key:
             scope, _, name = key.partition(".")
+            if not scope.strip():
+                raise ConfigurationError(f"--param scope is empty, got {item!r}")
             out.setdefault(scope.strip(), {})[name.strip()] = number
         else:
             out[""][key] = number

@@ -4,20 +4,20 @@ Each iteration makes two full passes over the population. The movement
 pass steers every member relative to a hypersphere (the safe zone)
 centered on the current best; the battle pass confronts every member
 with one random enemy. The operators return raw proposals for one
-member; :func:`member_sweep` computes the same proposals by the same
-elementwise expressions, clamps every candidate to the box, and the run
-loop evaluates it and keeps it only on strict improvement, so two
-evaluations per member are consumed per full iteration. In a large
-population the sweep handles windows of consecutive members as one
-block, with the draws, points and seeded bits of calling the operators
-member by member.
+member. :func:`member_sweep` computes the same proposals by the same
+elementwise expressions: one planner takes each member's draws and picks
+its branch, and one row builder makes its clamped candidate (in a large
+population, a window of consecutive members is built as one block, with
+the draws, points and seeded bits of going member by member). The run
+loop evaluates each candidate and, only on strict improvement, writes it
+and its fitness into the member in place, so two evaluations per member
+are consumed per full iteration.
 
 The run loop, :func:`battle_game`, is shared with differential evolution
 in :mod:`battleopt.baselines`; :func:`member_sweep` with the merged-phase
 variant in :mod:`battleopt.embgo`.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -37,12 +37,14 @@ from .core import (
     check_pop_size,
     clamp,
     fitness_value,
-    greedy_replace,
-    init_population,
     make_rng,
     resolve_params,
 )
 from .stats import population_diversity
+
+# Not called here, but kept as module attributes: perfbench/spans.py
+# rebinds them by name.
+from .core import greedy_replace, init_population  # noqa: F401
 
 __all__ = [
     "RADIUS_EPSILON",
@@ -284,25 +286,30 @@ def member_sweep(bounds, passes):
     their order are those of a loop that builds, clamps and steps one member
     at a time.
 
+    One planner takes a member's draws and picks its branch: the coin,
+    then delta and the zone test or the enemy and the stronger/weaker
+    test, then the draws of that branch, giving ``(kind, enemy or delta,
+    drawn)``. One row builder makes the clamped candidate of such a plan
+    from the current rows. A member alone is planned, built and stepped.
+
     From N = 192 on, runs of 12 to min(64, N // 16) consecutive members go
     as a window (see ``_WINDOW_MIN``), in three steps:
 
-    1. Plan: member by member, take the draws and decide the branch from
-       the data at the window's start. A battle against an enemy earlier in
-       the window that is not yet stronger could change branch, so the
-       window ends before that member, which carries its coin and enemy
-       into the next window. A stronger enemy stays stronger: steps only
-       ever lower a fitness.
-    2. Build: the window's candidates as one block, by the same elementwise
-       expressions as for one member, then one clamp.
-    3. Evaluate: step the members in index order. A member is stale if its
-       enemy was accepted earlier in the window, or, for a movement, if best
-       or worst changed (index or row). A stale member is rechecked with
-       the exact test and recomputed alone from the current rows and its
-       own draws. If its branch changed, its draws would too: the generator
-       goes back to the state saved at the window's start, the draws of the
-       members already stepped are taken again, and the next window starts
-       at that member.
+    1. Plan every member with the data at the window's start, the zone
+       test reading one einsum distance per row. A battle against an enemy
+       earlier in the window that is not yet stronger could change branch,
+       so the planner pauses there: the window ends before that member,
+       which carries its coin and enemy into the next window. A stronger
+       enemy stays stronger: steps only ever lower a fitness.
+    2. Build the candidates as one block, a kind at a time, by the row
+       builder's elementwise expressions, then one clamp.
+    3. Step the members in index order. A member is stale if its enemy was
+       accepted earlier in the window, or, for a movement, if best or worst
+       changed (index or row). A stale member is rechecked with the exact
+       zone test and rebuilt by the row builder. If its branch changed, its
+       draws would too: the generator goes back to the state saved at the
+       window's start, the kept members' draws are taken again, and the
+       next window starts at that member.
 
     A window is no longer than the members stepped since best or worst last
     changed, so a run in which they change at every step goes one member at
@@ -345,149 +352,135 @@ def member_sweep(bounds, passes):
                 calm += 1
             return True
 
-        def one(i, enemy):
-            """Member ``i`` alone; ``enemy`` is its carried enemy, or None."""
-            x = X[i]
+        def within(i, delta, r=math.nan):
+            """Zone test of member ``i``: ``r``, its window distance, decides unless NaN or near."""
+            xb, gap = zone()
+            radius = gap * delta
+            if _TINY < r < math.inf and abs(r - radius) > _NEAR * radius:
+                return r <= radius
+            d = X[i] - xb
+            return math.sqrt(d.dot(d)) <= radius
+
+        def take(kind):
+            """The draws of branch ``kind``."""
+            if kind == _STRONGER:
+                return random(dim)
+            if kind == _WEAKER:
+                return math.cos(2.0 * math.pi * random())
+            if kind == _INSIDE:
+                return mv.draw_inside(draws)
+            return mv.draw_outside(draws)
+
+        def plan(i, enemy, lo, dist):
+            """Member ``i``'s draws and branch: ``(kind, enemy or delta, drawn)``.
+
+            ``enemy`` is a carried enemy, or None. In a window from ``lo``,
+            ``dist`` holds its zone distances, and a weaker or equal enemy
+            among ``lo .. i - 1`` pauses the plan before the branch draws:
+            ``(None, enemy, None)``. A member alone passes ``lo = i``.
+            """
             if enemy is None and mv is not None and not (coin and random() >= 0.5):
                 delta = low + span * random()
-                xb, gap = zone()
-                d = x - xb
-                if math.sqrt(d.dot(d)) <= gap * delta:
-                    candidate = mv.inside(x, xb, *mv.draw_inside(draws))
-                else:
-                    candidate = mv.outside(x, xb, mv.draw_outside(draws))
-            else:
-                j = pick_enemy(i, n, draws) if enemy is None else enemy
-                xe = X[j]
-                fi, fj = pop[i].fitness, pop[j].fitness
-                if fj < fi:
-                    candidate = _stronger(x, xe, random(dim))
-                else:
-                    direction = x - xe if fi < fj else xe - x
-                    candidate = x + direction * math.cos(2.0 * math.pi * random())
-            stepped(i, clamp(candidate, bounds))
+                kind = _INSIDE if within(i, delta, dist[i - lo] if dist else math.nan) else _OUTSIDE
+                return kind, delta, take(kind)
+            j = pick_enemy(i, n, draws) if enemy is None else enemy
+            if pop[j].fitness < pop[i].fitness:
+                return _STRONGER, j, take(_STRONGER)
+            if lo <= j < i:
+                return None, j, None
+            return _WEAKER, j, take(_WEAKER)
 
-        def restep(kind, x, a, b):
-            """A stale member's candidate from the current rows and its own draws."""
+        def row(i, kind, a, drawn):
+            """Member ``i``'s clamped candidate from the current rows and its plan."""
+            x = X[i]
             if kind == _STRONGER:
-                return clamp(_stronger(x, X[a], b), bounds)
+                candidate = _stronger(x, X[a], drawn)
+            elif kind == _WEAKER:
+                xe = X[a]
+                candidate = x + (x - xe if pop[i].fitness < pop[a].fitness else xe - x) * drawn
+            elif kind == _INSIDE:
+                candidate = mv.inside(x, X[ext.best], *drawn)
+            else:
+                candidate = mv.outside(x, X[ext.best], drawn)
+            return clamp(candidate, bounds)
+
+        def block(lo, planned):
+            """The planned members' clamped candidates, in index order, built a kind at a time."""
+            groups = ([], [], [], [])
+            for k, (kind, a, drawn) in enumerate(planned):
+                groups[kind].append((k, a, drawn))
             xb = X[ext.best]
-            if kind == _INSIDE:
-                return clamp(mv.inside(x, xb, *b), bounds)
-            return clamp(mv.outside(x, xb, b), bounds)
+            parts, order = [], []
+            for kind, group in enumerate(groups):
+                if not group:
+                    continue
+                ks, a, drawn = zip(*group)
+                x = X.take([lo + k for k in ks], 0)
+                if kind == _STRONGER:
+                    part = _stronger(x, X.take(a, 0), np.array(drawn))
+                elif kind == _WEAKER:
+                    xe = X.take(a, 0)
+                    away = [pop[lo + k].fitness < pop[j].fitness for k, j in zip(ks, a)]
+                    if all(away):
+                        direction = x - xe
+                    else:
+                        direction = np.where(np.array(away)[:, None], x - xe, xe - x)
+                    part = x + direction * np.array(drawn)[:, None]
+                elif kind == _INSIDE:
+                    part = mv.inside(x, xb, *np.array(drawn).T[:, :, None])
+                else:
+                    part = np.array([mv.outside(xr, xb, d) for xr, d in zip(x, drawn)])
+                parts.append(part)
+                order += ks
+            candidates = np.empty((len(order), dim))
+            candidates[order] = clamp(np.concatenate(parts), bounds)
+            return candidates
 
         def window(lo, hi, enemy):
             """Members ``lo .. hi - 1``; returns where the next window starts and its enemy."""
             saved = draws.save()
             carried = enemy is not None
             since = epoch
-            rows = X[lo:hi]
+            dist = None
             if mv is not None:
-                xb, gap = zone()
-                diff = rows - xb
+                diff = X[lo:hi] - zone()[0]
                 dist = np.sqrt(np.einsum("ij,ij->i", diff, diff)).tolist()
-            # per member (kind, enemy or delta, its draws, its place in its
-            # kind's part of the block); per kind what its part is built from
-            plan = []
-            strong, strong_j, strong_r = [], [], []
-            weak, weak_j, weak_c, weak_away = [], [], [], []
-            inside, inside_c, outside = [], [], []
+            planned = []
             for i in range(lo, hi):
-                k = i - lo
-                if enemy is None and mv is not None and not (coin and random() >= 0.5):
-                    delta = low + span * random()
-                    radius = gap * delta
-                    r = dist[k]
-                    if _TINY < r < math.inf and abs(r - radius) > _NEAR * radius:
-                        within = r <= radius
-                    else:
-                        d = X[i] - xb
-                        within = math.sqrt(d.dot(d)) <= radius
-                    if within:
-                        c = mv.draw_inside(draws)
-                        plan.append((_INSIDE, delta, c, len(inside)))
-                        inside.append(k)
-                        inside_c.append(c)
-                    else:
-                        drawn = mv.draw_outside(draws)
-                        plan.append((_OUTSIDE, delta, drawn, len(outside)))
-                        outside.append(mv.outside(X[i], xb, drawn))
-                    continue
-                j = pick_enemy(i, n, draws) if enemy is None else enemy
+                entry = plan(i, enemy, lo, dist)
                 enemy = None
-                fi, fj = pop[i].fitness, pop[j].fitness
-                if fj < fi:
-                    r = random(dim)
-                    plan.append((_STRONGER, j, r, len(strong)))
-                    strong.append(k)
-                    strong_j.append(j)
-                    strong_r.append(r)
-                elif lo <= j < i:  # pause: j's step may make it stronger
-                    enemy, hi = j, i
+                if entry[0] is None:  # pause: the enemy's step may make it stronger
+                    enemy, hi = entry[1], i
                     break
-                else:
-                    plan.append((_WEAKER, j, None, len(weak)))
-                    weak.append(k)
-                    weak_j.append(j)
-                    weak_c.append(math.cos(2.0 * math.pi * random()))
-                    weak_away.append(fi < fj)
+                planned.append(entry)
 
-            # the block: the stronger-enemy part, then the weaker-enemy,
-            # in-zone and out-of-zone parts, each in index order
-            parts = []
-            if strong:
-                parts.append(_stronger(rows.take(strong, 0), X.take(strong_j, 0), np.array(strong_r)))
-            if weak:
-                x, xe = rows.take(weak, 0), X.take(weak_j, 0)
-                if all(weak_away):
-                    direction = x - xe
-                else:
-                    direction = np.where(np.array(weak_away)[:, None], x - xe, xe - x)
-                parts.append(x + direction * np.array(weak_c)[:, None])
-            if inside:
-                columns = np.array(inside_c).T[:, :, None]
-                parts.append(mv.inside(rows.take(inside, 0), xb, *columns))
-            if outside:
-                parts.append(np.array(outside))
-            block = clamp(np.concatenate(parts), bounds)
-            starts = list(itertools.accumulate((len(strong), len(weak), len(inside)), initial=0))
-
+            candidates = block(lo, planned)
             moved = set()
-            for k, (kind, a, b, at) in enumerate(plan):
+            for k, (kind, a, drawn) in enumerate(planned):
                 i = lo + k
-                candidate = block[starts[kind] + at]
                 if kind == _STRONGER:
-                    if a in moved:
-                        candidate = restep(kind, rows[k], a, b)
-                elif kind != _WEAKER and epoch != since:
-                    xb, gap = zone()
-                    d = rows[k] - xb
-                    if (math.sqrt(d.dot(d)) <= gap * a) != (kind == _INSIDE):
-                        rewind(saved, plan[:k], carried)
+                    stale = a in moved
+                else:
+                    stale = kind != _WEAKER and epoch != since
+                    if stale and within(i, a) != (kind == _INSIDE):
+                        rewind(saved, planned[:k], carried)
                         return i, None
-                    candidate = restep(kind, rows[k], a, b)
-                if stepped(i, candidate):
+                if stepped(i, row(i, kind, a, drawn) if stale else candidates[k]):
                     moved.add(i)
             return hi, enemy
 
         def rewind(saved, kept, carried):
             """Restore ``saved``, then take the draws of the ``kept`` members again."""
             draws.restore(saved)
-            for k, (kind, *_) in enumerate(kept):
-                if kind >= _INSIDE:
-                    if coin:
-                        random()
-                    random()
-                    (mv.draw_inside if kind == _INSIDE else mv.draw_outside)(draws)
-                    continue
+            for k, (kind, _, _) in enumerate(kept):
                 if k or not carried:
                     if coin:
                         random()
-                    draws.integers(n - 1)
-                if kind == _STRONGER:
-                    random(dim)
-                else:
-                    random()
+                    if kind >= _INSIDE:
+                        random()
+                    else:
+                        draws.integers(n - 1)
+                take(kind)
 
         for mv, fights in passes(X, draws):
             coin = mv is not None and fights
@@ -496,14 +489,10 @@ def member_sweep(bounds, passes):
                 span = float(mv.delta_high) - low
             m = min(n, left)
             left -= m
-            if cap < _WINDOW_MIN:
-                for i in range(m):
-                    one(i, None)
-                continue
             i, enemy = 0, None
             while i < m:
-                if calm < _WINDOW_MIN or m - i < _WINDOW_MIN:
-                    one(i, enemy)
+                if cap < _WINDOW_MIN or calm < _WINDOW_MIN or m - i < _WINDOW_MIN:
+                    stepped(i, row(i, *plan(i, enemy, i, None)))
                     i, enemy = i + 1, None
                 else:
                     i, enemy = window(i, i + min(cap, calm, m - i), enemy)
@@ -522,15 +511,15 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweep) -> RunR
     :class:`~battleopt.core.Draws` over ``rng``: the same stream, with
     cheaper scalar draws. ``step(i, candidate)`` costs one evaluation,
     turns its value into a float (:func:`~battleopt.core.fitness_value`)
-    and, only on strict improvement, copies ``candidate`` into ``X[i]``
-    and points member ``i`` at that row; it returns whether it did. A
-    sweep steps members in index order, at most ``left`` times. Each
-    iteration adds a trace point, the members' minimum fitness, and a
-    diversity point. ``name`` labels the configuration errors and selects
-    the population minimum in :data:`~battleopt.core.MIN_POP_SIZE`;
-    ``rng`` defaults to ``make_rng(config.seed)``, and one without a
-    ``bit_generator`` is a ``TypeError`` before anything is drawn or
-    evaluated.
+    and, only on strict improvement, copies ``candidate`` into ``X[i]``,
+    the row member ``i`` views for the whole run, and the value into its
+    ``fitness``; it returns whether it did. A sweep steps members in index
+    order, at most ``left`` times. Each iteration adds a trace point, the
+    members' minimum fitness, and a diversity point. ``name`` labels the
+    configuration errors and selects the population minimum in
+    :data:`~battleopt.core.MIN_POP_SIZE`; ``rng`` defaults to
+    ``make_rng(config.seed)``, and one without a ``bit_generator`` is a
+    ``TypeError`` before anything is drawn or evaluated.
     """
     check_pop_size(name, config.pop_size)
     check_budget(name, config.pop_size, config.budget)
@@ -557,11 +546,10 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweep) -> RunR
         if type(f) is not float or f != f:
             f = fitness_value(f, problem.name)
         ind = pop[i]
-        kept = pop[i] = greedy_replace(ind, Individual(candidate, f))
-        if kept is ind:
+        if not f < ind.fitness:
             return False
         X[i] = candidate
-        kept.position = X[i]
+        ind.fitness = f
         return True
 
     while not budget.exhausted:

@@ -299,15 +299,20 @@ def test_nan_first_member_of_de_gives_a_finite_first_trace_point():
 @pytest.mark.parametrize("name", ["mbgo", "embgo", "de"])
 def test_initial_fitness_is_a_python_float(name, monkeypatch):
     seen = []
-    original = bo.core.greedy_replace
+    original = bo.mbgo.battle_game
 
-    def spy(parent, offspring):
-        seen.append(parent.fitness)
-        return original(parent, offspring)
+    def spied_game(problem, config, rng, label, sweep):
+        def spied(pop, *args):
+            if not seen:  # the fitnesses the loop holds when its first sweep starts
+                seen.extend(ind.fitness for ind in pop)
+            return sweep(pop, *args)
 
-    monkeypatch.setattr(bo.mbgo, "greedy_replace", spy)  # battle_game's loop runs all three
+        return original(problem, config, rng, label, spied)
+
+    for module in (bo.mbgo, bo.embgo, bo.baselines):  # battle_game's loop runs all three
+        monkeypatch.setattr(module, "battle_game", spied_game)
     RUNNERS[name](resolve_problem("sphere", 2), OptimizerConfig(pop_size=5, budget=6, seed=0))
-    assert seen and all(type(f) is float for f in seen)
+    assert len(seen) == 5 and all(type(f) is float for f in seen)
 
 
 def test_budget_take_counts_a_batch():

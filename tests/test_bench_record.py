@@ -87,12 +87,26 @@ def test_seed_list_and_checkout_arguments(tmp_path):
             bench_record.checkout(text)
 
 
+def test_scaled_takes_a_cell_to_reference_speed():
+    # kernel 3 ms before and 5 ms after: the host ran at half the 2 ms
+    # reference speed, so 10 raw µs/FE is 5 at reference speed
+    cell = bench_record.scaled(10.0, 0.003, 0.005, 0.002)
+    assert cell == {"us_per_fe": pytest.approx(5.0), "raw_us_per_fe": 10.0,
+                    "kernel_s": [0.003, 0.005]}
+    assert bench_record.scaled(7.0, 0.002, 0.002, 0.002)["us_per_fe"] == 7.0
+
+
 def test_nd_summary_gives_quartiles_per_optimizer_and_cell():
-    by_seed = {1: {"de": {"N=50 D=10": 3.0}}, 2: {"de": {"N=50 D=10": 5.0}},
-               3: {"de": {"N=50 D=10": 4.0}}, 4: {"error": "exit 1: boom"}}
+    def cell(us, raw):
+        return {"us_per_fe": us, "raw_us_per_fe": raw, "kernel_s": [0.002, 0.003]}
+
+    by_seed = {1: {"de": {"N=50 D=10": cell(3.0, 6.0)}}, 2: {"de": {"N=50 D=10": cell(5.0, 5.5)}},
+               3: {"de": {"N=50 D=10": cell(4.0, 4.0)}}, 4: {"error": "exit 1: boom"}}
     summary = bench_record.nd_summary(by_seed)
     assert summary["de"]["N=50 D=10"]["median"] == 4.0
     assert summary["de"]["N=50 D=10"]["n"] == 3
+    assert summary["de"]["N=50 D=10"]["raw"]["median"] == 5.5
+    assert summary["de"]["N=50 D=10"]["kernel_s"] == [[0.002, 0.003]] * 3
     assert summary["run_errors"] == {"4": "exit 1: boom"}
     assert bench_record.nd_summary({1: {"error": "exit 2"}}) == {"run_errors": {"1": "exit 2"}}
 
@@ -102,7 +116,9 @@ def test_time_nd_times_every_optimizer_in_the_checkouts_own_package():
     assert sorted(table) == sorted(bench_record.ND_OPTIMIZERS)
     for cells in table.values():
         assert sorted(cells) == ["N=4 D=2", "N=6 D=2"]
-        assert all(0.0 < us < 1e5 for us in cells.values())
+        for cell in cells.values():
+            assert 0.0 < cell["us_per_fe"] < 1e5 and 0.0 < cell["raw_us_per_fe"] < 1e5
+            assert all(0.0 < t < 1.0 for t in cell["kernel_s"])
 
 
 DURATIONS = """\

@@ -348,6 +348,13 @@ def test_params_default_to_the_library_defaults(algorithm, params, expected):
             ["compare", "--algorithm", "embgo", "--algorithm", "pso", "--param", "embgo.v_max=3"],
             ["'embgo.v_max'", "beta"],
         ),
+        # an empty scope is not the unscoped form
+        (["run", "--algorithm", "de", "--param", ".F=0.5"], ["scope is empty", "'.F=0.5'"]),
+        (["run", "--algorithm", "de", "--param", " .F=0.5"], ["scope is empty", "' .F=0.5'"]),
+        (
+            ["compare", "--algorithm", "de", "--algorithm", "pso", "--param", ".F=0.5"],
+            ["scope is empty", "'.F=0.5'"],
+        ),
     ],
 )
 def test_unknown_param_keys_are_configuration_errors(argv, named, tmp_path, capsys):

@@ -13,11 +13,9 @@ their ``evaluate`` see the same points in the same order.
 
 Windows run from N = 192 on (``mbgo._window_cap``). The ``counts``
 fixture counts their rewinds (``Draws.restore``) and their stale members
-recomputed alone (the clamps ``restep`` makes), so that a test can show
-that it ran them.
+recomputed alone (one-row clamps that follow a block clamp with no draw
+between), so that a test can show that it ran them.
 """
-
-import sys
 
 import numpy as np
 import pytest
@@ -124,8 +122,16 @@ def assert_same_run(name, problem, config, make_objective=None, bit_generator=np
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Rewinds and stale recomputes of the windowed sweep, counted."""
+    """Rewinds and stale recomputes of the windowed sweep, counted.
+
+    A window takes all its draws, then clamps its block, then steps its
+    members with no further draw; a member stepped alone takes a draw
+    (``Draws.random`` or ``Draws.integers``) before its one-row clamp. So a
+    one-row clamp with a block clamp since the last such draw is a stale
+    member recomputed alone.
+    """
     counted = {"rewinds": 0, "recomputes": 0}
+    after_block = False
     restore, inner_clamp = core.Draws.restore, mbgo.clamp
 
     def counted_restore(self, state):
@@ -133,10 +139,24 @@ def counts(monkeypatch):
         return restore(self, state)
 
     def counted_clamp(position, bounds):
-        counted["recomputes"] += sys._getframe(1).f_code.co_name == "restep"
+        nonlocal after_block
+        if np.ndim(position) == 2:
+            after_block = True
+        else:
+            counted["recomputes"] += after_block
         return inner_clamp(position, bounds)
 
+    def drawing(method):
+        def draw(self, *args):
+            nonlocal after_block
+            after_block = False
+            return method(self, *args)
+
+        return draw
+
     monkeypatch.setattr(core.Draws, "restore", counted_restore)
+    monkeypatch.setattr(core.Draws, "random", drawing(core.Draws.random))
+    monkeypatch.setattr(core.Draws, "integers", drawing(core.Draws.integers))
     monkeypatch.setattr(mbgo, "clamp", counted_clamp)
     return counted
 

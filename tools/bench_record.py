@@ -19,11 +19,16 @@ end-to-end metric with ``failed``, ``attempted``, ``digest_changed`` and
 and the number of seeds on which it read better.
 
 After each seed's workloads, every checkout (in the same alternating
-order) also times the ``nd_table``: raw µs/FE of embgo, mbgo, de and pso
-on sphere at N in {50, 200, 800, 3200} and D in {10, 100}, one run of
-``N + max(2 N, 4000)`` evaluations per cell, seeded with the seed. Its
-quartiles over the seeds go into the record next to the workloads. The
-table is not gated: no metric of ``BENCHMARK.json`` reads it.
+order) also times the ``nd_table``: µs/FE of embgo, mbgo, de and pso on
+sphere at N in {50, 200, 800, 3200} and D in {10, 100}, one run of
+``N + max(2 N, 4000)`` evaluations per cell, seeded with the seed. Like
+perfbench's end-to-end times, each cell is scaled to the reference speed:
+perfbench's calibration kernel is timed right before and right after the
+run, and the raw µs/FE is multiplied by ``CAL_REF_S`` over the mean of the
+two (see ``perfbench/workloads.py``). The raw value and the kernel times
+are kept next to it. Its quartiles over the seeds go into the record next
+to the workloads. The table is not gated: no metric of ``BENCHMARK.json``
+reads it.
 
 Before the first seed, every checkout runs its own tier-1 suite once,
 with ``--durations=0``, the checkouts one after the other in the order
@@ -63,11 +68,15 @@ ND_POPS = (50, 200, 800, 3200)
 ND_DIMS = (10, 100)
 
 # Runs in the checkout's own package (PYTHONPATH=<checkout>/src), so it
-# uses only the API every checkout has: run_X(problem, config).
+# uses only the API every checkout has: run_X(problem, config). The
+# calibration kernel is this tool's own perfbench's, the same for every
+# checkout. Per cell it prints [raw µs/FE, kernel before, kernel after].
 ND_TIMER = """
 import json, sys, time
+sys.path.insert(0, sys.argv[5])
 import battleopt as bo
-seed, pops, dims, names = int(sys.argv[1]), *map(json.loads, sys.argv[2:])
+from workloads import CAL_REF_S, kernel_time
+seed, pops, dims, names = int(sys.argv[1]), *map(json.loads, sys.argv[2:5])
 table = {}
 for dim in dims:
     problem = bo.make_problem("sphere", dim)
@@ -76,11 +85,13 @@ for dim in dims:
         config = bo.OptimizerConfig(pop_size=n, budget=budget, seed=seed)
         for name in names:
             run = getattr(bo, "run_" + name)
+            before = kernel_time()
             start = time.perf_counter()
             run(problem, config)
             wall = time.perf_counter() - start
-            table.setdefault(name, {})[f"N={n} D={dim}"] = wall / budget * 1e6
-print(json.dumps(table))
+            after = kernel_time()
+            table.setdefault(name, {})[f"N={n} D={dim}"] = [wall / budget * 1e6, before, after]
+print(json.dumps({"ref_s": CAL_REF_S, "table": table}))
 """
 
 
@@ -175,25 +186,40 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(path.read_text())
 
 
+def scaled(raw_us: float, before_s: float, after_s: float, ref_s: float) -> dict:
+    """One cell at reference speed: ``raw_us`` times ``ref_s`` over the mean kernel time."""
+    return {"us_per_fe": raw_us * ref_s / ((before_s + after_s) / 2),
+            "raw_us_per_fe": raw_us, "kernel_s": [before_s, after_s]}
+
+
 def time_nd(root: Path, seed: int, pops=ND_POPS, dims=ND_DIMS, names=ND_OPTIMIZERS) -> dict:
-    """The checkout's raw µs/FE per optimizer and ``"N=<n> D=<d>"`` cell, or its error."""
-    cmd = [sys.executable, "-c", ND_TIMER, str(seed),
-           json.dumps(list(pops)), json.dumps(list(dims)), json.dumps(list(names))]
+    """The checkout's scaled cells (see :func:`scaled`) per optimizer and ``"N=<n> D=<d>"``, or its error."""
+    cmd = [sys.executable, "-c", ND_TIMER, str(seed), json.dumps(list(pops)),
+           json.dumps(list(dims)), json.dumps(list(names)), str(ROOT / "perfbench")]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
                           timeout=report.RUN_TIMEOUT_S)
     if proc.returncode != 0:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
-    return json.loads(proc.stdout)
+    timed = json.loads(proc.stdout)
+    return {name: {cell: scaled(*reading, timed["ref_s"]) for cell, reading in cells.items()}
+            for name, cells in timed["table"].items()}
 
 
 def nd_summary(by_seed: dict) -> dict:
-    """Per optimizer and cell: µs/FE quartiles over the seeds that ran."""
+    """Per optimizer and cell: scaled µs/FE quartiles over the seeds that ran.
+
+    Each cell also keeps the raw µs/FE quartiles and every seed's kernel times.
+    """
     tables = [t for t in by_seed.values() if "error" not in t]
     out = {"run_errors": {str(s): t["error"] for s, t in by_seed.items() if "error" in t}}
     for name in (tables[0] if tables else {}):
-        out[name] = {cell: quartiles([t[name][cell] for t in tables])
-                     for cell in tables[0][name]}
+        out[name] = {}
+        for cell in tables[0][name]:
+            readings = [t[name][cell] for t in tables]
+            out[name][cell] = {**quartiles([r["us_per_fe"] for r in readings]),
+                               "raw": quartiles([r["raw_us_per_fe"] for r in readings]),
+                               "kernel_s": [r["kernel_s"] for r in readings]}
     return out
 
 
@@ -282,7 +308,9 @@ def main(argv=None) -> int:
                        for k in labels[1:]},
             "nd_table": {
                 "gated": False,
-                "unit": "us per FE, raw wall over budget",
+                "unit": "us per FE at perfbench's reference speed: wall over budget, "
+                        "times CAL_REF_S over the mean of the kernel times taken right "
+                        "before and after the run; raw value and kernel_s kept per cell",
                 "problem": "sphere",
                 "budget": "N + max(2 N, 4000), one run per cell and seed",
                 "checkouts": {k: nd_summary(nd[k]) for k in labels},
