@@ -8,12 +8,19 @@ evaluation budget, non-increasing best-so-far trace. DE runs one
 position array; PSO keeps its own loop, since its global best moves only
 on strict improvement, its diversity is over positions, not personal
 bests, and it returns the global best. Both take a sweep's draws at once
-and compute their candidates for windows of rows as arrays, evaluating
-the rows one at a time in index order. A PSO window is exact until one
-of its particles improves the global best (see :func:`run_pso`); a DE
-row is recomputed when one of its peers was replaced after its window
-was computed (see :func:`run_de`). Initial populations and random
-search's samples go through ``Problem.evaluate_batch``.
+and compute their candidates for windows of rows as arrays. A PSO window
+is exact until one of its particles improves the global best (see
+:func:`run_pso`); a DE row is recomputed when one of its peers was
+replaced after its window was computed (see :func:`run_de`). PSO
+evaluates one particle per call, in index order, for every objective.
+DE evaluates a window's rows in one ``Problem.evaluate_batch`` call when
+the package built the objective and knows it pure
+(:func:`~battleopt.problems.pure_rows`: the raw and transformed
+benchmarks, a table with no missing score); only such an objective sees
+the rows DE recomputes, whose batch values are thrown away. Any other
+objective, a user's included, is called once per function evaluation.
+Initial populations and random search's samples go through
+``Problem.evaluate_batch``.
 """
 
 import math
@@ -35,6 +42,7 @@ from .core import (
     resolve_params,
 )
 from .mbgo import battle_game
+from .problems import pure_rows
 from .stats import population_diversity
 
 # Not called here (DE runs on battleopt.mbgo's loop), but kept as module
@@ -113,15 +121,21 @@ def run_de(
     ``rng.random(dim)``, m being the members the budget lets through.
     Trials are then computed for a window of rows at once from the loop's
     position array ``X``, by the same elementwise expressions as for one
-    member (mutant, crossover mask, forced gene, clamp), and the window's
-    rows are evaluated one at a time in index order. A row whose peers
-    include a row accepted since the window was computed is recomputed
-    from the current ``X`` before it is evaluated, so ``evaluate`` sees the
-    points of a per-member loop, in its order, and the run's bits are its.
+    member (mutant, crossover mask, forced gene, clamp), and stepped in
+    index order. A row whose peers include a row accepted since the window
+    was computed is recomputed from the current ``X`` and evaluated alone,
+    so every FE is at the point of a per-member loop, in its order, and
+    the run's bits are its. For an objective the package marks pure
+    (:func:`~battleopt.problems.pure_rows`) the window's rows are
+    evaluated first in one ``evaluate_batch`` call, bit-identical to one
+    call per row; a recomputed row's batch value is thrown away. Any other
+    objective is called once per FE, at those points in that order. PSO
+    evaluates per particle whatever the objective.
     """
     params = resolve_params(params, DeParams)
     F, Cr = params.F, params.Cr
     bounds, dim = problem.bounds, problem.bounds.dim
+    rows = pure_rows(problem)
 
     def sweep(pop, X, draws, step, left):
         m = min(len(pop), left)
@@ -141,13 +155,14 @@ def run_de(
         for lo in range(0, m, _DE_WINDOW):
             hi = min(lo + _DE_WINDOW, m)
             window = trials(lo, hi)
+            values = rows(window).tolist() if rows else [None] * (hi - lo)
             moved = set()
             for i, row_peers in enumerate(peers[lo:hi].tolist(), lo):
                 if moved and not moved.isdisjoint(row_peers):
-                    candidate = trials(i, i + 1)[0]
+                    accepted = step(i, trials(i, i + 1)[0])
                 else:
-                    candidate = window[i - lo]
-                if step(i, candidate):
+                    accepted = step(i, window[i - lo], values[i - lo])
+                if accepted:
                     moved.add(i)
 
     return battle_game(problem, config, rng, "de", sweep)

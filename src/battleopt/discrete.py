@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Bounds, make_rng
-from .problems import Problem
+from .problems import Problem, _mark_pure
 
 __all__ = [
     "OPERATIONS",
@@ -272,7 +272,9 @@ def table_problem(table: LookupTable) -> Problem:
     The problem keeps a snapshot of the table, so later edits do not reach
     it: the negated accuracies, the default in missing slots, indexed by
     the base-5 code of the transfer bands (``decode``). One evaluation
-    indexes a list of Python floats; a batch indexes the array.
+    indexes a list of Python floats; a batch indexes the array. Only a
+    table with a score in every slot, once the default is applied, makes
+    a problem that :func:`~battleopt.problems.pure_rows` may batch.
     """
     bounds = Bounds.cube(-100.0, 100.0, N_EDGES)
     fitness = -table.accuracies
@@ -301,6 +303,10 @@ def table_problem(table: LookupTable) -> Problem:
         return out
 
     evaluate.batch = rows
+    # A missing score raises; a block evaluated ahead could raise on a row
+    # that one evaluation at a time would never reach.
+    if not np.isnan(fitness).any():
+        _mark_pure(evaluate)
 
     label = ":".join(part for part in (table.dataset, table.attack) if part)
     return Problem(

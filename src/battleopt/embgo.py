@@ -116,4 +116,4 @@ def run_embgo(
         )
         return [(move, True)]
 
-    return battle_game(problem, config, rng, "embgo", member_sweep(problem.bounds, passes))
+    return battle_game(problem, config, rng, "embgo", member_sweep(problem, passes))

@@ -9,9 +9,10 @@ elementwise expressions: one planner takes each member's draws and picks
 its branch, and one row builder makes its clamped candidate (in a large
 population, a window of consecutive members is built as one block, with
 the draws, points and seeded bits of going member by member). The run
-loop evaluates each candidate and, only on strict improvement, writes it
-and its fitness into the member in place, so two evaluations per member
-are consumed per full iteration.
+loop evaluates each candidate, or takes the value a window's batch call
+gave it, and, only on strict improvement, writes it and its fitness into
+the member in place, so two evaluations per member are consumed per full
+iteration.
 
 The run loop, :func:`battle_game`, is shared with differential evolution
 in :mod:`battleopt.baselines`; :func:`member_sweep` with the merged-phase
@@ -40,6 +41,7 @@ from .core import (
     make_rng,
     resolve_params,
 )
+from .problems import pure_rows
 from .stats import population_diversity
 
 # Not called here, but kept as module attributes: perfbench/spans.py
@@ -271,7 +273,7 @@ def _stronger(x, xe, r):
     return np.where(r < 0.5, x, xe) + (xe - x) * r
 
 
-def member_sweep(bounds, passes):
+def member_sweep(problem, passes):
     """:func:`battle_game` sweep of the per-member passes of MBGO and EMBGO.
 
     ``passes(X, draws)`` gives an iteration's passes, each a pair
@@ -280,7 +282,7 @@ def member_sweep(bounds, passes):
     and battles when it is >= 0.5. A battle is :func:`battle`'s: the enemy
     from :func:`pick_enemy`, then the stronger-enemy or the weaker-enemy
     step. A pass visits members ``0 .. min(N, left) - 1`` in index order, and
-    each candidate is clamped to ``bounds`` for ``step``. Best and worst come
+    each candidate is clamped to ``problem.bounds`` for ``step``. Best and worst come
     from an :class:`~battleopt.core.Extremes` built once per iteration and
     told of each accepted step. The draws, the points handed to ``step`` and
     their order are those of a loop that builds, clamps and steps one member
@@ -314,7 +316,19 @@ def member_sweep(bounds, passes):
     A window is no longer than the members stepped since best or worst last
     changed, so a run in which they change at every step goes one member at
     a time, with no state saved.
+
+    For an objective the package built and knows pure (the raw and
+    transformed benchmarks, a table with no missing score; see
+    :func:`~battleopt.problems.pure_rows`) a window's block is evaluated
+    in one batch call after step 2, and a member that is not stale is
+    stepped with its value from it. Only such an objective sees the
+    candidates of stale members and of members after a rewind, whose
+    batch values are thrown away. Any other objective, a user's included,
+    is called by ``step`` once per candidate, exactly one call per FE. (PSO, in
+    :mod:`battleopt.baselines`, evaluates per particle for every
+    objective.)
     """
+    bounds, rows = problem.bounds, pure_rows(problem)
     calm = 0  # members stepped since best or worst last changed
 
     def sweep(pop, X, draws, step, left):
@@ -337,10 +351,10 @@ def member_sweep(bounds, passes):
                 zone_epoch = epoch
             return xb, gap
 
-        def stepped(i, candidate):
+        def stepped(i, candidate, f=None):
             """``step``, then the bookkeeping of best, worst and ``calm``."""
             nonlocal calm, epoch
-            if not step(i, candidate):
+            if not step(i, candidate, f):
                 calm += 1
                 return False
             worst = ext.worst
@@ -455,6 +469,7 @@ def member_sweep(bounds, passes):
                 planned.append(entry)
 
             candidates = block(lo, planned)
+            values = rows(candidates).tolist() if rows else [None] * len(planned)
             moved = set()
             for k, (kind, a, drawn) in enumerate(planned):
                 i = lo + k
@@ -465,7 +480,11 @@ def member_sweep(bounds, passes):
                     if stale and within(i, a) != (kind == _INSIDE):
                         rewind(saved, planned[:k], carried)
                         return i, None
-                if stepped(i, row(i, kind, a, drawn) if stale else candidates[k]):
+                if stale:
+                    accepted = stepped(i, row(i, kind, a, drawn))
+                else:
+                    accepted = stepped(i, candidates[k], values[k])
+                if accepted:
                     moved.add(i)
             return hi, enemy
 
@@ -509,9 +528,15 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweep) -> RunR
     calls ``sweep(pop, X, draws, step, left)`` once per iteration, with
     ``left`` the evaluations the budget has left and ``draws`` the run's
     :class:`~battleopt.core.Draws` over ``rng``: the same stream, with
-    cheaper scalar draws. ``step(i, candidate)`` costs one evaluation,
-    turns its value into a float (:func:`~battleopt.core.fitness_value`)
-    and, only on strict improvement, copies ``candidate`` into ``X[i]``,
+    cheaper scalar draws. ``step(i, candidate, f=None)`` costs one budget
+    unit. Without ``f`` it evaluates ``candidate`` in one ``evaluate`` call
+    and turns the value into a float
+    (:func:`~battleopt.core.fitness_value`); a sweep passes ``f`` only for
+    an objective marked pure (:func:`~battleopt.problems.pure_rows`),
+    taken from a batch call over a window's block, in which the values of
+    rebuilt candidates are thrown away. A user's objective is so called
+    once per FE; PSO, on a loop of its own, evaluates per particle. Then,
+    only on strict improvement, ``step`` copies ``candidate`` into ``X[i]``,
     the row member ``i`` views for the whole run, and the value into its
     ``fitness``; it returns whether it did. A sweep steps members in index
     order, at most ``left`` times. Each iteration adds a trace point, the
@@ -540,11 +565,12 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweep) -> RunR
     trace = [(budget.used, min([ind.fitness for ind in pop]))]
     diversity = [(0, population_diversity(X, bounds))]
 
-    def step(i, candidate):
+    def step(i, candidate, f=None):
         budget.take()
-        f = evaluate(candidate)
-        if type(f) is not float or f != f:
-            f = fitness_value(f, problem.name)
+        if f is None:
+            f = evaluate(candidate)
+            if type(f) is not float or f != f:
+                f = fitness_value(f, problem.name)
         ind = pop[i]
         if not f < ind.fitness:
             return False
@@ -607,5 +633,5 @@ def run_mbgo(
         outside,
     )
     chosen = [p for p, on in (((move, False), movement_phase), ((None, True), battle_phase)) if on]
-    sweep = member_sweep(problem.bounds, lambda X, draws: chosen)
+    sweep = member_sweep(problem, lambda X, draws: chosen)
     return battle_game(problem, config, rng, "mbgo", sweep)

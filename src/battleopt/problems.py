@@ -14,6 +14,8 @@ row-wise form: it takes a vector or an ``(m, D)`` array of rows.
 """
 
 import math
+import types
+import weakref
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -34,6 +36,7 @@ __all__ = [
     "random_transform",
     "apply_transform",
     "make_problem",
+    "pure_rows",
     "resolve_problem",
     "penalized_fitness",
     "three_bar_truss",
@@ -64,6 +67,16 @@ class Problem:
     refuses, or an array with more than zero dimensions, is a
     ``TypeError`` naming the problem. An exception raised by ``evaluate``
     itself propagates unchanged.
+
+    A user's ``evaluate`` is called exactly once per function evaluation
+    (FE), at the points and in the order of a loop that builds and
+    evaluates one candidate at a time. Only the objectives the package
+    builds and knows to be pure (see :func:`pure_rows`) may be handed
+    candidates whose values are thrown away: MBGO's and EMBGO's windows
+    and DE's evaluate a block of candidates in one ``evaluate_batch``
+    call, then rebuild and evaluate again the rows that earlier
+    replacements made stale. PSO evaluates one particle per call for
+    every objective.
     """
 
     name: str
@@ -98,6 +111,37 @@ class Problem:
             out = rows(X)
         out[np.isnan(out)] = np.inf
         return out
+
+
+# The objectives the package builds and knows to be pure, so that the
+# value of a point does not depend on which points were evaluated before
+# it, and a call has no effect: the raw benchmarks, make_problem's
+# transformed ones and a table problem with no missing score. The mark
+# belongs to the ``evaluate`` function object, so a function put in its
+# place (a recording or tracing wrapper, a functools.wraps copy) does not
+# carry it, even when it copies ``.batch``. A weak set: a marked closure
+# goes with its problem.
+_PURE = weakref.WeakSet()
+
+
+def _mark_pure(evaluate):
+    """Mark ``evaluate``, a function with a ``.batch``, as pure; returns it."""
+    _PURE.add(evaluate)
+    return evaluate
+
+
+def pure_rows(problem: Problem):
+    """``problem.evaluate_batch`` when the package built ``problem.evaluate`` pure, else None.
+
+    MBGO's and EMBGO's windows and DE's evaluate their block of candidates
+    through it in one call when it is not None, and throw away the values
+    of the rows they rebuild (see :class:`Problem`); otherwise each
+    candidate gets its own ``evaluate`` call.
+    """
+    evaluate = problem.evaluate
+    if isinstance(evaluate, types.FunctionType) and evaluate in _PURE:
+        return problem.evaluate_batch
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +282,7 @@ BENCHMARK_NAMES = tuple(sorted(_REGISTRY))
 
 for fn, _, _ in _REGISTRY.values():
     fn.batch = fn
+    _mark_pure(fn)
 del fn
 
 
@@ -367,6 +412,7 @@ def make_problem(
         return _fn(Z)
 
     evaluate.batch = rows
+    _mark_pure(evaluate)
 
     return Problem(
         name=f"{name}:sr{transform_seed}",

@@ -1,0 +1,218 @@
+"""Window blocks evaluated in one batch call, against the same objective called per member.
+
+MBGO's and EMBGO's windows (from N = 192) and DE's evaluate their block
+of candidates through ``Problem.evaluate_batch`` in one call when
+:func:`~battleopt.problems.pure_rows` finds the objective marked pure,
+and take each member's value from it unless the member was rebuilt. The
+same objective without the mark goes member by member. Both must give
+the same ``serialize()``, the same final generator state and the same
+``fes_used``; only the marked one may see rows whose values are thrown
+away. A user objective, with or without a ``.batch``, is never marked,
+and a table problem with a missing score is not either.
+"""
+
+import dataclasses
+import functools
+import math
+
+import numpy as np
+import pytest
+
+from battleopt import (
+    LookupTable,
+    OptimizerConfig,
+    TableError,
+    decode,
+    make_problem,
+    resolve_problem,
+    run_de,
+    run_embgo,
+    run_mbgo,
+    synthetic_table,
+    table_problem,
+)
+from battleopt.problems import _mark_pure, pure_rows
+
+from conftest import recording
+from test_de_sweep import assert_same_run as assert_same_as_de_loop
+from test_member_sweep import assert_same_run as assert_same_as_member_loop
+
+RUNNERS = {"embgo": run_embgo, "mbgo": run_mbgo, "de": run_de}
+NAMES = sorted(RUNNERS)
+
+
+def unmarked(problem):
+    """``problem`` with a ``functools.wraps`` copy of its objective: ``.batch`` kept, mark lost."""
+    inner = problem.evaluate
+    return dataclasses.replace(problem, evaluate=functools.wraps(inner)(lambda x: inner(x)))
+
+
+def counting(problem, batches=None):
+    """``problem`` with a marked objective that counts single calls and batch rows.
+
+    Given a list ``batches``, each batch call's rows are appended to it.
+    """
+    inner = problem.evaluate
+    calls = {"single": 0, "rows": 0}
+
+    def evaluate(x):
+        calls["single"] += 1
+        return inner(x)
+
+    def rows(X):
+        calls["rows"] += len(X)
+        if batches is not None:
+            batches.append(X.copy())
+        return inner.batch(X)
+
+    evaluate.batch = rows
+    return dataclasses.replace(problem, evaluate=_mark_pure(evaluate)), calls
+
+
+def assert_same_run(name, problem, config):
+    """Run ``name`` marked and unmarked; returns the marked run's call counts."""
+    marked, calls = counting(problem)
+    assert pure_rows(marked) is not None and pure_rows(unmarked(marked)) is None
+
+    def run(p):
+        rng = np.random.default_rng(config.seed)
+        result = RUNNERS[name](p, config, rng)
+        return result.serialize(), repr(rng.bit_generator.state), result.fes_used
+
+    batched = run(marked)
+    counted = dict(calls)
+    assert batched == run(unmarked(marked))
+    assert batched[2] == config.budget
+    # every FE is one value, from a single call or a batch row
+    assert counted["single"] + counted["rows"] >= config.budget
+    return counted
+
+
+def thrown_away(calls, config):
+    return calls["single"] + calls["rows"] - config.budget
+
+
+def test_what_the_package_marks():
+    for spec in ("sphere", "ackley:sr", "rastrigin:sr7"):
+        assert pure_rows(resolve_problem(spec, 4)) is not None
+    assert pure_rows(resolve_problem("three-bar-truss", 2)) is None
+    assert pure_rows(table_problem(synthetic_table(1))) is not None
+    partial = LookupTable({(0,) * 6: 50.0}, default=10.0)
+    assert pure_rows(table_problem(partial)) is not None
+    recorded, _ = recording(make_problem("sphere", 3), None, batch=True)
+    assert hasattr(recorded.evaluate, "batch") and pure_rows(recorded) is None
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("n", [192, 400])
+def test_a_rugged_objective_with_windows(name, n):
+    problem = resolve_problem("rastrigin:sr", 10)
+    config = OptimizerConfig(pop_size=n, budget=n * 5 + 7, seed=4)
+    calls = assert_same_run(name, problem, config)
+    # rows rebuilt after a block was evaluated, or left by a rewind
+    assert calls["rows"] > n and thrown_away(calls, config) > 0
+
+
+@pytest.mark.parametrize("name", ["embgo", "mbgo"])
+def test_no_windows_below_192_members(name):
+    config = OptimizerConfig(pop_size=50, budget=50 * 8 + 3, seed=2)
+    calls = assert_same_run(name, resolve_problem("rastrigin:sr", 10), config)
+    assert calls == {"single": 50 * 7 + 3, "rows": 50}
+
+
+def test_de_at_50_members():
+    config = OptimizerConfig(pop_size=50, budget=500, seed=6)
+    calls = assert_same_run("de", resolve_problem("rastrigin:sr", 10), config)
+    assert calls["rows"] > 50 and thrown_away(calls, config) > 0
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("extra", [1, 13, 29])
+def test_budgets_that_end_mid_window(name, extra):
+    # 256 members: MBGO and EMBGO windows of up to 16, DE's of 32
+    config = OptimizerConfig(pop_size=256, budget=256 * 3 + extra, seed=8)
+    assert_same_run(name, make_problem("ackley", 5), config)
+
+
+def spiky(x):
+    """A pure objective with NaN, +inf and -inf regions between sphere values."""
+    k = int(abs(x[0]) * 1000.0) % 11
+    s = float(np.dot(x, x))
+    if k == 0:
+        return math.nan
+    if k == 1:
+        return math.inf
+    if k == 2 and s < 3000.0:
+        return -math.inf
+    return s
+
+
+spiky.batch = lambda X: np.array([spiky(x) for x in X], dtype=float)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_nan_and_infinite_values_from_a_marked_objective(name):
+    base = make_problem("sphere", 3)
+    problem = dataclasses.replace(base, name="spiky", evaluate=spiky)
+    config = OptimizerConfig(pop_size=256, budget=256 * 6 + 5, seed=9)
+    calls = assert_same_run(name, problem, config)
+    assert calls["rows"] > 256
+
+
+@pytest.mark.parametrize("name", ["embgo", "mbgo"])
+def test_a_user_objective_keeps_one_call_per_fe(name):
+    # recording(batch=True) gives a .batch to a wrapper; the wrapper is
+    # called once per FE, at the points and in the order of the
+    # per-member reference loop
+    problem = resolve_problem("rastrigin:sr", 10)
+    assert_same_as_member_loop(name, problem, OptimizerConfig(pop_size=256, budget=256 * 4 + 9,
+                                                              seed=3))
+
+
+def test_a_user_objective_keeps_one_call_per_fe_in_de():
+    problem = resolve_problem("rastrigin:sr", 10)
+    assert_same_as_de_loop(problem, OptimizerConfig(pop_size=50, budget=50 * 9 + 21, seed=3))
+
+
+# --- a table with missing scores ---------------------------------------------
+
+
+def missing_message(problem, name, config):
+    with pytest.raises(TableError) as caught:
+        RUNNERS[name](problem, config, np.random.default_rng(config.seed))
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("name", ["de", "embgo"])
+def test_a_table_with_missing_scores_goes_member_by_member(name):
+    full = synthetic_table(5)
+    config = OptimizerConfig(pop_size=256, budget=256 * 4, seed=12)
+    # The complete table, batched: codes only thrown-away rows reach, and
+    # the code of the last FE that is the first to reach it.
+    batches = []
+    spied, _ = counting(table_problem(full), batches)
+    recorded, seen = recording(table_problem(full), None, batch=True)
+    for p in (spied, recorded):
+        RUNNERS[name](p, config, np.random.default_rng(config.seed))
+    fe_codes = [decode(x) for x in seen]
+    reached = set(fe_codes)
+    thrown = [c for X in batches[1:] for c in map(decode, X) if c not in reached]
+    assert thrown
+    first = {}
+    for k, code in enumerate(fe_codes):
+        first.setdefault(code, k)
+    late = max(first, key=first.get)
+    assert first[late] >= config.pop_size
+
+    entries = full.entries
+    del entries[thrown[0]], entries[late]
+    partial = LookupTable(entries, full.dataset, full.attack)
+    problem = table_problem(partial)
+    assert pure_rows(problem) is None
+    expected = f"code {''.join(map(str, late))} missing and the table declares no default"
+    assert missing_message(problem, name, config) == expected
+    assert missing_message(unmarked(problem), name, config) == expected
+    # Batched anyway, the run would stop at a row it never evaluates.
+    forced = dataclasses.replace(problem, evaluate=_mark_pure(unmarked(problem).evaluate))
+    assert missing_message(forced, name, config) == (
+        f"code {''.join(map(str, thrown[0]))} missing and the table declares no default")
