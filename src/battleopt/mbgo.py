@@ -325,8 +325,8 @@ def member_sweep(problem, passes):
     candidates of stale members and of members after a rewind, whose
     batch values are thrown away. Any other objective, a user's included,
     is called by ``step`` once per candidate, exactly one call per FE. (PSO, in
-    :mod:`battleopt.baselines`, evaluates per particle for every
-    objective.)
+    :mod:`battleopt.baselines`, batches a window of such an objective
+    only once its global best has held for twice the window.)
     """
     bounds, rows = problem.bounds, pure_rows(problem)
     calm = 0  # members stepped since best or worst last changed
@@ -535,7 +535,8 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweep) -> RunR
     an objective marked pure (:func:`~battleopt.problems.pure_rows`),
     taken from a batch call over a window's block, in which the values of
     rebuilt candidates are thrown away. A user's objective is so called
-    once per FE; PSO, on a loop of its own, evaluates per particle. Then,
+    once per FE; PSO, on a loop of its own, batches a window only once its
+    global best has held for twice the window. Then,
     only on strict improvement, ``step`` copies ``candidate`` into ``X[i]``,
     the row member ``i`` views for the whole run, and the value into its
     ``fitness``; it returns whether it did. A sweep steps members in index

@@ -75,8 +75,9 @@ class Problem:
     candidates whose values are thrown away: MBGO's and EMBGO's windows
     and DE's evaluate a block of candidates in one ``evaluate_batch``
     call, then rebuild and evaluate again the rows that earlier
-    replacements made stale. PSO evaluates one particle per call for
-    every objective.
+    replacements made stale. PSO does so for a window once the global
+    best has held for twice the window's particles, and throws away the
+    rows after the first one that improves it.
     """
 
     name: str
@@ -135,8 +136,10 @@ def pure_rows(problem: Problem):
 
     MBGO's and EMBGO's windows and DE's evaluate their block of candidates
     through it in one call when it is not None, and throw away the values
-    of the rows they rebuild (see :class:`Problem`); otherwise each
-    candidate gets its own ``evaluate`` call.
+    of the rows they rebuild; PSO does the same for a window once the
+    global best has held for twice its particles, and throws away the
+    rows after the first that improves it (see :class:`Problem`).
+    Otherwise each candidate gets its own ``evaluate`` call.
     """
     evaluate = problem.evaluate
     if isinstance(evaluate, types.FunctionType) and evaluate in _PURE:

@@ -3,12 +3,14 @@
 MBGO's and EMBGO's windows (from N = 192) and DE's evaluate their block
 of candidates through ``Problem.evaluate_batch`` in one call when
 :func:`~battleopt.problems.pure_rows` finds the objective marked pure,
-and take each member's value from it unless the member was rebuilt. The
-same objective without the mark goes member by member. Both must give
-the same ``serialize()``, the same final generator state and the same
-``fes_used``; only the marked one may see rows whose values are thrown
-away. A user objective, with or without a ``.batch``, is never marked,
-and a table problem with a missing score is not either.
+and take each member's value from it unless the member was rebuilt.
+PSO does so for a window only once the global best has held for twice
+the window's particles, and throws away the rows after the first that
+improves it. The same objective without the mark goes member by member.
+Both must give the same ``serialize()``, the same final generator state
+and the same ``fes_used``; only the marked one may see rows whose values
+are thrown away. A user objective, with or without a ``.batch``, is
+never marked, and a table problem with a missing score is not either.
 """
 
 import dataclasses
@@ -28,16 +30,18 @@ from battleopt import (
     run_de,
     run_embgo,
     run_mbgo,
+    run_pso,
     synthetic_table,
     table_problem,
 )
 from battleopt.problems import _mark_pure, pure_rows
 
-from conftest import recording
+from conftest import decreasing, recording
 from test_de_sweep import assert_same_run as assert_same_as_de_loop
 from test_member_sweep import assert_same_run as assert_same_as_member_loop
+from test_pso_sweep import assert_same_run as assert_same_as_pso_loop
 
-RUNNERS = {"embgo": run_embgo, "mbgo": run_mbgo, "de": run_de}
+RUNNERS = {"embgo": run_embgo, "mbgo": run_mbgo, "de": run_de, "pso": run_pso}
 NAMES = sorted(RUNNERS)
 
 
@@ -69,9 +73,12 @@ def counting(problem, batches=None):
     return dataclasses.replace(problem, evaluate=_mark_pure(evaluate)), calls
 
 
-def assert_same_run(name, problem, config):
-    """Run ``name`` marked and unmarked; returns the marked run's call counts."""
-    marked, calls = counting(problem)
+def assert_same_run(name, problem, config, batches=None):
+    """Run ``name`` marked and unmarked; returns the marked run's call counts.
+
+    Given a list ``batches``, the marked run's batch blocks are appended to it.
+    """
+    marked, calls = counting(problem, batches)
     assert pure_rows(marked) is not None and pure_rows(unmarked(marked)) is None
 
     def run(p):
@@ -155,8 +162,11 @@ def test_nan_and_infinite_values_from_a_marked_objective(name):
     base = make_problem("sphere", 3)
     problem = dataclasses.replace(base, name="spiky", evaluate=spiky)
     config = OptimizerConfig(pop_size=256, budget=256 * 6 + 5, seed=9)
-    calls = assert_same_run(name, problem, config)
-    assert calls["rows"] > 256
+    batches = []
+    assert_same_run(name, problem, config, batches)
+    # every kind of value goes through the batch path, not only the initial population's
+    values = np.concatenate([spiky.batch(X) for X in batches[1:]])
+    assert np.isnan(values).any() and np.isposinf(values).any() and np.isneginf(values).any()
 
 
 @pytest.mark.parametrize("name", ["embgo", "mbgo"])
@@ -172,6 +182,45 @@ def test_a_user_objective_keeps_one_call_per_fe(name):
 def test_a_user_objective_keeps_one_call_per_fe_in_de():
     problem = resolve_problem("rastrigin:sr", 10)
     assert_same_as_de_loop(problem, OptimizerConfig(pop_size=50, budget=50 * 9 + 21, seed=3))
+
+
+# --- PSO: a window batched once the global best has held --------------------
+
+
+def test_pso_at_50_particles_throws_away_few_rows():
+    # Over seeds 1-3 the held rule throws away about 3 % of the sweep's
+    # FEs here; with held >= the window, 6 %; batching every window, half.
+    sweep = thrown = 0
+    for seed in (1, 2, 3):
+        config = OptimizerConfig(pop_size=50, budget=3000, seed=seed)
+        calls = assert_same_run("pso", resolve_problem("rastrigin:sr", 10), config)
+        assert calls["rows"] > 50 and calls["single"] > 0
+        sweep += config.budget - config.pop_size
+        thrown += thrown_away(calls, config)
+    assert 0 < thrown < 0.05 * sweep
+
+
+@pytest.mark.parametrize("extra", [0, 1, 37, 399])
+def test_pso_on_sphere_at_400_particles(extra):
+    # extra > 0: the budget ends mid-sweep, in or after a batched window
+    config = OptimizerConfig(pop_size=400, budget=400 * 6 + extra, seed=5)
+    calls = assert_same_run("pso", make_problem("sphere", 10), config)
+    assert calls["rows"] > 400 * 2
+
+
+def test_pso_batches_nothing_while_every_particle_improves():
+    f = decreasing()
+    f.batch = lambda X: np.array([f(x) for x in X], dtype=float)
+    problem, calls = counting(dataclasses.replace(make_problem("sphere", 4), evaluate=f))
+    config = OptimizerConfig(pop_size=300, budget=300 * 4 + 3, seed=8)
+    run_pso(problem, config)
+    assert calls == {"single": config.budget - 300, "rows": 300}
+
+
+@pytest.mark.parametrize("n, budget", [(50, 3000), (400, 400 * 5 + 17)])
+def test_a_user_objective_keeps_one_call_per_fe_in_pso(n, budget):
+    problem = resolve_problem("rastrigin:sr", 10)
+    assert_same_as_pso_loop(problem, OptimizerConfig(pop_size=n, budget=budget, seed=3))
 
 
 # --- a table with missing scores ---------------------------------------------
