@@ -109,11 +109,12 @@ def run_de(
 
     r1, r2, r3 are distinct and differ from i. Binomial crossover keeps
     each mutant gene with probability Cr plus one forced dimension, so the
-    trial equals the parent in every non-crossed dimension. One sweep of
-    :func:`~battleopt.mbgo.battle_game` per iteration, so greedy
-    replacement, budget, trace and diversity are the battle-game
-    optimizers'; DE reads no best or worst, so it keeps none. ``rng``
-    defaults to ``make_rng(config.seed)`` and ``params`` to ``DeParams()``.
+    trial equals the parent in every non-crossed dimension. Each iteration
+    is one :func:`~battleopt.mbgo.battle_game` sweep over its rows and
+    fitness list, ``sweep(fit, X, draws, step, left)`` (``F`` is the scale
+    factor), so greedy replacement, budget, trace and diversity are the
+    battle-game optimizers'; DE reads no best or worst, so it keeps none.
+    ``rng`` defaults to ``make_rng(config.seed)`` and ``params`` to ``DeParams()``.
 
     A member's draws depend on no position or fitness, so a sweep takes
     all of them at once: :meth:`~battleopt.core.Draws.sweep` gives the
@@ -139,9 +140,9 @@ def run_de(
     bounds, dim = problem.bounds, problem.bounds.dim
     rows = pure_rows(problem)
 
-    def sweep(pop, X, draws, step, left):
-        m = min(len(pop), left)
-        picks, forced, r = draws.sweep(m, len(pop) - 1, dim, dim)
+    def sweep(fit, X, draws, step, left):
+        m = min(len(fit), left)
+        picks, forced, r = draws.sweep(m, len(fit) - 1, dim, dim)
         members = np.arange(m)
         # distinct(n - 1) draws over the other members: skip i itself
         peers = picks + (picks >= members[:, None])

@@ -377,18 +377,18 @@ def best_worst(pop: list[Individual]) -> tuple[Individual, Individual]:
 
 
 class Extremes:
-    """Best and worst indices of a population under greedy replacement.
+    """Best and worst indices of a list of fitnesses under greedy replacement.
 
-    Holds a float64 copy of the fitnesses and picks the same members as
-    :func:`best_worst` (lowest index on ties). Greedy replacement only
-    ever lowers a slot, so :meth:`replaced` moves ``best`` in O(1) and
+    Holds a float64 copy of ``fitnesses`` and picks the members
+    :func:`best_worst` would (lowest index on ties). Greedy replacement
+    only ever lowers a slot, so :meth:`replaced` moves ``best`` in O(1) and
     rescans for ``worst`` only when the worst slot itself improved.
     """
 
     __slots__ = ("fit", "best", "worst")
 
-    def __init__(self, pop: list[Individual]):
-        fit = self.fit = np.array([ind.fitness for ind in pop], dtype=np.float64)
+    def __init__(self, fitnesses: list):
+        fit = self.fit = np.array(fitnesses, dtype=np.float64)
         self.best = int(fit.argmin())  # argmin picks a NaN, if there is one
         if math.isnan(fit[self.best]):
             raise ValueError("population contains unevaluated individuals")

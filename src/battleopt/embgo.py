@@ -6,12 +6,14 @@ inside the safe zone, a Levy flight outside), tails enters the battle
 branch (unchanged from the original). One evaluation per individual per
 iteration, half the original's per-iteration cost. The pass runs in
 MBGO's :func:`~battleopt.mbgo.member_sweep`, which takes the movement
-branch as a :class:`~battleopt.mbgo.Movement`; :func:`diff_mutation` and
-:func:`levy_move` are its steps for one member.
+branch as a :class:`~battleopt.mbgo.Movement` of this module's step
+functions; :func:`diff_mutation` and :func:`levy_move` draw and call the
+same functions for one member.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,12 +51,23 @@ class EmbgoParams(MbgoParams):
             raise ConfigurationError(str(exc)) from None
 
 
+def _draw_sines(independent_r: bool, draws) -> tuple:
+    s1 = math.sin(2.0 * math.pi * draws.random())
+    return s1, (math.sin(2.0 * math.pi * draws.random()) if independent_r else s1)
+
+
+def _mutate(x_mean, x, xb, s1, s2):
+    """Differential mutation step, for one row or, with columns s1 and s2, a block (see mbgo)."""
+    return x + (xb - x) * s1 + (x_mean - x) * s2
+
+
+def _flight(x, xb, step):
+    """Levy flight step: x + step (xb unused, as a Movement's outside step)."""
+    return x + step
+
+
 def diff_mutation(
-    x_i: Individual,
-    x_best: Individual,
-    x_mean: np.ndarray,
-    rng: np.random.Generator,
-    *,
+    x_i: Individual, x_best: Individual, x_mean: np.ndarray, rng: np.random.Generator, *,
     independent_r: bool = True,
 ) -> np.ndarray:
     """Current-to-best&mean step, unclamped.
@@ -62,22 +75,12 @@ def diff_mutation(
     x_i + (x_best - x_i) sin(2 pi r1) + (x_mean - x_i) sin(2 pi r2),
     with r1 drawn first and r2 = r1 when ``independent_r`` is false.
     """
-    r1 = rng.random()
-    r2 = rng.random() if independent_r else r1
-    return (
-        x_i.position
-        + (x_best.position - x_i.position) * math.sin(2.0 * math.pi * r1)
-        + (x_mean - x_i.position) * math.sin(2.0 * math.pi * r2)
-    )
+    return _mutate(x_mean, x_i.position, x_best.position, *_draw_sines(independent_r, rng))
 
 
-def levy_move(
-    x_i: Individual,
-    beta: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def levy_move(x_i: Individual, beta: float, rng: np.random.Generator) -> np.ndarray:
     """Exploration step: x_i plus one heavy-tailed step per dimension, unclamped."""
-    return x_i.position + levy_sample(beta, x_i.position.size, rng)
+    return _flight(x_i.position, None, levy_sample(beta, x_i.position.size, rng))
 
 
 def run_embgo(
@@ -93,27 +96,17 @@ def run_embgo(
     the safe zone from the current best/worst on each movement-branch
     entry; the battle branch is MBGO's :func:`~battleopt.mbgo.battle`.
     The movement branch is :func:`diff_mutation`'s and :func:`levy_move`'s
-    steps as a :class:`~battleopt.mbgo.Movement`, with the same draws in
-    the same order. ``rng`` defaults to ``make_rng(config.seed)`` and
-    ``params`` to ``EmbgoParams()``.
+    draws and step functions as a :class:`~battleopt.mbgo.Movement`.
+    ``rng`` defaults to ``make_rng(config.seed)`` and ``params`` to
+    ``EmbgoParams()``.
     """
     params = resolve_params(params, EmbgoParams)
-    beta, independent_r, dim = params.beta, params.independent_r, problem.bounds.dim
-
-    def draw_inside(draws):
-        s1 = math.sin(2.0 * math.pi * draws.random())
-        return s1, (math.sin(2.0 * math.pi * draws.random()) if independent_r else s1)
+    draw_sines = partial(_draw_sines, params.independent_r)
+    draw_flight = partial(levy_sample, params.beta, problem.bounds.dim)
 
     def passes(X, draws):
-        x_mean = X.mean(axis=0)
-        move = Movement(
-            params.delta_low,
-            params.delta_high,
-            draw_inside,
-            lambda x, xb, s1, s2: x + (xb - x) * s1 + (x_mean - x) * s2,
-            lambda draws: levy_sample(beta, dim, draws),
-            lambda x, xb, step: x + step,
-        )
+        mutate = partial(_mutate, X.mean(axis=0))
+        move = Movement(params.delta_low, params.delta_high, draw_sines, mutate, draw_flight, _flight)
         return [(move, True)]
 
     return battle_game(problem, config, rng, "embgo", member_sweep(problem, passes))

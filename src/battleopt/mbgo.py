@@ -3,16 +3,18 @@
 Each iteration makes two full passes over the population. The movement
 pass steers every member relative to a hypersphere (the safe zone)
 centered on the current best; the battle pass confronts every member
-with one random enemy. The operators return raw proposals for one
-member. :func:`member_sweep` computes the same proposals by the same
-elementwise expressions: one planner takes each member's draws and picks
-its branch, and one row builder makes its clamped candidate (in a large
-population, a window of consecutive members is built as one block, with
-the draws, points and seeded bits of going member by member). The run
-loop evaluates each candidate, or takes the value a window's batch call
-gave it, and, only on strict improvement, writes it and its fitness into
-the member in place, so two evaluations per member are consumed per full
-iteration.
+with one random enemy. Each step formula (in-zone, out-of-zone, stronger
+and weaker battle) is written once, as a module-level function of rows:
+the public operators draw and call it for one member, and
+:func:`member_sweep` calls it for one row or a block of rows. One planner
+takes each member's draws and picks its branch, and one row builder makes
+its clamped candidate (in a large population, a window of consecutive
+members is built as one block, with the draws, points and seeded bits of
+going member by member). The run loop holds the population as a position
+array ``X`` and a list ``F`` of fitnesses, and no member objects. It
+evaluates each candidate, or takes the value a window's batch call gave
+it, and, only on strict improvement, writes it into ``X[i]`` and ``F[i]``,
+so two evaluations per member are consumed per full iteration.
 
 The run loop, :func:`battle_game`, is shared with differential evolution
 in :mod:`battleopt.baselines`; :func:`member_sweep` with the merged-phase
@@ -20,7 +22,9 @@ variant in :mod:`battleopt.embgo`.
 """
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -93,6 +97,12 @@ class SafeZone:
         self.radius = radius
 
 
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b|| as numpy's 1-D ``norm`` computes it, ``sqrt(d . d)``: the zone norm."""
+    d = a - b
+    return math.sqrt(d.dot(d))
+
+
 def safe_zone_radius(
     best: Individual,
     worst: Individual,
@@ -106,7 +116,7 @@ def safe_zone_radius(
     the epsilon keeps the radius positive for a collapsed population.
     delta is ``rng.uniform(delta_low, delta_high)`` written out: numpy
     checks the range as below and returns ``low + range * random()`` from
-    one draw. The norm is numpy's 1-D ``norm``, ``sqrt(d . d)``.
+    one draw. The norm is :func:`_distance`.
     """
     low = float(delta_low)
     span = float(delta_high) - low
@@ -115,43 +125,65 @@ def safe_zone_radius(
     if math.copysign(1.0, span) < 0.0:
         raise ValueError("high - low < 0")
     delta = low + span * rng.random()
-    d = best.position - worst.position
-    gap = math.sqrt(d.dot(d))
+    gap = _distance(best.position, worst.position)
     return SafeZone(center=best.position, radius=(gap + RADIUS_EPSILON) * delta)
 
 
 def in_safe_zone(x: Individual, zone: SafeZone) -> bool:
     """Euclidean membership test, boundary inclusive."""
-    d = x.position - zone.center
-    return math.sqrt(d.dot(d)) <= zone.radius
+    return _distance(x.position, zone.center) <= zone.radius
 
 
-def move_inside(
-    x_i: Individual,
-    x_best: Individual,
-    rng: np.random.Generator,
-) -> np.ndarray:
+# The step formulas, each the only copy: the public operators below and
+# member_sweep call them. They take rows (the member's x, the best's xb,
+# the enemy's xe) and drawn coefficients and give the unclamped candidate;
+# for a block of rows and a column of coefficients, each row's own. The
+# _draw_* functions take a branch's draws from a Generator or the loop's
+# Draws, in the operators' order.
+
+
+def _draw_sine(draws) -> tuple:
+    return (math.sin(2.0 * math.pi * draws.random()),)
+
+
+def _inside(x, xb, s):
+    return x + xb * s
+
+
+def _draw_outside(dim: int, draws) -> tuple:
+    return draws.random(dim), draws.normal(0.0, 1.0, dim)
+
+
+def _outside(x, xb, drawn):
+    r, theta = drawn
+    return np.where(r < 0.5, x + theta, x + (xb - x) * r)
+
+
+def _draw_cosine(draws) -> float:
+    return math.cos(2.0 * math.pi * draws.random())
+
+
+def _stronger(x, xe, direction, r):
+    return np.where(r < 0.5, x, xe) + direction * r
+
+
+def _weaker(x, direction, c):
+    return x + direction * c
+
+
+def move_inside(x_i: Individual, x_best: Individual, rng: np.random.Generator) -> np.ndarray:
     """In-zone move: x_i + x_best * sin(2 pi r), one scalar r per call, unclamped."""
-    r = rng.random()
-    return x_i.position + x_best.position * math.sin(2.0 * math.pi * r)
+    return _inside(x_i.position, x_best.position, *_draw_sine(rng))
 
 
-def move_outside(
-    x_i: Individual,
-    x_best: Individual,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def move_outside(x_i: Individual, x_best: Individual, rng: np.random.Generator) -> np.ndarray:
     """Out-of-zone move, each dimension independently, unclamped.
 
     With its own r ~ U(0, 1) per dimension: a standard-normal jitter when
     r < 0.5, otherwise a convex step toward the best scaled by the same r.
     Draw order is r vector first, then the normal jitter vector.
     """
-    d = x_i.position.size
-    r = rng.random(d)
-    theta = rng.normal(0.0, 1.0, d)
-    toward_best = x_i.position + (x_best.position - x_i.position) * r
-    return np.where(r < 0.5, x_i.position + theta, toward_best)
+    return _outside(x_i.position, x_best.position, _draw_outside(x_i.position.size, rng))
 
 
 def battle_dir(x_i: Individual, x_enemy: Individual) -> np.ndarray:
@@ -166,31 +198,20 @@ def battle_dir(x_i: Individual, x_enemy: Individual) -> np.ndarray:
 
 
 def battle_vs_stronger(
-    x_i: Individual,
-    x_enemy: Individual,
-    direction: np.ndarray,
-    rng: np.random.Generator,
+    x_i: Individual, x_enemy: Individual, direction: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Confronting a stronger enemy: per dimension, step from self or enemy.
 
     Each dimension draws its own r, used both to pick the base point
     (self when r < 0.5, enemy otherwise) and to scale the step. Unclamped.
     """
-    d = x_i.position.size
-    r = rng.random(d)
-    return np.where(
-        r < 0.5, x_i.position + direction * r, x_enemy.position + direction * r
-    )
+    r = rng.random(x_i.position.size)
+    return _stronger(x_i.position, x_enemy.position, direction, r)
 
 
-def battle_vs_weaker(
-    x_i: Individual,
-    direction: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def battle_vs_weaker(x_i: Individual, direction: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Confronting a weaker enemy: x_i + dir * cos(2 pi r), scalar r, unclamped."""
-    r = rng.random()
-    return x_i.position + direction * math.cos(2.0 * math.pi * r)
+    return _weaker(x_i.position, direction, _draw_cosine(rng))
 
 
 def pick_enemy(i: int, n: int, rng) -> int:
@@ -227,9 +248,8 @@ class Movement(NamedTuple):
     coefficients, and steps to ``inside(x, xb, *coefficients)``; an
     out-of-zone one takes ``draw_outside(draws)`` and steps to
     ``outside(x, xb, drawn)``. ``x`` is the member's row of the loop's
-    position array and ``xb`` the best's. ``inside`` also builds a block:
-    given rows ``x`` and one column per coefficient, it gives each row what
-    that row alone would get.
+    position array and ``xb`` the best's; ``inside`` also takes a block of
+    rows and one column per coefficient, like the step functions above.
     """
 
     delta_low: float
@@ -253,10 +273,10 @@ _WINDOW_SHARE = 16
 _WINDOW_MIN = 12
 
 # A window's zone test reads a row-wise einsum distance. Where its order of
-# summation could decide otherwise than in_safe_zone's d.dot(d) (the value
-# is not finite, its square is near the subnormal range, or it lies within
-# a relative _NEAR of the radius) the test is in_safe_zone's own. Both sum
-# the same squares; in the normal range they differ by under 1e-13 relative.
+# summation could decide otherwise than _distance's d.dot(d) (the value is
+# not finite, its square is near the subnormal range, or it lies within a
+# relative _NEAR of the radius) the test is _distance's. Both sum the same
+# squares; in the normal range they differ by under 1e-13 relative.
 _NEAR = 1e-9
 _TINY = 1e-150
 
@@ -268,11 +288,6 @@ def _window_cap(n: int) -> int:
     return min(_WINDOW_MAX, n // _WINDOW_SHARE)
 
 
-def _stronger(x, xe, r):
-    """:func:`battle_vs_stronger`'s step, for one row or a block of rows."""
-    return np.where(r < 0.5, x, xe) + (xe - x) * r
-
-
 def member_sweep(problem, passes):
     """:func:`battle_game` sweep of the per-member passes of MBGO and EMBGO.
 
@@ -281,18 +296,22 @@ def member_sweep(problem, passes):
     battle. With both, each member flips EMBGO's coin, ``draws.random()``,
     and battles when it is >= 0.5. A battle is :func:`battle`'s: the enemy
     from :func:`pick_enemy`, then the stronger-enemy or the weaker-enemy
-    step. A pass visits members ``0 .. min(N, left) - 1`` in index order, and
-    each candidate is clamped to ``problem.bounds`` for ``step``. Best and worst come
-    from an :class:`~battleopt.core.Extremes` built once per iteration and
-    told of each accepted step. The draws, the points handed to ``step`` and
-    their order are those of a loop that builds, clamps and steps one member
-    at a time.
+    step, ``_stronger`` or ``_weaker``. A pass visits members
+    ``0 .. min(N, left) - 1`` in index order, and each candidate is clamped
+    to ``problem.bounds`` for ``step``. The sweep, ``sweep(F, X, draws,
+    step, left)``, holds no member objects: member ``i`` is the row
+    ``X[i]`` with fitness ``F[i]``. Best and worst come from an
+    :class:`~battleopt.core.Extremes` over ``F`` built once per iteration
+    and told of each accepted step. The draws, the points handed to
+    ``step`` and their order are those of a loop that builds, clamps and
+    steps one member at a time with the public operators.
 
     One planner takes a member's draws and picks its branch: the coin,
     then delta and the zone test or the enemy and the stronger/weaker
-    test, then the draws of that branch, giving ``(kind, enemy or delta,
-    drawn)``. One row builder makes the clamped candidate of such a plan
-    from the current rows. A member alone is planned, built and stepped.
+    test (``F[j] < F[i]``), then the draws of that branch, giving
+    ``(kind, enemy or delta, drawn)``. One row builder makes the clamped
+    candidate of such a plan from the current rows. A member alone is
+    planned, built and stepped.
 
     From N = 192 on, runs of 12 to min(64, N // 16) consecutive members go
     as a window (see ``_WINDOW_MIN``), in three steps:
@@ -304,7 +323,7 @@ def member_sweep(problem, passes):
        which carries its coin and enemy into the next window. A stronger
        enemy stays stronger: steps only ever lower a fitness.
     2. Build the candidates as one block, a kind at a time, by the row
-       builder's elementwise expressions, then one clamp.
+       builder's step functions, then one clamp.
     3. Step the members in index order. A member is stale if its enemy was
        accepted earlier in the window, or, for a movement, if best or worst
        changed (index or row). A stale member is rechecked with the exact
@@ -324,18 +343,18 @@ def member_sweep(problem, passes):
     stepped with its value from it. Only such an objective sees the
     candidates of stale members and of members after a rewind, whose
     batch values are thrown away. Any other objective, a user's included,
-    is called by ``step`` once per candidate, exactly one call per FE. (PSO, in
-    :mod:`battleopt.baselines`, batches a window of such an objective
-    only once its global best has held for twice the window.)
+    is called by ``step`` once per candidate, exactly one call per FE.
     """
     bounds, rows = problem.bounds, pure_rows(problem)
+    # the stronger-enemy step's draw, one r per dimension, taken as draw(draws)
+    uniforms = operator.methodcaller("random", bounds.dim)
     calm = 0  # members stepped since best or worst last changed
 
-    def sweep(pop, X, draws, step, left):
+    def sweep(F, X, draws, step, left):
         nonlocal calm
         n, dim = X.shape
         cap = _window_cap(n)
-        ext = Extremes(pop)
+        ext = Extremes(F)
         random = draws.random
         epoch = 0  # changes of best or worst, index or row, in this sweep
         zone_epoch = -1
@@ -346,8 +365,7 @@ def member_sweep(problem, passes):
             nonlocal zone_epoch, xb, gap
             if zone_epoch != epoch:
                 xb = X[ext.best]
-                d = xb - X[ext.worst]
-                gap = math.sqrt(d.dot(d)) + RADIUS_EPSILON
+                gap = _distance(xb, X[ext.worst]) + RADIUS_EPSILON
                 zone_epoch = epoch
             return xb, gap
 
@@ -358,7 +376,7 @@ def member_sweep(problem, passes):
                 calm += 1
                 return False
             worst = ext.worst
-            ext.replaced(i, pop[i].fitness)
+            ext.replaced(i, F[i])
             if i == ext.best or i == worst:
                 calm = 0
                 epoch += 1
@@ -372,18 +390,7 @@ def member_sweep(problem, passes):
             radius = gap * delta
             if _TINY < r < math.inf and abs(r - radius) > _NEAR * radius:
                 return r <= radius
-            d = X[i] - xb
-            return math.sqrt(d.dot(d)) <= radius
-
-        def take(kind):
-            """The draws of branch ``kind``."""
-            if kind == _STRONGER:
-                return random(dim)
-            if kind == _WEAKER:
-                return math.cos(2.0 * math.pi * random())
-            if kind == _INSIDE:
-                return mv.draw_inside(draws)
-            return mv.draw_outside(draws)
+            return _distance(X[i], xb) <= radius
 
         def plan(i, enemy, lo, dist):
             """Member ``i``'s draws and branch: ``(kind, enemy or delta, drawn)``.
@@ -396,22 +403,23 @@ def member_sweep(problem, passes):
             if enemy is None and mv is not None and not (coin and random() >= 0.5):
                 delta = low + span * random()
                 kind = _INSIDE if within(i, delta, dist[i - lo] if dist else math.nan) else _OUTSIDE
-                return kind, delta, take(kind)
+                return kind, delta, take[kind](draws)
             j = pick_enemy(i, n, draws) if enemy is None else enemy
-            if pop[j].fitness < pop[i].fitness:
-                return _STRONGER, j, take(_STRONGER)
+            if F[j] < F[i]:
+                return _STRONGER, j, uniforms(draws)
             if lo <= j < i:
                 return None, j, None
-            return _WEAKER, j, take(_WEAKER)
+            return _WEAKER, j, _draw_cosine(draws)
 
         def row(i, kind, a, drawn):
             """Member ``i``'s clamped candidate from the current rows and its plan."""
             x = X[i]
             if kind == _STRONGER:
-                candidate = _stronger(x, X[a], drawn)
+                xe = X[a]
+                candidate = _stronger(x, xe, xe - x, drawn)
             elif kind == _WEAKER:
                 xe = X[a]
-                candidate = x + (x - xe if pop[i].fitness < pop[a].fitness else xe - x) * drawn
+                candidate = _weaker(x, x - xe if F[i] < F[a] else xe - x, drawn)
             elif kind == _INSIDE:
                 candidate = mv.inside(x, X[ext.best], *drawn)
             else:
@@ -431,15 +439,16 @@ def member_sweep(problem, passes):
                 ks, a, drawn = zip(*group)
                 x = X.take([lo + k for k in ks], 0)
                 if kind == _STRONGER:
-                    part = _stronger(x, X.take(a, 0), np.array(drawn))
+                    xe = X.take(a, 0)
+                    part = _stronger(x, xe, xe - x, np.array(drawn))
                 elif kind == _WEAKER:
                     xe = X.take(a, 0)
-                    away = [pop[lo + k].fitness < pop[j].fitness for k, j in zip(ks, a)]
+                    away = [F[lo + k] < F[j] for k, j in zip(ks, a)]
                     if all(away):
                         direction = x - xe
                     else:
                         direction = np.where(np.array(away)[:, None], x - xe, xe - x)
-                    part = x + direction * np.array(drawn)[:, None]
+                    part = _weaker(x, direction, np.array(drawn)[:, None])
                 elif kind == _INSIDE:
                     part = mv.inside(x, xb, *np.array(drawn).T[:, :, None])
                 else:
@@ -499,11 +508,14 @@ def member_sweep(problem, passes):
                         random()
                     else:
                         draws.integers(n - 1)
-                take(kind)
+                take[kind](draws)
 
         for mv, fights in passes(X, draws):
             coin = mv is not None and fights
+            # the draw function of each kind
+            take = (uniforms, _draw_cosine)
             if mv is not None:
+                take += (mv.draw_inside, mv.draw_outside)
                 low = float(mv.delta_low)
                 span = float(mv.delta_high) - low
             m = min(n, left)
@@ -522,11 +534,12 @@ def member_sweep(problem, passes):
 def battle_game(problem, config: OptimizerConfig, rng, name: str, sweep) -> RunResult:
     """Run loop shared by MBGO, EMBGO and DE until the evaluation budget is exhausted.
 
-    It evaluates a uniform initial population in one batch call (one
-    budget unit per member, Python floats, NaN already +inf) into an
-    ``(N, D)`` array ``X`` whose rows the members' positions view, then
-    calls ``sweep(pop, X, draws, step, left)`` once per iteration, with
-    ``left`` the evaluations the budget has left and ``draws`` the run's
+    The loop's state is an ``(N, D)`` position array ``X`` and a list ``F``
+    of its rows' fitnesses (Python floats, NaN already +inf); it builds no
+    member objects. ``X`` is a uniform initial population, evaluated in one
+    batch call (one budget unit per member). It then calls
+    ``sweep(F, X, draws, step, left)`` once per iteration, with ``left``
+    the evaluations the budget has left and ``draws`` the run's
     :class:`~battleopt.core.Draws` over ``rng``: the same stream, with
     cheaper scalar draws. ``step(i, candidate, f=None)`` costs one budget
     unit. Without ``f`` it evaluates ``candidate`` in one ``evaluate`` call
@@ -535,14 +548,13 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweep) -> RunR
     an objective marked pure (:func:`~battleopt.problems.pure_rows`),
     taken from a batch call over a window's block, in which the values of
     rebuilt candidates are thrown away. A user's objective is so called
-    once per FE; PSO, on a loop of its own, batches a window only once its
-    global best has held for twice the window. Then,
-    only on strict improvement, ``step`` copies ``candidate`` into ``X[i]``,
-    the row member ``i`` views for the whole run, and the value into its
-    ``fitness``; it returns whether it did. A sweep steps members in index
-    order, at most ``left`` times. Each iteration adds a trace point, the
-    members' minimum fitness, and a diversity point. ``name`` labels the
-    configuration errors and selects the population minimum in
+    once per FE. Then, only on strict improvement over ``F[i]``, ``step``
+    copies ``candidate`` into ``X[i]`` and the value into ``F[i]``; it
+    returns whether it did. A sweep steps members in index order, at most
+    ``left`` times. Each iteration adds a trace point, ``min(F)``, and a
+    diversity point. The result's best is
+    :func:`~battleopt.core.best_worst`'s (lowest index on ties). ``name``
+    labels the configuration errors and selects the population minimum in
     :data:`~battleopt.core.MIN_POP_SIZE`; ``rng`` defaults to
     ``make_rng(config.seed)``, and one without a ``bit_generator`` is a
     ``TypeError`` before anything is drawn or evaluated.
@@ -555,15 +567,14 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweep) -> RunR
     bounds = problem.bounds
     evaluate = problem.evaluate
 
-    # init_population's draw, kept as one array that the members view
+    # init_population's draw, kept as one array
     X = rng.uniform(bounds.lower, bounds.upper, size=(config.pop_size, bounds.dim))
     budget = EvaluationBudget(config.budget)
     budget.take(config.pop_size)
     # a copy: no array the objective is handed is written to afterwards
-    fits = problem.evaluate_batch(X.copy()).tolist()
-    pop = [Individual(X[i], f) for i, f in enumerate(fits)]
+    F = problem.evaluate_batch(X.copy()).tolist()
 
-    trace = [(budget.used, min([ind.fitness for ind in pop]))]
+    trace = [(budget.used, min(F))]
     diversity = [(0, population_diversity(X, bounds))]
 
     def step(i, candidate, f=None):
@@ -572,19 +583,19 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweep) -> RunR
             f = evaluate(candidate)
             if type(f) is not float or f != f:
                 f = fitness_value(f, problem.name)
-        ind = pop[i]
-        if not f < ind.fitness:
+        if not f < F[i]:
             return False
         X[i] = candidate
-        ind.fitness = f
+        F[i] = f
         return True
 
     while not budget.exhausted:
-        sweep(pop, X, draws, step, budget.limit - budget.used)
-        trace.append((budget.used, min([ind.fitness for ind in pop])))
+        sweep(F, X, draws, step, budget.limit - budget.used)
+        trace.append((budget.used, min(F)))
         diversity.append((len(diversity), population_diversity(X, bounds)))
 
-    best, _ = best_worst(pop)
+    # perfbench/test_spans.py asserts core.best_worst calls > 0 until ROADMAP item 11
+    best, _ = best_worst([Individual(x, f) for x, f in zip(X, F)])
     return RunResult(
         best=best.copy(),
         trace=trace,
@@ -608,30 +619,20 @@ def run_mbgo(
     The safe zone is recomputed from the current best/worst before each
     individual's movement step, and enemies are redrawn per battle step.
     The movement steps are :func:`move_inside`'s and :func:`move_outside`'s
-    as a :class:`Movement`, with the same draws in the same order.
-    ``rng`` defaults to ``make_rng(config.seed)`` and ``params`` to
-    ``MbgoParams()``. The phase flags exist for ablation studies only; at
-    least one must stay on.
+    draws and step functions as a :class:`Movement`. ``rng`` defaults to
+    ``make_rng(config.seed)`` and ``params`` to ``MbgoParams()``. The phase
+    flags exist for ablation studies only; at least one must stay on.
     """
     params = resolve_params(params, MbgoParams)
     if not (movement_phase or battle_phase):
         raise ConfigurationError("mbgo needs the movement phase, the battle phase or both")
-    dim = problem.bounds.dim
-
-    def draw_outside(draws):
-        return draws.random(dim), draws.normal(0.0, 1.0, dim)
-
-    def outside(x, xb, drawn):
-        r, theta = drawn
-        return np.where(r < 0.5, x + theta, x + (xb - x) * r)
-
     move = Movement(
         params.delta_low,
         params.delta_high,
-        lambda draws: (math.sin(2.0 * math.pi * draws.random()),),
-        lambda x, xb, s: x + xb * s,
-        draw_outside,
-        outside,
+        _draw_sine,
+        _inside,
+        partial(_draw_outside, problem.bounds.dim),
+        _outside,
     )
     chosen = [p for p, on in (((move, False), movement_phase), ((None, True), battle_phase)) if on]
     sweep = member_sweep(problem, lambda X, draws: chosen)

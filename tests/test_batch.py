@@ -302,10 +302,10 @@ def test_initial_fitness_is_a_python_float(name, monkeypatch):
     original = bo.mbgo.battle_game
 
     def spied_game(problem, config, rng, label, sweep):
-        def spied(pop, *args):
+        def spied(F, *args):
             if not seen:  # the fitnesses the loop holds when its first sweep starts
-                seen.extend(ind.fitness for ind in pop)
-            return sweep(pop, *args)
+                seen.extend(F)
+            return sweep(F, *args)
 
         return original(problem, config, rng, label, spied)
 

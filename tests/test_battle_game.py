@@ -1,10 +1,11 @@
 """The shared run loop: one ``sweep`` per iteration over one position array.
 
-``battle_game`` keeps every position in one ``(N, D)`` array ``X`` whose
-rows the members view, and calls ``sweep(pop, X, draws, step, left)``
-once per iteration. These tests wrap each optimizer's sweep and check
-that ``X`` and the members agree around every call, including the last
-one, which the budget cuts short; that no array the objective is handed
+``battle_game`` keeps every position in one ``(N, D)`` array ``X`` and
+their fitnesses in one list ``F``, and calls
+``sweep(F, X, draws, step, left)`` once per iteration. These tests wrap
+each optimizer's sweep and check that ``F`` holds the objective's value
+at each row of ``X`` around every call, including the last one, which
+the budget cuts short; that no array the objective is handed
 is written to afterwards, although the rows of ``X`` are (PSO's and
 random search's own loops included); and that DE,
 which reads no best or worst, keeps no :class:`~battleopt.core.Extremes`.
@@ -39,26 +40,24 @@ RUNS = {
 }
 
 
-def assert_members_view_rows(pop, X):
-    assert X.shape == (len(pop), pop[0].position.size)
-    for i, ind in enumerate(pop):
-        assert ind.position.base is X
-        assert np.shares_memory(ind.position, X[i])
-        assert np.array_equal(ind.position, X[i])
+def assert_fitnesses_of_rows(problem, F, X):
+    assert type(F) is list and X.shape == (len(F), problem.bounds.dim)
+    for x, f in zip(X, F):
+        assert type(f) is float and f == problem.evaluate(x.copy())
 
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """The ``left`` of every sweep call; members and ``X`` are checked around each."""
+    """The ``left`` of every sweep call; ``F`` and ``X`` are checked around each."""
     lefts = []
     loop = mbgo.battle_game
 
     def checked_loop(problem, config, rng, name, sweep):
-        def checked(pop, X, draws, step, left):
+        def checked(F, X, draws, step, left):
             lefts.append(left)
-            assert_members_view_rows(pop, X)
-            sweep(pop, X, draws, step, left)
-            assert_members_view_rows(pop, X)
+            assert_fitnesses_of_rows(problem, F, X)
+            sweep(F, X, draws, step, left)
+            assert_fitnesses_of_rows(problem, F, X)
 
         return loop(problem, config, rng, name, checked)
 
@@ -73,7 +72,7 @@ CUTS = [(name, cut) for name, (_, per) in sorted(RUNS.items())
 
 
 @pytest.mark.parametrize("name, cut", CUTS)
-def test_members_view_the_rows_of_x_around_every_sweep(name, cut, sweeps):
+def test_fitnesses_match_the_rows_of_x_around_every_sweep(name, cut, sweeps):
     runner, per_iteration = RUNS[name]
     budget = N + 3 * per_iteration + cut
     result = runner(make_problem("rastrigin", 3), OptimizerConfig(pop_size=N, budget=budget, seed=2))

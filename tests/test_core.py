@@ -138,7 +138,7 @@ _FITNESS = st.sampled_from([-3.5, -1.0, -0.0, 0.0, 1.0, 2.0, 2.0, 1e300, math.in
 )
 def test_extremes_tracks_best_worst_under_greedy_replacement(initial, offers):
     pop = [Individual(np.zeros(1), f) for f in initial]
-    ext = Extremes(pop)
+    ext = Extremes(list(initial))
     for i, f in offers:
         i %= len(pop)
         parent = pop[i]
@@ -150,9 +150,8 @@ def test_extremes_tracks_best_worst_under_greedy_replacement(initial, offers):
 
 
 def test_extremes_requires_evaluation():
-    pop = [Individual(np.zeros(1), 1.0), Individual(np.zeros(1))]
     with pytest.raises(ValueError, match="unevaluated"):
-        Extremes(pop)
+        Extremes([1.0, math.nan])
 
 
 def test_rng_streams_are_reproducible():

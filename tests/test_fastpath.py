@@ -6,8 +6,9 @@ for: ``minimum(maximum(...))`` with ``np.clip``, ``sqrt(d . d)`` with
 the ufunc reductions with ``np.sum``/``np.prod``, concatenated slices
 with ``np.roll``, and the cached Levy
 scale with its formula. An AST guard keeps the wrappers off the
-per-candidate path, and another keeps ``.choice(`` calls out of the run
-loop's modules, whose peers come from ``Draws.distinct``.
+per-candidate path, another keeps ``.choice(`` calls out of the run
+loop's modules, whose peers come from ``Draws.distinct``, and a third
+keeps member objects out of the run loop, whose state is ``X`` and ``F``.
 """
 
 import ast
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from battleopt import Bounds, clamp, in_safe_zone, levy_sigma, safe_zone_radius
 from battleopt.core import make_rng
 from battleopt.levy import gamma_fn
-from battleopt.mbgo import RADIUS_EPSILON, SafeZone
+from battleopt.mbgo import RADIUS_EPSILON, SafeZone, _distance
 
 from conftest import make_individual as ind
 
@@ -121,6 +122,8 @@ def test_pso_velocity_clamp_is_np_clip_out(v, v_max):
 def test_sqrt_dot_is_linalg_norm(d):
     with np.errstate(all="ignore"):
         assert float_bits(math.sqrt(d.dot(d))) == float_bits(np.linalg.norm(d))
+        # the safe-zone norm every zone test and radius goes through
+        assert float_bits(_distance(d, d[::-1])) == float_bits(np.linalg.norm(d - d[::-1]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -311,3 +314,53 @@ def test_choice_guard_flags_every_choice_call():
     assert [line.split(":")[0] for line in choice_calls(ast.parse(source))] == [
         "line 1", "line 2", "line 3",
     ]
+
+
+# --- guard: the run loop holds X and F, no member objects --------------------
+
+LOOP_FUNCTIONS = (("mbgo", "battle_game"), ("mbgo", "member_sweep"), ("baselines", "run_de"))
+
+
+def individual_calls(tree: ast.AST) -> list:
+    """The ``Individual(...)`` calls, however the name is reached."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Individual"
+    ]
+
+
+def member_uses(tree: ast.AST) -> list:
+    """Reads of ``.fitness``/``.position``, and ``Individual(...)`` calls outside a ``best_worst(...)``."""
+    returned = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "best_worst"
+        for inner in ast.walk(node)
+    }
+    found = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("fitness", "position")
+    ]
+    found += [node for node in individual_calls(tree) if id(node) not in returned]
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in sorted(found, key=lambda n: n.lineno)]
+
+
+@pytest.mark.parametrize("module, function", LOOP_FUNCTIONS)
+def test_the_run_loop_keeps_no_member_objects(module, function):
+    source = inspect.getsource(getattr(importlib.import_module(f"battleopt.{module}"), function))
+    tree = ast.parse(source)
+    assert member_uses(tree) == []
+    # the one Individual is battle_game's returned best, built in its best_worst call
+    assert len(individual_calls(tree)) == (function == "battle_game")
+
+
+def test_member_guard_flags_each_form():
+    source = (
+        "pop[i].fitness < f\nX[i] = ind.position\nIndividual(x, f)\ncore.Individual(x)\n"
+        "ind.fitness = f\nbest_worst([Individual(x, f) for x, f in zip(X, F)])\nF[i] < F[j]\n"
+        "'ind.fitness'\n"
+    )
+    assert [line.split(":")[0] for line in member_uses(ast.parse(source))] == [
+        "line 1", "line 2", "line 3", "line 4", "line 5",
+    ]
+    assert len(individual_calls(ast.parse(source))) == 3

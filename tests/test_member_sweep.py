@@ -1,21 +1,24 @@
 """MBGO's and EMBGO's windowed member sweep against the per-member loop it replaced.
 
 ``reference_sweep`` is that loop, kept here as the oracle with the passes
-``reference_mbgo`` and ``reference_embgo`` gave it: per member, the public
-operators (:func:`~battleopt.mbgo.safe_zone_radius`,
-:func:`~battleopt.mbgo.in_safe_zone`, :func:`~battleopt.mbgo.move_inside`,
-:func:`~battleopt.mbgo.move_outside`, :func:`~battleopt.mbgo.battle`,
-:func:`~battleopt.embgo.diff_mutation`, :func:`~battleopt.embgo.levy_move`)
-with best and worst from :class:`~battleopt.core.Extremes`, then a clamp
-and one ``step``. ``run_mbgo`` and ``run_embgo`` must give the same
-``serialize()``, leave the caller's generator in the same state, and have
-their ``evaluate`` see the same points in the same order.
+``reference_mbgo`` and ``reference_embgo`` gave it, on the loop's
+``(F, X, draws, step, left)`` protocol: per member, the public operators'
+bodies as they stood before the package routed them through its shared
+step functions (safe-zone radius and test, in-zone and out-of-zone moves,
+the battle with its enemy draw, differential mutation and the Levy move),
+copied here so that the oracle does not check those functions against
+themselves, with best and worst from :class:`~battleopt.core.Extremes`,
+then a clamp and one ``step``. ``run_mbgo`` and ``run_embgo`` must give
+the same ``serialize()``, leave the caller's generator in the same state,
+and have their ``evaluate`` see the same points in the same order.
 
 Windows run from N = 192 on (``mbgo._window_cap``). The ``counts``
 fixture counts their rewinds (``Draws.restore``) and their stale members
 recomputed alone (one-row clamps that follow a block clamp with no draw
 between), so that a test can show that it ran them.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -35,40 +38,60 @@ from battleopt import (
 )
 from battleopt import core, mbgo
 from battleopt.core import Extremes, clamp
-from battleopt.embgo import diff_mutation, levy_move
-from battleopt.mbgo import battle, battle_game, in_safe_zone, move_inside, move_outside, safe_zone_radius
+from battleopt.levy import levy_sample
+from battleopt.mbgo import RADIUS_EPSILON, battle_game
 
 from conftest import decreasing, nonfinite, plateaus, recording, sphere
 from test_de_sweep import generator, proxy, recorder
 
 
 def reference_sweep(bounds, passes):
-    def sweep(pop, X, draws, step, left):
-        ext = Extremes(pop)
-        for propose in passes(pop, X, draws):
-            m = min(len(pop), left)
+    def sweep(F, X, draws, step, left):
+        ext = Extremes(F)
+        for propose in passes(F, X, draws):
+            m = min(len(F), left)
             left -= m
             for i in range(m):
-                if step(i, clamp(propose(i, pop[ext.best], pop[ext.worst]), bounds)):
-                    ext.replaced(i, pop[i].fitness)
+                if step(i, clamp(propose(i, X[ext.best], X[ext.worst]), bounds)):
+                    ext.replaced(i, F[i])
 
     return sweep
+
+
+def in_zone(x, best, worst, rng, params):
+    """The safe-zone radius from delta ~ U(delta_low, delta_high), then the inclusive test."""
+    delta = params.delta_low + (params.delta_high - params.delta_low) * rng.random()
+    radius = (np.linalg.norm(best - worst) + RADIUS_EPSILON) * delta
+    return np.linalg.norm(x - best) <= radius
+
+
+def battle(F, X, i, rng):
+    """An enemy other than ``i``, then the stronger- or weaker-enemy step."""
+    j = int(rng.integers(len(F) - 1))
+    j = j + 1 if j >= i else j
+    x, xe = X[i], X[j]
+    direction = x - xe if F[i] < F[j] else xe - x
+    if F[j] < F[i]:
+        r = rng.random(x.size)
+        return np.where(r < 0.5, x + direction * r, xe + direction * r)
+    return x + direction * math.cos(2.0 * math.pi * rng.random())
 
 
 def reference_mbgo(problem, config, rng=None, *, params=None, movement_phase=True,
                    battle_phase=True):
     params = params or MbgoParams()
 
-    def passes(pop, X, rng):
+    def passes(F, X, rng):
         def move(i, best, worst):
-            ind = pop[i]
-            zone = safe_zone_radius(best, worst, rng, params.delta_low, params.delta_high)
-            if in_safe_zone(ind, zone):
-                return move_inside(ind, best, rng)
-            return move_outside(ind, best, rng)
+            x = X[i]
+            if in_zone(x, best, worst, rng, params):
+                return x + best * math.sin(2.0 * math.pi * rng.random())
+            r = rng.random(x.size)
+            theta = rng.normal(0.0, 1.0, x.size)
+            return np.where(r < 0.5, x + theta, x + (best - x) * r)
 
         def fight(i, best, worst):
-            return battle(pop, i, rng)
+            return battle(F, X, i, rng)
 
         return [p for p, on in ((move, movement_phase), (fight, battle_phase)) if on]
 
@@ -78,17 +101,19 @@ def reference_mbgo(problem, config, rng=None, *, params=None, movement_phase=Tru
 def reference_embgo(problem, config, rng=None, *, params=None):
     params = params or EmbgoParams()
 
-    def passes(pop, X, rng):
+    def passes(F, X, rng):
         x_mean = X.mean(axis=0)
 
         def merged(i, best, worst):
             if rng.random() >= 0.5:
-                return battle(pop, i, rng)
-            ind = pop[i]
-            zone = safe_zone_radius(best, worst, rng, params.delta_low, params.delta_high)
-            if in_safe_zone(ind, zone):
-                return diff_mutation(ind, best, x_mean, rng, independent_r=params.independent_r)
-            return levy_move(ind, params.beta, rng)
+                return battle(F, X, i, rng)
+            x = X[i]
+            if in_zone(x, best, worst, rng, params):
+                r1 = rng.random()
+                r2 = rng.random() if params.independent_r else r1
+                return (x + (best - x) * math.sin(2.0 * math.pi * r1)
+                        + (x_mean - x) * math.sin(2.0 * math.pi * r2))
+            return x + levy_sample(params.beta, x.size, rng)
 
         return [merged]
 
