@@ -7,8 +7,9 @@ evaluation budget, non-increasing best-so-far trace. DE runs one
 :func:`~battleopt.mbgo.battle_game` sweep per iteration over the loop's
 position array; PSO keeps its own loop, since its global best moves only
 on strict improvement, its diversity is over positions, not personal
-bests, and it returns the global best. Both take a sweep's draws at once
-and compute their candidates for windows of rows as arrays. A PSO window
+bests, and it returns the global best. PSO takes a sweep's draws at
+once, DE those of several sweeps (see :func:`run_de`), and both compute
+their candidates for windows of rows as arrays. A PSO window
 is exact until one of its particles improves the global best (see
 :func:`run_pso`); a DE row is recomputed when one of its peers was
 replaced after its window was computed (see :func:`run_de`). DE
@@ -59,8 +60,18 @@ RANDOM_SEARCH_CHUNK = 256
 # The most particles PSO moves in one window of a sweep (see run_pso).
 _PSO_WINDOW = 64
 
-# The rows DE computes trials for at once (see run_de).
+# The rows DE computes trials for at once (see run_de). Timed against 32
+# with several sweeps decoded per call, 9 alternating pairs per shape, as
+# ratios of median run time (table D=6 N=50 / rastrigin:sr D=300 N=50 /
+# sphere D=10 N=3200 / compare's three problems at N=50, 500 FEs):
+# 8: 1.61 / 1.04 / 1.63 / 0.88; 16: 1.09 / 1.02 / 1.21 / 0.89;
+# 64: 1.02 / 0.96 / 0.96 / 1.21. No size wins on all four, so 32 stays.
 _DE_WINDOW = 32
+
+# The most doubles DE decodes in one Draws.sweeps call, unless a single
+# sweep holds more: about 4 sweeps at D=300, N=50, and a whole 5,000-FE
+# run at D=6, N=50 (see run_de).
+_DE_DRAWS_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,15 +127,20 @@ def run_de(
     battle-game optimizers'; DE reads no best or worst, so it keeps none.
     ``rng`` defaults to ``make_rng(config.seed)`` and ``params`` to ``DeParams()``.
 
-    A member's draws depend on no position or fitness, so a sweep takes
-    all of them at once: :meth:`~battleopt.core.Draws.sweep` gives the
-    values, and the final generator state, of m rounds of
-    ``rng.choice(n - 1, 3, replace=False)``, ``rng.integers(dim)`` and
-    ``rng.random(dim)``, m being the members the budget lets through.
-    Trials are then computed for a window of rows at once from the loop's
-    position array ``X``, by the same elementwise expressions as for one
-    member (mutant, crossover mask, forced gene, clamp), and stepped in
-    index order. A row whose peers include a row accepted since the window
+    A member's draws depend on no position or fitness, and each FE takes
+    one round of them: ``rng.choice(n - 1, 3, replace=False)``,
+    ``rng.integers(dim)`` and ``rng.random(dim)``. So the draws of several
+    sweeps are decoded in one :meth:`~battleopt.core.Draws.sweeps` call,
+    with the values and final generator state of those rounds: as many
+    whole sweeps as fit under ``_DE_DRAWS_CAP`` doubles (one sweep when a
+    single one holds more), and never past the budget, since ``left``
+    FEs are the rounds the rest of the run takes. Each sweep takes its
+    slice, m rounds, m being the members the budget lets through. An
+    objective that raises leaves the generator after the decoded chunk,
+    not after the current sweep. Trials are then computed for a window of
+    rows at once from the loop's position array ``X``, by the same
+    elementwise expressions as for one member (mutant, crossover mask,
+    forced gene, clamp), and stepped in index order. A row whose peers include a row accepted since the window
     was computed is recomputed from the current ``X`` and evaluated alone,
     so every FE is at the point of a per-member loop, in its order, and
     the run's bits are its. For an objective the package marks pure
@@ -140,9 +156,18 @@ def run_de(
     bounds, dim = problem.bounds, problem.bounds.dim
     rows = pure_rows(problem)
 
+    ahead = []  # the drawn (picks, forced, r) of the sweeps to come, last first
+
     def sweep(fit, X, draws, step, left):
-        m = min(len(fit), left)
-        picks, forced, r = draws.sweep(m, len(fit) - 1, dim, dim)
+        n = len(fit)
+        if not ahead:
+            # whole sweeps under the cap, never past the budget: a sweep
+            # takes one round of draws per FE, and left FEs remain
+            rounds = min(left, n * max(1, _DE_DRAWS_CAP // (n * dim)))
+            sizes = [min(n, rounds - k) for k in range(0, rounds, n)]
+            ahead.extend(reversed(draws.sweeps(sizes, n - 1, dim, dim)))
+        picks, forced, r = ahead.pop()
+        m = len(forced)
         members = np.arange(m)
         # distinct(n - 1) draws over the other members: skip i itself
         peers = picks + (picks >= members[:, None])

@@ -10,10 +10,10 @@ kernel OpenBLAS picks by CPU, and seeded bits differ between an AVX-512
 host and an AVX2-only one (ROADMAP item 3).
 
 Inside a run, :class:`Draws` takes the per-candidate scalar draws straight
-from the Generator's bit generator, and :meth:`Draws.sweep` a whole DE
-sweep's draws from one ``random_raw`` call. Both give the values and the
-final generator state of the Generator calls they stand for, so the
-stream is the Generator's; they only skip the per-call overhead.
+from the Generator's bit generator, and :meth:`Draws.sweeps` the draws of
+several whole DE sweeps from one ``random_raw`` call. Both give the values
+and the final generator state of the Generator calls they stand for, so
+the stream is the Generator's; they only skip the per-call overhead.
 :func:`fitness_value` is the one rule for an objective's value: a float,
 NaN as +inf.
 """
@@ -153,11 +153,7 @@ class Draws:
         (MT19937 has other rules), restores the state saved at the start
         and makes the calls one round at a time.
         """
-        n, high = operator.index(n), operator.index(high)
-        if not 3 <= n <= _SPAN32:
-            raise ValueError(f"n must lie in [3, 2**32], got {n}")
-        if not 1 <= high <= _SPAN32:
-            raise ValueError(f"high must lie in [1, 2**32], got {high}")
+        n, high = _sweep_domain(n, high)
         bit_generator = self._rng.bit_generator
         if type(bit_generator) in _DECODED:
             start = bit_generator.state
@@ -173,6 +169,31 @@ class Draws:
             ints[k] = self._below(high)
             doubles[k] = self.random(size)
         return picks, ints, doubles
+
+    def sweeps(self, sizes: list, n: int, high: int, size: int) -> list:
+        """:meth:`sweep` for consecutive sweeps of ``sizes`` rounds, decoded at once.
+
+        Returns one ``(picks, ints, doubles)`` per sweep: the values of one
+        ``sweep(m, n, high, size)`` call per ``m`` in ``sizes``, made in that
+        order, and the generator is left in their final state. The rounds
+        of all the sweeps are decoded from one ``random_raw`` call, and each
+        sweep's arrays are slices of that call's. A bounded draw that numpy
+        would retry restores the state saved at the start; then each sweep
+        makes its own :meth:`sweep` call, so only the sweep that holds the
+        retry is drawn round by round.
+        """
+        n, high = _sweep_domain(n, high)
+        bit_generator = self._rng.bit_generator
+        if len(sizes) > 1 and type(bit_generator) in _DECODED:
+            start = bit_generator.state
+            drawn = _decode_sweep(bit_generator, start, sum(sizes), n, high, size)
+            if drawn is not None:
+                picks, ints, doubles = drawn
+                edges = np.cumsum([0, *sizes]).tolist()
+                return [(picks[lo:hi], ints[lo:hi], doubles[lo:hi])
+                        for lo, hi in zip(edges, edges[1:])]
+            bit_generator.state = start
+        return [self.sweep(m, n, high, size) for m in sizes]
 
     def save(self) -> dict:
         """The bit generator's state, for :meth:`restore`."""
@@ -196,9 +217,19 @@ class Draws:
         return m >> 32
 
 
+def _sweep_domain(n, high) -> tuple:
+    """``n`` and ``high`` of a sweep as ints; a ValueError outside Draws' domain."""
+    n, high = operator.index(n), operator.index(high)
+    if not 3 <= n <= _SPAN32:
+        raise ValueError(f"n must lie in [3, 2**32], got {n}")
+    if not 1 <= high <= _SPAN32:
+        raise ValueError(f"high must lie in [1, 2**32], got {high}")
+    return n, high
+
+
 # The bit generators whose next_uint32 halves a 64-bit output through
 # has_uint32/uinteger and whose next_double is (raw >> 11) * 2**-53, so
-# that Draws.sweep can decode their raw outputs.
+# that Draws.sweep and Draws.sweeps can decode their raw outputs.
 _DECODED = frozenset({np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox})
 _LOW32 = 0xFFFFFFFF
 

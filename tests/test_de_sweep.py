@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from battleopt import Bounds, DeParams, OptimizerConfig, Problem, make_problem, resolve_problem, run_de
-from battleopt import core
+from battleopt import baselines, core
 from battleopt.core import (
     EvaluationBudget,
     Individual,
@@ -31,6 +31,7 @@ from battleopt.core import (
     init_population,
     make_rng,
 )
+from battleopt.discrete import synthetic_table, table_problem
 from battleopt.stats import population_diversity
 
 from conftest import RecordingRng, decreasing, nonfinite, plateaus, recording, sphere
@@ -124,26 +125,71 @@ def assert_same_run(problem, config, make_objective=None, bit_generator=np.rando
 
 
 @pytest.fixture
-def retries(monkeypatch):
-    """How many sweeps the bulk decode handed back to the per-member draws."""
-    count = []
+def decodes(monkeypatch):
+    """``(rounds, size, retried)`` of each bulk decode, ``retried`` when it
+    handed its rounds back to be drawn again."""
+    calls = []
     decode = core._decode_sweep
 
-    def counted(*args):
-        drawn = decode(*args)
-        count.append(drawn is None)
+    def counted(bit_generator, start, m, n, high, size):
+        drawn = decode(bit_generator, start, m, n, high, size)
+        calls.append((m, size, drawn is None))
         return drawn
 
     monkeypatch.setattr(core, "_decode_sweep", counted)
-    return count
+    return calls
 
 
-def test_a_sweep_with_a_lemire_retry(retries):
-    # Seed 289's first sweep at N=3200 holds a draw that numpy retries;
-    # the sweep is drawn again one member at a time.
+def test_a_sweep_with_a_lemire_retry(decodes):
+    # Seed 289's first sweep at N=3200 holds a draw that numpy retries. Its
+    # 3,207 rounds (that sweep and the 7-row one after it) are decoded in
+    # one call, which finds the retry; each sweep then takes its own call:
+    # the first is drawn again one member at a time, the 7 rows are decoded.
     problem = make_problem("sphere", 2)
     assert_same_run(problem, OptimizerConfig(pop_size=3200, budget=3200 + 3200 + 7, seed=289))
-    assert retries[0] is True and retries[1] is False
+    assert decodes == [(3207, 2, True), (3200, 2, True), (7, 2, False)]
+
+
+def assert_decodes_under_the_cap(decodes, config):
+    # No call decodes more than the cap unless it holds one sweep, and the
+    # rounds decoded are the budget's: one per FE after the initial population.
+    n = config.pop_size
+    assert all(m * size <= baselines._DE_DRAWS_CAP or m <= n for m, size, _ in decodes)
+    assert sum(m for m, _, retried in decodes if not retried) == config.budget - n
+
+
+# rastrigin:sr at D=300, N=50: a sweep is 15,000 doubles, so a call decodes
+# 4 sweeps (200 rounds) under the cap.
+@pytest.mark.parametrize("budget", [
+    50 + 200,            # one whole chunk
+    50 + 200 + 1,        # one round into the second chunk
+    50 + 200 + 120,      # mid-chunk and mid-sweep
+    50 + 2 * 200 + 100,  # mid-chunk, at a sweep's end
+    50 + 3 * 200 + 49,   # one round short of a sweep
+])
+def test_budgets_that_end_mid_chunk(decodes, budget):
+    problem = resolve_problem("rastrigin:sr", 300)
+    config = OptimizerConfig(pop_size=50, budget=budget, seed=12)
+    assert_same_run(problem, config)
+    assert_decodes_under_the_cap(decodes, config)
+    assert {m for m, _, _ in decodes} <= {200, (budget - 50) % 200}
+
+
+def test_a_sweep_over_the_cap_is_one_call(decodes):
+    # D=30, N=2200: one sweep holds 66,000 doubles
+    problem = make_problem("sphere", 30)
+    config = OptimizerConfig(pop_size=2200, budget=2200 * 2 + 300, seed=13)
+    assert_same_run(problem, config)
+    assert_decodes_under_the_cap(decodes, config)
+    assert [m for m, _, _ in decodes] == [2200, 300]
+
+
+def test_a_lookup_table_run_is_one_decode(decodes):
+    # arnas' shape: D=6, N=50, 5,000 FEs; all 4,950 rounds fit under the cap
+    problem = table_problem(synthetic_table(3))
+    config = OptimizerConfig(pop_size=50, budget=5000, seed=14)
+    assert_same_run(problem, config)
+    assert decodes == [(4950, 6, False)]
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,8 @@
 Twin generators of each numpy bit generator run the same call sequence,
 one through ``Generator`` and one through ``Draws``; every value and the
 final ``bit_generator.state`` must agree; so must a DE sweep's bulk draws
-(``Draws.sweep``) and the per-member calls they stand for. Whole runs of DE, MBGO and
+(``Draws.sweep``) and the per-member calls they stand for, and several
+sweeps decoded at once (``Draws.sweeps``) and one ``sweep`` call each. Whole runs of DE, MBGO and
 EMBGO are pinned by a digest of the caller's generator state afterwards,
 recorded before the battle-game loop took its scalar draws through
 ``Draws``.
@@ -251,6 +252,52 @@ def test_sweep_outside_its_domain_is_a_value_error(n, high):
     generator, untouched = twins(np.random.PCG64, 0)
     with pytest.raises(ValueError, match="must lie in"):
         Draws(generator).sweep(4, n, high, 2)
+    assert_same_state(generator, untouched)
+
+
+def assert_sweeps_are_one_sweep_each(bit_generator, seed, sizes, n, high, size, buffered):
+    bulk, twin = twins(bit_generator, seed)
+    if buffered:
+        Draws(bulk).integers(7), Draws(twin).integers(7)
+    drawn = Draws(bulk).sweeps(sizes, n, high, size)
+    one_each = Draws(twin)
+    assert len(drawn) == len(sizes)
+    for (picks, ints, doubles), m in zip(drawn, sizes):
+        assert [a.tolist() for a in (picks, ints, doubles)] == [
+            a.tolist() for a in one_each.sweep(m, n, high, size)]
+    assert_same_state(bulk, twin)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bit_generator=st.sampled_from(BIT_GENERATORS),
+    seed=st.integers(0, 2**64 - 1),
+    pop=st.integers(4, 60),
+    dim=st.integers(1, 12),
+    whole=st.integers(0, 5),
+    extra=st.integers(0, 59),
+    buffered=st.booleans(),
+)
+def test_sweeps_are_one_sweep_call_each(bit_generator, seed, pop, dim, whole, extra, buffered):
+    sizes = [pop] * whole + ([extra % pop] if extra % pop else [])
+    assert_sweeps_are_one_sweep_each(bit_generator, seed, sizes or [pop], pop - 1, dim, dim,
+                                     buffered)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_sweeps_with_retries(bit_generator):
+    # about a quarter of the draws below 3 * 2**30 are rejected, so most
+    # sweeps are drawn round by round after the joint decode gives up
+    for seed in range(3):
+        assert_sweeps_are_one_sweep_each(bit_generator, seed, [2, 3, 1], 3 * 2**30 + 2,
+                                         3 * 2**30, 3, seed % 2)
+
+
+@pytest.mark.parametrize("n, high", [(2, 5), (5, 0)])
+def test_sweeps_outside_the_domain_is_a_value_error(n, high):
+    generator, untouched = twins(np.random.PCG64, 0)
+    with pytest.raises(ValueError, match="must lie in"):
+        Draws(generator).sweeps([4, 4], n, high, 2)
     assert_same_state(generator, untouched)
 
 
