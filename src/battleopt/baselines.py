@@ -8,9 +8,9 @@ evaluation budget, non-increasing best-so-far trace. DE runs one
 position array; PSO keeps its own loop, since its global best moves only
 on strict improvement, its diversity is over positions, not personal
 bests, and it returns the global best. PSO takes a sweep's draws at
-once, DE those of several sweeps (see :func:`run_de`), and both compute
-their candidates for windows of rows as arrays. A PSO window
-is exact until one of its particles improves the global best (see
+once, DE those of several sweeps in one call (see :func:`run_de`), and
+both compute their candidates for windows of rows as arrays. A PSO
+window is exact until one of its particles improves the global best (see
 :func:`run_pso`); a DE row is recomputed when one of its peers was
 replaced after its window was computed (see :func:`run_de`). DE
 evaluates a window's rows in one ``Problem.evaluate_batch`` call when
@@ -68,9 +68,9 @@ _PSO_WINDOW = 64
 # 64: 1.02 / 0.96 / 0.96 / 1.21. No size wins on all four, so 32 stays.
 _DE_WINDOW = 32
 
-# The most doubles DE decodes in one Draws.sweeps call, unless a single
-# sweep holds more: about 4 sweeps at D=300, N=50, and a whole 5,000-FE
-# run at D=6, N=50 (see run_de).
+# The most doubles DE draws in one Draws.sweep call, unless a single
+# sweep holds more: 4 sweeps at D=300, N=50, and a whole 5,000-FE run at
+# D=6, N=50 (see run_de).
 _DE_DRAWS_CAP = 1 << 16
 
 
@@ -129,21 +129,24 @@ def run_de(
 
     A member's draws depend on no position or fitness, and each FE takes
     one round of them: ``rng.choice(n - 1, 3, replace=False)``,
-    ``rng.integers(dim)`` and ``rng.random(dim)``. So the draws of several
-    sweeps are decoded in one :meth:`~battleopt.core.Draws.sweeps` call,
-    with the values and final generator state of those rounds: as many
-    whole sweeps as fit under ``_DE_DRAWS_CAP`` doubles (one sweep when a
-    single one holds more), and never past the budget, since ``left``
-    FEs are the rounds the rest of the run takes. Each sweep takes its
-    slice, m rounds, m being the members the budget lets through. An
-    objective that raises leaves the generator after the decoded chunk,
-    not after the current sweep. Trials are then computed for a window of
-    rows at once from the loop's position array ``X``, by the same
-    elementwise expressions as for one member (mutant, crossover mask,
-    forced gene, clamp), and stepped in index order. A row whose peers include a row accepted since the window
-    was computed is recomputed from the current ``X`` and evaluated alone,
-    so every FE is at the point of a per-member loop, in its order, and
-    the run's bits are its. For an objective the package marks pure
+    ``rng.integers(dim)`` and ``rng.random(dim)``. So the rounds of
+    several sweeps are drawn in one :meth:`~battleopt.core.Draws.sweep`
+    call, with the values and final generator state of those rounds: as
+    many whole sweeps as fit under ``_DE_DRAWS_CAP`` doubles (one sweep
+    when a single one holds more), and never past the budget, since
+    ``left`` FEs are the rounds the rest of the run takes. Each sweep
+    takes its slice, m rounds, m being the members the budget lets
+    through. A draw numpy would retry anywhere in the chunk makes the
+    whole chunk be drawn round by round. An objective that raises leaves
+    the generator after the drawn chunk, not after the current sweep.
+    Trials are then computed for a window of rows at once from the
+    loop's position array ``X``, by the same elementwise expressions as
+    for one member (mutant, crossover mask, forced gene, clamp), and
+    stepped in index order. A row whose peers include a row accepted
+    since the window was computed is recomputed from the current ``X``
+    and evaluated alone, so every FE is at the point of a per-member
+    loop, in its order, and the run's bits are its. For an objective the
+    package marks pure
     (:func:`~battleopt.problems.pure_rows`) the window's rows are
     evaluated first in one ``evaluate_batch`` call, bit-identical to one
     call per row; a recomputed row's batch value is thrown away. Any other
@@ -164,8 +167,8 @@ def run_de(
             # whole sweeps under the cap, never past the budget: a sweep
             # takes one round of draws per FE, and left FEs remain
             rounds = min(left, n * max(1, _DE_DRAWS_CAP // (n * dim)))
-            sizes = [min(n, rounds - k) for k in range(0, rounds, n)]
-            ahead.extend(reversed(draws.sweeps(sizes, n - 1, dim, dim)))
+            drawn = draws.sweep(rounds, n - 1, dim, dim)
+            ahead.extend(tuple(a[k:k + n] for a in drawn) for k in reversed(range(0, rounds, n)))
         picks, forced, r = ahead.pop()
         m = len(forced)
         members = np.arange(m)

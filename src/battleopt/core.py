@@ -7,13 +7,18 @@ fixed seed reproduces a run bit-for-bit on one host with one numpy
 build. Across hosts that does not hold yet: the QR behind the ``:sr``
 rotations and the ``dot`` behind the safe-zone norm run in BLAS, whose
 kernel OpenBLAS picks by CPU, and seeded bits differ between an AVX-512
-host and an AVX2-only one (ROADMAP item 3).
+host and an AVX2-only one (ROADMAP item 3). On one host they also depend
+on the BLAS thread count: seeded ``rastrigin:sr`` bits at D=300 change
+between ``OPENBLAS_NUM_THREADS=1`` and the default of 2 on a 2-vCPU host.
+perfbench runs one thread, while the tier-1 golden digests were recorded
+with the default.
 
 Inside a run, :class:`Draws` takes the per-candidate scalar draws straight
-from the Generator's bit generator, and :meth:`Draws.sweeps` the draws of
-several whole DE sweeps from one ``random_raw`` call. Both give the values
-and the final generator state of the Generator calls they stand for, so
-the stream is the Generator's; they only skip the per-call overhead.
+from the Generator's bit generator, and :meth:`Draws.sweep` the draws of
+many DE rounds, several whole sweeps, from one ``random_raw`` call. Both
+give the values and the final generator state of the Generator calls
+they stand for, so the stream is the Generator's; they only skip the
+per-call overhead.
 :func:`fitness_value` is the one rule for an objective's value: a float,
 NaN as +inf.
 """
@@ -149,11 +154,16 @@ class Draws:
         the high half of a 64-bit output, the unused half carried in the
         state's ``has_uint32``/``uinteger``; a double is
         ``(raw >> 11) * 2**-53``; Lemire's bound is applied as a vector.
-        A bounded draw that numpy would retry, or any other bit generator
-        (MT19937 has other rules), restores the state saved at the start
-        and makes the calls one round at a time.
+        A bounded draw that numpy would retry anywhere in the ``m`` rounds,
+        or any other bit generator (MT19937 has other rules), restores the
+        state saved at the start and makes all ``m`` rounds' calls one
+        round at a time.
         """
-        n, high = _sweep_domain(n, high)
+        n, high = operator.index(n), operator.index(high)
+        if not 3 <= n <= _SPAN32:
+            raise ValueError(f"n must lie in [3, 2**32], got {n}")
+        if not 1 <= high <= _SPAN32:
+            raise ValueError(f"high must lie in [1, 2**32], got {high}")
         bit_generator = self._rng.bit_generator
         if type(bit_generator) in _DECODED:
             start = bit_generator.state
@@ -169,31 +179,6 @@ class Draws:
             ints[k] = self._below(high)
             doubles[k] = self.random(size)
         return picks, ints, doubles
-
-    def sweeps(self, sizes: list, n: int, high: int, size: int) -> list:
-        """:meth:`sweep` for consecutive sweeps of ``sizes`` rounds, decoded at once.
-
-        Returns one ``(picks, ints, doubles)`` per sweep: the values of one
-        ``sweep(m, n, high, size)`` call per ``m`` in ``sizes``, made in that
-        order, and the generator is left in their final state. The rounds
-        of all the sweeps are decoded from one ``random_raw`` call, and each
-        sweep's arrays are slices of that call's. A bounded draw that numpy
-        would retry restores the state saved at the start; then each sweep
-        makes its own :meth:`sweep` call, so only the sweep that holds the
-        retry is drawn round by round.
-        """
-        n, high = _sweep_domain(n, high)
-        bit_generator = self._rng.bit_generator
-        if len(sizes) > 1 and type(bit_generator) in _DECODED:
-            start = bit_generator.state
-            drawn = _decode_sweep(bit_generator, start, sum(sizes), n, high, size)
-            if drawn is not None:
-                picks, ints, doubles = drawn
-                edges = np.cumsum([0, *sizes]).tolist()
-                return [(picks[lo:hi], ints[lo:hi], doubles[lo:hi])
-                        for lo, hi in zip(edges, edges[1:])]
-            bit_generator.state = start
-        return [self.sweep(m, n, high, size) for m in sizes]
 
     def save(self) -> dict:
         """The bit generator's state, for :meth:`restore`."""
@@ -217,19 +202,9 @@ class Draws:
         return m >> 32
 
 
-def _sweep_domain(n, high) -> tuple:
-    """``n`` and ``high`` of a sweep as ints; a ValueError outside Draws' domain."""
-    n, high = operator.index(n), operator.index(high)
-    if not 3 <= n <= _SPAN32:
-        raise ValueError(f"n must lie in [3, 2**32], got {n}")
-    if not 1 <= high <= _SPAN32:
-        raise ValueError(f"high must lie in [1, 2**32], got {high}")
-    return n, high
-
-
 # The bit generators whose next_uint32 halves a 64-bit output through
 # has_uint32/uinteger and whose next_double is (raw >> 11) * 2**-53, so
-# that Draws.sweep and Draws.sweeps can decode their raw outputs.
+# that Draws.sweep can decode their raw outputs.
 _DECODED = frozenset({np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox})
 _LOW32 = 0xFFFFFFFF
 
@@ -353,9 +328,6 @@ class Individual:
 
     position: np.ndarray
     fitness: float = math.nan
-
-    def evaluated(self) -> bool:
-        return not math.isnan(self.fitness)
 
     def copy(self) -> "Individual":
         return Individual(self.position.copy(), self.fitness)

@@ -317,20 +317,18 @@ def member_sweep(problem, passes):
     as a window (see ``_WINDOW_MIN``), in three steps:
 
     1. Plan every member with the data at the window's start, the zone
-       test reading one einsum distance per row. A battle against an enemy
-       earlier in the window that is not yet stronger could change branch,
-       so the planner pauses there: the window ends before that member,
-       which carries its coin and enemy into the next window. A stronger
-       enemy stays stronger: steps only ever lower a fitness.
+       test reading one einsum distance per row.
     2. Build the candidates as one block, a kind at a time, by the row
        builder's step functions, then one clamp.
     3. Step the members in index order. A member is stale if its enemy was
        accepted earlier in the window, or, for a movement, if best or worst
-       changed (index or row). A stale member is rechecked with the exact
-       zone test and rebuilt by the row builder. If its branch changed, its
-       draws would too: the generator goes back to the state saved at the
-       window's start, the kept members' draws are taken again, and the
-       next window starts at that member.
+       changed (index or row). A stale member is rechecked, by the exact
+       zone test or by ``F[j] < F[i]``, and rebuilt by the row builder. If
+       its branch changed, its draws would too: the generator goes back to
+       the state saved at the window's start, the kept members' draws are
+       taken again, and the next window starts at that member. A stronger
+       enemy stays stronger, since steps only ever lower a fitness, so of
+       the battles only a weaker one can change branch.
 
     A window is no longer than the members stepped since best or worst last
     changed, so a run in which they change at every step goes one member at
@@ -392,24 +390,18 @@ def member_sweep(problem, passes):
                 return r <= radius
             return _distance(X[i], xb) <= radius
 
-        def plan(i, enemy, lo, dist):
+        def plan(i, r=math.nan):
             """Member ``i``'s draws and branch: ``(kind, enemy or delta, drawn)``.
 
-            ``enemy`` is a carried enemy, or None. In a window from ``lo``,
-            ``dist`` holds its zone distances, and a weaker or equal enemy
-            among ``lo .. i - 1`` pauses the plan before the branch draws:
-            ``(None, enemy, None)``. A member alone passes ``lo = i``.
+            ``r`` is its zone distance in a window, NaN for a member alone.
             """
-            if enemy is None and mv is not None and not (coin and random() >= 0.5):
-                delta = low + span * random()
-                kind = _INSIDE if within(i, delta, dist[i - lo] if dist else math.nan) else _OUTSIDE
-                return kind, delta, take[kind](draws)
-            j = pick_enemy(i, n, draws) if enemy is None else enemy
-            if F[j] < F[i]:
-                return _STRONGER, j, uniforms(draws)
-            if lo <= j < i:
-                return None, j, None
-            return _WEAKER, j, _draw_cosine(draws)
+            if mv is not None and not (coin and random() >= 0.5):
+                a = low + span * random()
+                kind = _INSIDE if within(i, a, r) else _OUTSIDE
+            else:
+                a = pick_enemy(i, n, draws)
+                kind = _STRONGER if F[a] < F[i] else _WEAKER
+            return kind, a, take[kind](draws)
 
         def row(i, kind, a, drawn):
             """Member ``i``'s clamped candidate from the current rows and its plan."""
@@ -459,55 +451,48 @@ def member_sweep(problem, passes):
             candidates[order] = clamp(np.concatenate(parts), bounds)
             return candidates
 
-        def window(lo, hi, enemy):
-            """Members ``lo .. hi - 1``; returns where the next window starts and its enemy."""
+        def window(lo, hi):
+            """Members ``lo .. hi - 1``; returns where the next window starts."""
             saved = draws.save()
-            carried = enemy is not None
             since = epoch
-            dist = None
+            dist = [math.nan] * (hi - lo)
             if mv is not None:
                 diff = X[lo:hi] - zone()[0]
                 dist = np.sqrt(np.einsum("ij,ij->i", diff, diff)).tolist()
-            planned = []
-            for i in range(lo, hi):
-                entry = plan(i, enemy, lo, dist)
-                enemy = None
-                if entry[0] is None:  # pause: the enemy's step may make it stronger
-                    enemy, hi = entry[1], i
-                    break
-                planned.append(entry)
+            planned = [plan(i, r) for i, r in enumerate(dist, lo)]
 
             candidates = block(lo, planned)
             values = rows(candidates).tolist() if rows else [None] * len(planned)
             moved = set()
             for k, (kind, a, drawn) in enumerate(planned):
                 i = lo + k
-                if kind == _STRONGER:
+                if kind <= _WEAKER:
                     stale = a in moved
+                    changed = stale and (F[a] < F[i]) != (kind == _STRONGER)
                 else:
-                    stale = kind != _WEAKER and epoch != since
-                    if stale and within(i, a) != (kind == _INSIDE):
-                        rewind(saved, planned[:k], carried)
-                        return i, None
+                    stale = epoch != since
+                    changed = stale and within(i, a) != (kind == _INSIDE)
+                if changed:
+                    rewind(saved, planned[:k])
+                    return i
                 if stale:
                     accepted = stepped(i, row(i, kind, a, drawn))
                 else:
                     accepted = stepped(i, candidates[k], values[k])
                 if accepted:
                     moved.add(i)
-            return hi, enemy
+            return hi
 
-        def rewind(saved, kept, carried):
+        def rewind(saved, kept):
             """Restore ``saved``, then take the draws of the ``kept`` members again."""
             draws.restore(saved)
-            for k, (kind, _, _) in enumerate(kept):
-                if k or not carried:
-                    if coin:
-                        random()
-                    if kind >= _INSIDE:
-                        random()
-                    else:
-                        draws.integers(n - 1)
+            for kind, _, _ in kept:
+                if coin:
+                    random()
+                if kind >= _INSIDE:
+                    random()
+                else:
+                    draws.integers(n - 1)
                 take[kind](draws)
 
         for mv, fights in passes(X, draws):
@@ -520,13 +505,13 @@ def member_sweep(problem, passes):
                 span = float(mv.delta_high) - low
             m = min(n, left)
             left -= m
-            i, enemy = 0, None
+            i = 0
             while i < m:
                 if cap < _WINDOW_MIN or calm < _WINDOW_MIN or m - i < _WINDOW_MIN:
-                    stepped(i, row(i, *plan(i, enemy, i, None)))
-                    i, enemy = i + 1, None
+                    stepped(i, row(i, *plan(i)))
+                    i += 1
                 else:
-                    i, enemy = window(i, i + min(cap, calm, m - i), enemy)
+                    i = window(i, i + min(cap, calm, m - i))
 
     return sweep
 

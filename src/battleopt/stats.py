@@ -26,17 +26,12 @@ EXACT_ENUMERATION_LIMIT = 64
 def population_diversity(pop, bounds) -> float:
     """Normalized mean absolute deviation from the population centroid.
 
-    PD = (1 / (N D)) sum_i sum_j |X_ij - mean_j| / (UB_j - LB_j),
-    which lies in [0, 1] for any in-bounds population and is 0 when all
-    members coincide. ``pop`` may be a list of individuals or an (N, D)
-    position array.
+    PD = (1 / (N D)) sum_i sum_j |X_ij - mean_j| / (UB_j - LB_j) over
+    ``pop``, an (N, D) position array, which lies in [0, 1] for any
+    in-bounds population and is 0 when all members coincide.
     """
-    if isinstance(pop, np.ndarray):
-        positions = pop
-    else:
-        positions = np.array([ind.position for ind in pop])
-    centroid = positions.mean(axis=0)
-    normalized = np.abs(positions - centroid) / bounds.span
+    centroid = pop.mean(axis=0)
+    normalized = np.abs(pop - centroid) / bounds.span
     return float(normalized.mean())
 
 

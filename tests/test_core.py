@@ -82,7 +82,7 @@ def test_init_population_uniform_support():
     assert len(pop) == 5
     for ind in pop:
         assert box.contains(ind.position)
-        assert not ind.evaluated()
+        assert math.isnan(ind.fitness)
 
 
 def test_init_population_rejects_small_n():

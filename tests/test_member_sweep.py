@@ -236,7 +236,7 @@ def test_two_members_the_enemy_is_forced(name):
 def test_one_dimension(name, counts):
     problem = make_problem("ackley", 1)
     assert_same_run(name, problem, OptimizerConfig(pop_size=200, budget=200 * 10, seed=3))
-    assert counts["rewinds"] > 0 or name == "mbgo-battle"
+    assert counts["rewinds"] > 0
     assert counts["recomputes"] > 0
 
 

@@ -10,7 +10,6 @@ from scipy.stats import rankdata
 from battleopt import (
     Bounds,
     ComparisonMatrix,
-    Individual,
     average_rank,
     holm_adjust,
     mann_whitney_u,
@@ -26,19 +25,18 @@ from battleopt.stats import EXACT_ENUMERATION_LIMIT, _midranks
 
 def test_diversity_identical_members_is_zero():
     box = Bounds.cube(-100.0, 100.0, 3)
-    pop = [Individual(np.ones(3)) for _ in range(5)]
-    assert population_diversity(pop, box) == 0.0
+    assert population_diversity(np.ones((5, 3)), box) == 0.0
 
 
 def test_diversity_two_members_at_bounds():
     box = Bounds.cube(-100.0, 100.0, 1)
-    pop = [Individual(np.array([-100.0])), Individual(np.array([100.0]))]
-    assert population_diversity(pop, box) == pytest.approx(0.5)
+    positions = np.array([[-100.0], [100.0]])
+    assert population_diversity(positions, box) == pytest.approx(0.5)
 
 
 def test_diversity_single_member_is_zero():
     box = Bounds.cube(0.0, 1.0, 4)
-    assert population_diversity([Individual(np.full(4, 0.3))], box) == 0.0
+    assert population_diversity(np.full((1, 4), 0.3), box) == 0.0
 
 
 def test_diversity_accepts_position_matrix():
