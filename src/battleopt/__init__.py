@@ -43,7 +43,7 @@ from .embgo import EmbgoParams, diff_mutation, levy_move, run_embgo
 from .levy import gamma_fn, levy_sample, levy_sigma
 from .mbgo import (
     MbgoParams,
-    SafeZone,
+    battle,
     battle_dir,
     battle_vs_stronger,
     battle_vs_weaker,

@@ -40,6 +40,7 @@ from .core import (
     check_pop_size,
     clamp,
     fitness_value,
+    init_population,
     make_rng,
     resolve_params,
 )
@@ -49,7 +50,7 @@ from .stats import population_diversity
 
 # Not called here (DE runs on battleopt.mbgo's loop), but kept as module
 # attributes: perfbench/spans.py rebinds them by name.
-from .core import best_worst, greedy_replace, init_population  # noqa: F401
+from .core import best_worst, greedy_replace  # noqa: F401
 
 __all__ = ["RANDOM_SEARCH_CHUNK", "DeParams", "PsoParams", "run_de", "run_pso", "run_random_search"]
 
@@ -246,7 +247,7 @@ def run_pso(
     n, dim = config.pop_size, bounds.dim
     w, c1, c2, v_max = params.w, params.c1, params.c2, params.v_max
 
-    positions = rng.uniform(bounds.lower, bounds.upper, size=(n, dim))
+    positions = init_population(n, bounds, rng)
     velocities = np.zeros((n, dim))
     budget = EvaluationBudget(config.budget)
     budget.take(n)

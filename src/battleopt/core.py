@@ -320,27 +320,24 @@ def clamp(position: np.ndarray, bounds: Bounds) -> np.ndarray:
 
 @dataclass
 class Individual:
-    """A search-space position plus its cached objective value.
+    """A run's best member: a search-space position plus its objective value.
 
-    ``fitness`` is NaN until the position has been evaluated; the cache
-    must always equal the objective at ``position``.
+    Runs hold their populations as position arrays and fitness lists;
+    this is the form of :attr:`RunResult.best`.
     """
 
     position: np.ndarray
     fitness: float = math.nan
 
-    def copy(self) -> "Individual":
-        return Individual(self.position.copy(), self.fitness)
 
+def init_population(n: int, bounds: Bounds, rng: np.random.Generator) -> np.ndarray:
+    """``n`` positions drawn uniformly inside the box: the rows of one ``(n, D)`` array.
 
-def init_population(
-    n: int, bounds: Bounds, rng: np.random.Generator
-) -> list[Individual]:
-    """Draw ``n`` individuals uniformly inside the box, fitness unset."""
+    The draw is one ``rng.uniform(lower, upper, size=(n, D))`` call.
+    """
     if n < 2:
         raise ConfigurationError(f"population size must be at least 2, got {n}")
-    positions = rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.dim))
-    return [Individual(positions[i]) for i in range(n)]
+    return rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.dim))
 
 
 def fitness_value(value, name: str) -> float:
@@ -364,26 +361,31 @@ def fitness_value(value, name: str) -> float:
     )
 
 
-def greedy_replace(parent: Individual, offspring: Individual) -> Individual:
-    """Offspring survives only on strict improvement; ties keep the parent."""
+def greedy_replace(parent, offspring):
+    """Offspring survives only on strict improvement; ties keep the parent.
+
+    Either argument is anything with a ``.fitness``; the one kept is returned.
+    """
     return offspring if offspring.fitness < parent.fitness else parent
 
 
-def best_worst(pop: list[Individual]) -> tuple[Individual, Individual]:
-    """Minimum- and maximum-fitness members, ties broken by lowest index."""
-    fitnesses = [ind.fitness for ind in pop]
-    if any(math.isnan(f) for f in fitnesses):
-        raise ValueError("population contains unevaluated individuals")
-    best_idx = min(range(len(pop)), key=fitnesses.__getitem__)
-    worst_idx = max(range(len(pop)), key=fitnesses.__getitem__)
-    return pop[best_idx], pop[worst_idx]
+def best_worst(fitnesses) -> tuple[int, int]:
+    """Indices of the lowest and the highest fitness, the lowest index on ties.
+
+    A NaN, the fitness of an unevaluated member, is a ``ValueError``.
+    """
+    fit = np.asarray(fitnesses, dtype=np.float64)
+    best = int(fit.argmin())  # argmin picks a NaN, if there is one
+    if math.isnan(fit[best]):
+        raise ValueError("fitnesses contain NaN: an unevaluated member")
+    return best, int(fit.argmax())
 
 
 class Extremes:
     """Best and worst indices of a list of fitnesses under greedy replacement.
 
-    Holds a float64 copy of ``fitnesses`` and picks the members
-    :func:`best_worst` would (lowest index on ties). Greedy replacement
+    Holds a float64 copy of ``fitnesses`` and starts from the indices
+    :func:`best_worst` gives (lowest index on ties). Greedy replacement
     only ever lowers a slot, so :meth:`replaced` moves ``best`` in O(1) and
     rescans for ``worst`` only when the worst slot itself improved.
     """
@@ -391,11 +393,8 @@ class Extremes:
     __slots__ = ("fit", "best", "worst")
 
     def __init__(self, fitnesses: list):
-        fit = self.fit = np.array(fitnesses, dtype=np.float64)
-        self.best = int(fit.argmin())  # argmin picks a NaN, if there is one
-        if math.isnan(fit[self.best]):
-            raise ValueError("population contains unevaluated individuals")
-        self.worst = int(fit.argmax())
+        self.fit = np.array(fitnesses, dtype=np.float64)
+        self.best, self.worst = best_worst(self.fit)
 
     def replaced(self, i: int, f: float) -> None:
         """Record that slot ``i`` now holds fitness ``f``, no higher than before."""

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ConfigurationError, Individual, OptimizerConfig, RunResult, resolve_params
+from .core import ConfigurationError, OptimizerConfig, RunResult, resolve_params
 from .levy import DEFAULT_BETA, levy_sample, levy_sigma
 from .mbgo import MbgoParams, Movement, battle_game, member_sweep
 
@@ -62,25 +62,25 @@ def _mutate(x_mean, x, xb, s1, s2):
 
 
 def _flight(x, xb, step):
-    """Levy flight step: x + step (xb unused, as a Movement's outside step)."""
+    """Levy flight step: x + step (xb unused, as a Movement's outside step), a row or a block."""
     return x + step
 
 
 def diff_mutation(
-    x_i: Individual, x_best: Individual, x_mean: np.ndarray, rng: np.random.Generator, *,
+    x: np.ndarray, xb: np.ndarray, x_mean: np.ndarray, rng: np.random.Generator, *,
     independent_r: bool = True,
 ) -> np.ndarray:
-    """Current-to-best&mean step, unclamped.
+    """Current-to-best&mean step of row ``x``, unclamped.
 
-    x_i + (x_best - x_i) sin(2 pi r1) + (x_mean - x_i) sin(2 pi r2),
-    with r1 drawn first and r2 = r1 when ``independent_r`` is false.
+    x + (xb - x) sin(2 pi r1) + (x_mean - x) sin(2 pi r2), with r1 drawn
+    first and r2 = r1 when ``independent_r`` is false.
     """
-    return _mutate(x_mean, x_i.position, x_best.position, *_draw_sines(independent_r, rng))
+    return _mutate(x_mean, x, xb, *_draw_sines(independent_r, rng))
 
 
-def levy_move(x_i: Individual, beta: float, rng: np.random.Generator) -> np.ndarray:
-    """Exploration step: x_i plus one heavy-tailed step per dimension, unclamped."""
-    return _flight(x_i.position, None, levy_sample(beta, x_i.position.size, rng))
+def levy_move(x: np.ndarray, beta: float, rng: np.random.Generator) -> np.ndarray:
+    """Exploration step: row ``x`` plus one heavy-tailed step per dimension, unclamped."""
+    return _flight(x, None, levy_sample(beta, x.size, rng))
 
 
 def run_embgo(

@@ -42,20 +42,20 @@ from .core import (
     check_pop_size,
     clamp,
     fitness_value,
+    init_population,
     make_rng,
     resolve_params,
 )
 from .problems import pure_rows
 from .stats import population_diversity
 
-# Not called here, but kept as module attributes: perfbench/spans.py
-# rebinds them by name.
-from .core import greedy_replace, init_population  # noqa: F401
+# Not called here, but kept as a module attribute: perfbench/spans.py
+# rebinds it by name.
+from .core import greedy_replace  # noqa: F401
 
 __all__ = [
     "RADIUS_EPSILON",
     "MbgoParams",
-    "SafeZone",
     "safe_zone_radius",
     "in_safe_zone",
     "move_inside",
@@ -87,16 +87,6 @@ class MbgoParams:
             raise ConfigurationError("need 0 < delta_low < delta_high, both finite")
 
 
-class SafeZone:
-    """Hypersphere around the current best individual."""
-
-    __slots__ = ("center", "radius")
-
-    def __init__(self, center: np.ndarray, radius: float):
-        self.center = center
-        self.radius = radius
-
-
 def _distance(a: np.ndarray, b: np.ndarray) -> float:
     """||a - b|| as numpy's 1-D ``norm`` computes it, ``sqrt(d . d)``: the zone norm."""
     d = a - b
@@ -104,13 +94,13 @@ def _distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def safe_zone_radius(
-    best: Individual,
-    worst: Individual,
+    xb: np.ndarray,
+    xw: np.ndarray,
     rng: np.random.Generator,
     delta_low: float = MbgoParams.delta_low,
     delta_high: float = MbgoParams.delta_high,
-) -> SafeZone:
-    """Zone centered on the best member, radius (||best - worst|| + eps) * delta.
+) -> float:
+    """Radius of the zone centered on the best row ``xb``: (||xb - xw|| + eps) * delta.
 
     delta ~ U(delta_low, delta_high) amplifies the best-to-worst distance;
     the epsilon keeps the radius positive for a collapsed population.
@@ -125,13 +115,12 @@ def safe_zone_radius(
     if math.copysign(1.0, span) < 0.0:
         raise ValueError("high - low < 0")
     delta = low + span * rng.random()
-    gap = _distance(best.position, worst.position)
-    return SafeZone(center=best.position, radius=(gap + RADIUS_EPSILON) * delta)
+    return (_distance(xb, xw) + RADIUS_EPSILON) * delta
 
 
-def in_safe_zone(x: Individual, zone: SafeZone) -> bool:
-    """Euclidean membership test, boundary inclusive."""
-    return _distance(x.position, zone.center) <= zone.radius
+def in_safe_zone(x: np.ndarray, center: np.ndarray, radius: float) -> bool:
+    """Euclidean membership test of row ``x``, boundary inclusive."""
+    return _distance(x, center) <= radius
 
 
 # The step formulas, each the only copy: the public operators below and
@@ -139,7 +128,8 @@ def in_safe_zone(x: Individual, zone: SafeZone) -> bool:
 # the enemy's xe) and drawn coefficients and give the unclamped candidate;
 # for a block of rows and a column of coefficients, each row's own. The
 # _draw_* functions take a branch's draws from a Generator or the loop's
-# Draws, in the operators' order.
+# Draws, in the operators' order. The public operators take rows (1-D
+# float arrays), the fitnesses where a branch reads them, and a generator.
 
 
 def _draw_sine(draws) -> tuple:
@@ -171,47 +161,46 @@ def _weaker(x, direction, c):
     return x + direction * c
 
 
-def move_inside(x_i: Individual, x_best: Individual, rng: np.random.Generator) -> np.ndarray:
-    """In-zone move: x_i + x_best * sin(2 pi r), one scalar r per call, unclamped."""
-    return _inside(x_i.position, x_best.position, *_draw_sine(rng))
+def move_inside(x: np.ndarray, xb: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """In-zone move: x + xb * sin(2 pi r), one scalar r per call, unclamped."""
+    return _inside(x, xb, *_draw_sine(rng))
 
 
-def move_outside(x_i: Individual, x_best: Individual, rng: np.random.Generator) -> np.ndarray:
+def move_outside(x: np.ndarray, xb: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Out-of-zone move, each dimension independently, unclamped.
 
     With its own r ~ U(0, 1) per dimension: a standard-normal jitter when
     r < 0.5, otherwise a convex step toward the best scaled by the same r.
     Draw order is r vector first, then the normal jitter vector.
     """
-    return _outside(x_i.position, x_best.position, _draw_outside(x_i.position.size, rng))
+    return _outside(x, xb, _draw_outside(x.size, rng))
 
 
-def battle_dir(x_i: Individual, x_enemy: Individual) -> np.ndarray:
+def battle_dir(x: np.ndarray, f: float, xe: np.ndarray, fe: float) -> np.ndarray:
     """Differential vector pointing away from the fitter combatant.
 
-    x_i - x_enemy when x_i is strictly fitter, x_enemy - x_i otherwise
-    (ties take the second branch).
+    x - xe when the member (fitness ``f``) is strictly fitter than the
+    enemy (``fe``), xe - x otherwise (ties take the second branch).
     """
-    if x_i.fitness < x_enemy.fitness:
-        return x_i.position - x_enemy.position
-    return x_enemy.position - x_i.position
+    if f < fe:
+        return x - xe
+    return xe - x
 
 
 def battle_vs_stronger(
-    x_i: Individual, x_enemy: Individual, direction: np.ndarray, rng: np.random.Generator
+    x: np.ndarray, xe: np.ndarray, direction: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Confronting a stronger enemy: per dimension, step from self or enemy.
 
     Each dimension draws its own r, used both to pick the base point
     (self when r < 0.5, enemy otherwise) and to scale the step. Unclamped.
     """
-    r = rng.random(x_i.position.size)
-    return _stronger(x_i.position, x_enemy.position, direction, r)
+    return _stronger(x, xe, direction, rng.random(x.size))
 
 
-def battle_vs_weaker(x_i: Individual, direction: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Confronting a weaker enemy: x_i + dir * cos(2 pi r), scalar r, unclamped."""
-    return _weaker(x_i.position, direction, _draw_cosine(rng))
+def battle_vs_weaker(x: np.ndarray, direction: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Confronting a weaker enemy: x + dir * cos(2 pi r), scalar r, unclamped."""
+    return _weaker(x, direction, _draw_cosine(rng))
 
 
 def pick_enemy(i: int, n: int, rng) -> int:
@@ -224,19 +213,20 @@ def pick_enemy(i: int, n: int, rng) -> int:
     return j + 1 if j >= i else j
 
 
-def battle(pop: list, i: int, rng) -> np.ndarray:
-    """Unclamped battle step of member ``i`` against one random enemy.
+def battle(X: np.ndarray, F, i: int, rng) -> np.ndarray:
+    """Unclamped battle step of member ``i``, row ``X[i]`` with fitness ``F[i]``.
 
-    The enemy is drawn first; a stronger enemy gets the per-dimension
-    step, a weaker or equal one the cosine step. EMBGO reuses it unchanged.
-    ``rng`` is a Generator or the loop's :class:`~battleopt.core.Draws`.
+    The enemy ``j`` is drawn first; a stronger enemy (``F[j] < F[i]``)
+    gets the per-dimension step, a weaker or equal one the cosine step.
+    EMBGO reuses it unchanged. ``rng`` is a Generator or the loop's
+    :class:`~battleopt.core.Draws`.
     """
-    ind = pop[i]
-    enemy = pop[pick_enemy(i, len(pop), rng)]
-    direction = battle_dir(ind, enemy)
-    if enemy.fitness < ind.fitness:
-        return battle_vs_stronger(ind, enemy, direction, rng)
-    return battle_vs_weaker(ind, direction, rng)
+    j = pick_enemy(i, len(F), rng)
+    x, xe = X[i], X[j]
+    direction = battle_dir(x, F[i], xe, F[j])
+    if F[j] < F[i]:
+        return battle_vs_stronger(x, xe, direction, rng)
+    return battle_vs_weaker(x, direction, rng)
 
 
 class Movement(NamedTuple):
@@ -248,8 +238,10 @@ class Movement(NamedTuple):
     coefficients, and steps to ``inside(x, xb, *coefficients)``; an
     out-of-zone one takes ``draw_outside(draws)`` and steps to
     ``outside(x, xb, drawn)``. ``x`` is the member's row of the loop's
-    position array and ``xb`` the best's; ``inside`` also takes a block of
-    rows and one column per coefficient, like the step functions above.
+    position array and ``xb`` the best's. Like the step functions above,
+    ``inside`` also takes a block of rows and one column per coefficient,
+    and ``outside`` a block of rows and the members' draws stacked on the
+    second-to-last axis of each drawn array.
     """
 
     delta_low: float
@@ -411,7 +403,7 @@ def member_sweep(problem, passes):
                 candidate = _stronger(x, xe, xe - x, drawn)
             elif kind == _WEAKER:
                 xe = X[a]
-                candidate = _weaker(x, x - xe if F[i] < F[a] else xe - x, drawn)
+                candidate = _weaker(x, battle_dir(x, F[i], xe, F[a]), drawn)
             elif kind == _INSIDE:
                 candidate = mv.inside(x, X[ext.best], *drawn)
             else:
@@ -444,7 +436,7 @@ def member_sweep(problem, passes):
                 elif kind == _INSIDE:
                     part = mv.inside(x, xb, *np.array(drawn).T[:, :, None])
                 else:
-                    part = np.array([mv.outside(xr, xb, d) for xr, d in zip(x, drawn)])
+                    part = mv.outside(x, xb, np.moveaxis(np.array(drawn), 0, -2))
                 parts.append(part)
                 order += ks
             candidates = np.empty((len(order), dim))
@@ -537,8 +529,8 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweep) -> RunR
     copies ``candidate`` into ``X[i]`` and the value into ``F[i]``; it
     returns whether it did. A sweep steps members in index order, at most
     ``left`` times. Each iteration adds a trace point, ``min(F)``, and a
-    diversity point. The result's best is
-    :func:`~battleopt.core.best_worst`'s (lowest index on ties). ``name``
+    diversity point. The result's best is the row and fitness at
+    :func:`~battleopt.core.best_worst`'s best index (lowest on ties). ``name``
     labels the configuration errors and selects the population minimum in
     :data:`~battleopt.core.MIN_POP_SIZE`; ``rng`` defaults to
     ``make_rng(config.seed)``, and one without a ``bit_generator`` is a
@@ -552,8 +544,7 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweep) -> RunR
     bounds = problem.bounds
     evaluate = problem.evaluate
 
-    # init_population's draw, kept as one array
-    X = rng.uniform(bounds.lower, bounds.upper, size=(config.pop_size, bounds.dim))
+    X = init_population(config.pop_size, bounds, rng)
     budget = EvaluationBudget(config.budget)
     budget.take(config.pop_size)
     # a copy: no array the objective is handed is written to afterwards
@@ -580,9 +571,9 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweep) -> RunR
         diversity.append((len(diversity), population_diversity(X, bounds)))
 
     # perfbench/test_spans.py asserts core.best_worst calls > 0 until ROADMAP item 11
-    best, _ = best_worst([Individual(x, f) for x, f in zip(X, F)])
+    b, _ = best_worst(F)
     return RunResult(
-        best=best.copy(),
+        best=Individual(X[b].copy(), F[b]),
         trace=trace,
         diversity_trace=diversity,
         seed=config.seed,

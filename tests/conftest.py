@@ -137,7 +137,12 @@ def random_sphere_finals():
     return finals
 
 
+def row(position):
+    """A position as the operators take it: a 1-D float array."""
+    return np.asarray(position, dtype=float)
+
+
 def make_individual(position, fitness=math.nan):
     from battleopt import Individual
 
-    return Individual(np.asarray(position, dtype=float), fitness)
+    return Individual(row(position), fitness)

@@ -19,7 +19,7 @@ from battleopt.discrete import CODE_COUNT
 from battleopt.levy import levy_sample, levy_sigma
 from battleopt.mbgo import RADIUS_EPSILON
 
-from conftest import FixedRng, make_individual as ind
+from conftest import FixedRng, make_individual as ind, row
 
 
 def _report(number, title, started, detail=""):
@@ -42,12 +42,12 @@ def test_criterion_01_operator_units():
     # init: degenerate bounds rejected, uniform support, determinism
     with pytest.raises(ValueError):
         bo.Bounds(np.zeros(1), np.zeros(1))
-    pop = bo.init_population(5, bo.Bounds.cube(-100.0, 100.0, 3), make_rng(0))
+    X = bo.init_population(5, bo.Bounds.cube(-100.0, 100.0, 3), make_rng(0))
     assert all(box3 in [-100.0, 100.0] or abs(box3) <= 100.0
-               for indiv in pop for box3 in indiv.position)
+               for position in X for box3 in position)
     a = bo.init_population(4, box, make_rng(5))
     b = bo.init_population(4, box, make_rng(5))
-    assert all(np.array_equal(x.position, y.position) for x, y in zip(a, b))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     # greedy replacement: strict improvement, tie keeps parent, worse rejected
     parent = ind([0.0], 5.0)
@@ -56,68 +56,65 @@ def test_criterion_01_operator_units():
     assert bo.greedy_replace(parent, ind([1.0], 7.0)) is parent
 
     # best/worst extraction with index tie-breaks
-    pop = [ind([0.0], f) for f in (3.0, 1.0, 2.0)]
-    best, worst = bo.best_worst(pop)
-    assert best is pop[1] and worst is pop[0]
-    ties = [ind([0.0], 1.0) for _ in range(3)]
-    assert bo.best_worst(ties) == (ties[0], ties[0])
-    pair = [ind([0.0], 2.0), ind([0.0], 9.0)]
-    assert bo.best_worst(pair) == (pair[0], pair[1])
+    best, worst = bo.best_worst([3.0, 1.0, 2.0])
+    assert best == 1 and worst == 0
+    assert bo.best_worst([1.0, 1.0, 1.0]) == (0, 0)
+    assert bo.best_worst([2.0, 9.0]) == (0, 1)
 
     # safe zone radius: collapsed population, 3-4-5 distance
-    zone = bo.safe_zone_radius(ind([1.0, 1.0], 0.0), ind([1.0, 1.0], 1.0), FixedRng(uniforms=[0.5]))
-    assert zone.radius == RADIUS_EPSILON
-    zone = bo.safe_zone_radius(ind([0.0, 0.0], 0.0), ind([3.0, 4.0], 1.0), FixedRng(uniforms=[0.5]))
-    assert zone.radius == pytest.approx(5.0 + RADIUS_EPSILON, rel=1e-15)
+    radius = bo.safe_zone_radius(row([1.0, 1.0]), row([1.0, 1.0]), FixedRng(uniforms=[0.5]))
+    assert radius == RADIUS_EPSILON
+    radius = bo.safe_zone_radius(row([0.0, 0.0]), row([3.0, 4.0]), FixedRng(uniforms=[0.5]))
+    assert radius == pytest.approx(5.0 + RADIUS_EPSILON, rel=1e-15)
 
     # membership: center, boundary inclusive, outside
-    zone = bo.SafeZone(center=np.zeros(2), radius=5.0)
-    assert bo.in_safe_zone(ind([0.0, 0.0]), zone)
-    assert bo.in_safe_zone(ind([3.0, 4.0]), zone)
-    assert not bo.in_safe_zone(ind([0.0, 6.0]), zone)
+    center, radius = np.zeros(2), 5.0
+    assert bo.in_safe_zone(row([0.0, 0.0]), center, radius)
+    assert bo.in_safe_zone(row([3.0, 4.0]), center, radius)
+    assert not bo.in_safe_zone(row([0.0, 6.0]), center, radius)
 
     # in-zone move at fixed r
-    x_i, x_best = ind([1.0, 1.0]), ind([2.0, -2.0])
+    x_i, x_best = row([1.0, 1.0]), row([2.0, -2.0])
     np.testing.assert_allclose(bo.move_inside(x_i, x_best, FixedRng(uniforms=[0.5])), [1.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(bo.move_inside(x_i, x_best, FixedRng(uniforms=[0.25])), [3.0, -1.0], rtol=1e-12)
     np.testing.assert_allclose(bo.move_inside(x_i, x_best, FixedRng(uniforms=[0.75])), [-1.0, 3.0], rtol=1e-12)
 
     # out-of-zone move: convex limit and coincident best
-    out = bo.move_outside(ind([0.0]), ind([8.0]), FixedRng(uniforms=[0.999999], normals=[0.0]))
+    out = bo.move_outside(row([0.0]), row([8.0]), FixedRng(uniforms=[0.999999], normals=[0.0]))
     np.testing.assert_allclose(out, [8.0 * 0.999999], rtol=1e-12)
-    out = bo.move_outside(ind([3.0]), ind([3.0]), FixedRng(uniforms=[0.9], normals=[0.0]))
+    out = bo.move_outside(row([3.0]), row([3.0]), FixedRng(uniforms=[0.9], normals=[0.0]))
     np.testing.assert_allclose(out, [3.0], rtol=1e-15)
 
     # battle direction dispatch
-    np.testing.assert_array_equal(bo.battle_dir(ind([5.0], 1.0), ind([3.0], 2.0)), [2.0])
-    np.testing.assert_array_equal(bo.battle_dir(ind([5.0], 2.0), ind([3.0], 1.0)), [-2.0])
-    np.testing.assert_array_equal(bo.battle_dir(ind([5.0], 1.0), ind([3.0], 1.0)), [-2.0])
+    np.testing.assert_array_equal(bo.battle_dir(row([5.0]), 1.0, row([3.0]), 2.0), [2.0])
+    np.testing.assert_array_equal(bo.battle_dir(row([5.0]), 2.0, row([3.0]), 1.0), [-2.0])
+    np.testing.assert_array_equal(bo.battle_dir(row([5.0]), 1.0, row([3.0]), 1.0), [-2.0])
 
     # battle vs stronger: zero direction and coincident positions
-    out = bo.battle_vs_stronger(ind([1.0, 2.0], 2.0), ind([4.0, 6.0], 1.0), np.zeros(2), FixedRng(uniforms=[0.1, 0.9]))
+    out = bo.battle_vs_stronger(row([1.0, 2.0]), row([4.0, 6.0]), np.zeros(2), FixedRng(uniforms=[0.1, 0.9]))
     np.testing.assert_array_equal(out, [1.0, 6.0])
-    out = bo.battle_vs_stronger(ind([2.0], 2.0), ind([2.0], 1.0), np.zeros(1), FixedRng(uniforms=[0.7]))
+    out = bo.battle_vs_stronger(row([2.0]), row([2.0]), np.zeros(1), FixedRng(uniforms=[0.7]))
     np.testing.assert_array_equal(out, [2.0])
 
     # battle vs weaker at fixed r
     direction = np.array([2.0, -2.0])
-    np.testing.assert_allclose(bo.battle_vs_weaker(ind([1.0, 1.0]), direction, FixedRng(uniforms=[0.25])), [1.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(bo.battle_vs_weaker(ind([1.0, 1.0]), direction, FixedRng(uniforms=[0.0])), [3.0, -1.0], rtol=1e-12)
-    np.testing.assert_allclose(bo.battle_vs_weaker(ind([1.0, 1.0]), direction, FixedRng(uniforms=[0.5])), [-1.0, 3.0], rtol=1e-12)
+    np.testing.assert_allclose(bo.battle_vs_weaker(row([1.0, 1.0]), direction, FixedRng(uniforms=[0.25])), [1.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(bo.battle_vs_weaker(row([1.0, 1.0]), direction, FixedRng(uniforms=[0.0])), [3.0, -1.0], rtol=1e-12)
+    np.testing.assert_allclose(bo.battle_vs_weaker(row([1.0, 1.0]), direction, FixedRng(uniforms=[0.5])), [-1.0, 3.0], rtol=1e-12)
 
     # differential mutation fixed-r cases
     np.testing.assert_allclose(
-        bo.diff_mutation(ind([2.0]), ind([2.0]), np.array([2.0]), FixedRng(uniforms=[0.3, 0.9])), [2.0], rtol=1e-15
+        bo.diff_mutation(row([2.0]), row([2.0]), np.array([2.0]), FixedRng(uniforms=[0.3, 0.9])), [2.0], rtol=1e-15
     )
     np.testing.assert_allclose(
-        bo.diff_mutation(ind([1.0]), ind([4.0]), np.array([9.0]), FixedRng(uniforms=[0.5, 0.5])), [1.0], atol=1e-12
+        bo.diff_mutation(row([1.0]), row([4.0]), np.array([9.0]), FixedRng(uniforms=[0.5, 0.5])), [1.0], atol=1e-12
     )
     np.testing.assert_allclose(
-        bo.diff_mutation(ind([0.0]), ind([4.0]), np.array([9.0]), FixedRng(uniforms=[0.25, 0.5])), [4.0], atol=1e-12
+        bo.diff_mutation(row([0.0]), row([4.0]), np.array([9.0]), FixedRng(uniforms=[0.25, 0.5])), [4.0], atol=1e-12
     )
 
     # levy move zero numerator
-    out = bo.levy_move(ind([5.0, -5.0]), 1.5, FixedRng(normals=[0.0, 0.0, 0.3, 0.4]))
+    out = bo.levy_move(row([5.0, -5.0]), 1.5, FixedRng(normals=[0.0, 0.0, 0.3, 0.4]))
     np.testing.assert_array_equal(out, [5.0, -5.0])
 
     # transfer boundaries, bit exact, plus the piecewise anchors

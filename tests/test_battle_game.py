@@ -7,8 +7,10 @@ each optimizer's sweep and check that ``F`` holds the objective's value
 at each row of ``X`` around every call, including the last one, which
 the budget cuts short; that no array the objective is handed
 is written to afterwards, although the rows of ``X`` are (PSO's and
-random search's own loops included); and that DE,
-which reads no best or worst, keeps no :class:`~battleopt.core.Extremes`.
+random search's own loops included); that DE,
+which reads no best or worst, keeps no :class:`~battleopt.core.Extremes`;
+and that a run in which every step ties returns the first row of its
+initial draw.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from battleopt import (
     run_random_search,
 )
 from battleopt import baselines, embgo, mbgo
-from battleopt.core import Extremes
+from battleopt.core import Extremes, init_population, make_rng
 
 N = 6
 
@@ -120,3 +122,16 @@ def test_de_keeps_no_best_or_worst(monkeypatch):
     # the same counters see MBGO's selection
     run_mbgo(problem, OptimizerConfig(pop_size=10, budget=10 + 20 * 8, seed=1))
     assert calls.count("__init__") == 8 and "replaced" in calls
+
+
+@pytest.mark.parametrize("pop", [8, 200])
+@pytest.mark.parametrize("runner", [run_mbgo, run_embgo, run_de], ids=lambda r: r.__name__)
+def test_a_constant_objective_returns_row_zero_of_the_initial_draw(runner, pop):
+    # every candidate ties with its parent, so no step is kept and the
+    # lowest-index rule picks row 0; at N=200 MBGO and EMBGO run windows
+    problem = Problem("constant", 3, Bounds.cube(-1.0, 1.0, 3), lambda x: 2.5)
+    result = runner(problem, OptimizerConfig(pop_size=pop, budget=3 * pop, seed=4))
+    first = init_population(pop, problem.bounds, make_rng(4))[0]
+    assert result.best.position.tobytes() == first.tobytes()
+    assert result.best.fitness == 2.5
+    assert [f for _, f in result.trace] == [2.5] * len(result.trace)

@@ -52,8 +52,8 @@ def test_bounds_reject_a_box_no_population_can_be_drawn_in(make):
 
 def test_the_widest_accepted_box_can_be_sampled():
     box = Bounds([-8e307, 0.0], [8e307, 1.0])
-    pop = init_population(3, box, make_rng(0))
-    assert all(box.contains(ind.position) for ind in pop)
+    X = init_population(3, box, make_rng(0))
+    assert all(box.contains(x) for x in X)
 
 
 def test_clamp_projects_outside_components():
@@ -78,11 +78,10 @@ def test_clamp_dimension_mismatch():
 
 def test_init_population_uniform_support():
     box = Bounds.cube(-100.0, 100.0, 3)
-    pop = init_population(5, box, make_rng(1))
-    assert len(pop) == 5
-    for ind in pop:
-        assert box.contains(ind.position)
-        assert math.isnan(ind.fitness)
+    X = init_population(5, box, make_rng(1))
+    assert X.shape == (5, 3)
+    for x in X:
+        assert box.contains(x)
 
 
 def test_init_population_rejects_small_n():
@@ -94,8 +93,16 @@ def test_init_population_deterministic():
     box = Bounds.cube(-5.0, 5.0, 4)
     a = init_population(6, box, make_rng(42))
     b = init_population(6, box, make_rng(42))
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x.position, y.position)
+    np.testing.assert_array_equal(a, b)
+
+
+def test_init_population_is_one_uniform_draw():
+    box = Bounds([-5.0, 0.0], [5.0, 1.0])
+    rng, reference = make_rng(3), make_rng(3)
+    X = init_population(4, box, rng)
+    expected = reference.uniform(box.lower, box.upper, size=(4, 2))
+    assert X.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_greedy_replace_strict_improvement_only():
@@ -109,23 +116,15 @@ def test_greedy_replace_strict_improvement_only():
 
 
 def test_best_worst_and_tie_break():
-    pop = [Individual(np.zeros(1), f) for f in (3.0, 1.0, 2.0)]
-    best, worst = best_worst(pop)
-    assert best is pop[1] and worst is pop[0]
-
-    ties = [Individual(np.zeros(1), 1.0) for _ in range(3)]
-    best, worst = best_worst(ties)
-    assert best is ties[0] and worst is ties[0]
-
-    pair = [Individual(np.zeros(1), 2.0), Individual(np.zeros(1), 9.0)]
-    best, worst = best_worst(pair)
-    assert best is pair[0] and worst is pair[1]
+    assert best_worst([3.0, 1.0, 2.0]) == (1, 0)
+    assert best_worst([1.0, 1.0, 1.0]) == (0, 0)
+    assert best_worst([2.0, 9.0]) == (0, 1)
+    assert all(type(k) is int for k in best_worst(np.array([2.0, 9.0])))
 
 
 def test_best_worst_requires_evaluation():
-    pop = [Individual(np.zeros(1), 1.0), Individual(np.zeros(1))]
     with pytest.raises(ValueError):
-        best_worst(pop)
+        best_worst([1.0, math.nan])
 
 
 # Ties, signed zeros and the truss penalty's +inf all occur in real runs.
@@ -137,16 +136,33 @@ _FITNESS = st.sampled_from([-3.5, -1.0, -0.0, 0.0, 1.0, 2.0, 2.0, 1e300, math.in
     offers=st.lists(st.tuples(st.integers(0, 7), _FITNESS), max_size=40),
 )
 def test_extremes_tracks_best_worst_under_greedy_replacement(initial, offers):
-    pop = [Individual(np.zeros(1), f) for f in initial]
-    ext = Extremes(list(initial))
+    fits = list(initial)
+    ext = Extremes(fits)
     for i, f in offers:
-        i %= len(pop)
-        parent = pop[i]
-        kept = pop[i] = greedy_replace(parent, Individual(np.zeros(1), f))
-        if kept is not parent:
+        i %= len(fits)
+        if f < fits[i]:  # greedy replacement
+            fits[i] = f
             ext.replaced(i, f)
-        best, worst = best_worst(pop)
-        assert pop[ext.best] is best and pop[ext.worst] is worst
+        assert (ext.best, ext.worst) == best_worst(fits)
+
+
+@given(
+    fits=st.lists(_FITNESS | st.just(-math.inf), min_size=1, max_size=12),
+    nan_at=st.none() | st.integers(0, 11),
+)
+def test_best_worst_is_the_lowest_index_rule_that_extremes_starts_from(fits, nan_at):
+    if nan_at is not None:
+        fits[nan_at % len(fits)] = math.nan
+        with pytest.raises(ValueError, match="unevaluated"):
+            best_worst(fits)
+        with pytest.raises(ValueError, match="unevaluated"):
+            Extremes(fits)
+        return
+    ext = Extremes(fits)
+    assert best_worst(fits) == (ext.best, ext.worst)
+    # the first minimum and the first maximum, as min() and max() over the indices find them
+    indices = range(len(fits))
+    assert best_worst(fits) == (min(indices, key=fits.__getitem__), max(indices, key=fits.__getitem__))
 
 
 def test_extremes_requires_evaluation():
@@ -164,10 +180,3 @@ def test_optimizer_config_validation():
         OptimizerConfig(pop_size=0, budget=10)
     with pytest.raises(ConfigurationError):
         OptimizerConfig(pop_size=5, budget=0)
-
-
-def test_individual_copy_detaches_position():
-    ind = Individual(np.array([1.0, 2.0]), 3.0)
-    dup = ind.copy()
-    dup.position[0] = 9.0
-    assert ind.position[0] == 1.0 and dup.fitness == 3.0

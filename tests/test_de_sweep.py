@@ -46,14 +46,12 @@ def reference_de(problem, config, rng=None, *, params=None):
     bounds = problem.bounds
     n, dim = config.pop_size, bounds.dim
 
-    pop = init_population(n, bounds, rng)
+    X = init_population(n, bounds, rng)
     budget = EvaluationBudget(config.budget)
     budget.take(n)
-    fits = problem.evaluate_batch(np.array([ind.position for ind in pop]))
-    for ind, f in zip(pop, fits.tolist()):
-        ind.fitness = f
-    trace = [(budget.used, min(ind.fitness for ind in pop))]
-    diversity = [(0, population_diversity(np.array([ind.position for ind in pop]), bounds))]
+    fits = problem.evaluate_batch(X.copy()).tolist()
+    trace = [(budget.used, min(fits))]
+    diversity = [(0, population_diversity(X, bounds))]
     iteration = 0
 
     while not budget.exhausted:
@@ -61,9 +59,9 @@ def reference_de(problem, config, rng=None, *, params=None):
         for i in range(n):
             if budget.exhausted:
                 break
-            x = pop[i].position
+            x = X[i]
             a, b, c = rng.choice(n - 1, 3, replace=False).tolist()
-            x1, x2, x3 = (pop[j + (j >= i)].position for j in (a, b, c))
+            x1, x2, x3 = (X[j + (j >= i)] for j in (a, b, c))
             mutant = x + params.F * (x1 - x) + params.F * (x2 - x3)
             forced = int(rng.integers(dim))
             cross = rng.random(dim) < params.Cr
@@ -73,15 +71,14 @@ def reference_de(problem, config, rng=None, *, params=None):
             f = float(problem.evaluate(candidate))
             if math.isnan(f):
                 f = math.inf
-            if f < pop[i].fitness:
-                pop[i] = Individual(candidate, f)
-        trace.append((budget.used, min(ind.fitness for ind in pop)))
-        positions = np.array([ind.position for ind in pop])
-        diversity.append((iteration, population_diversity(positions, bounds)))
+            if f < fits[i]:
+                X[i], fits[i] = candidate, f
+        trace.append((budget.used, min(fits)))
+        diversity.append((iteration, population_diversity(X, bounds)))
 
-    best, _ = best_worst(pop)
+    b, _ = best_worst(fits)
     return RunResult(
-        best=best.copy(),
+        best=Individual(X[b].copy(), fits[b]),
         trace=trace,
         diversity_trace=diversity,
         seed=config.seed,

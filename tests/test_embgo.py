@@ -14,20 +14,20 @@ from battleopt import mbgo
 from battleopt.core import best_worst, make_rng
 from battleopt.levy import levy_sample
 
-from conftest import FixedRng, make_individual as ind, recording
+from conftest import FixedRng, recording, row
 
 
 def test_diff_mutation_zero_differences():
-    x = ind([2.0, -3.0])
-    best = ind([2.0, -3.0])
+    x = row([2.0, -3.0])
+    best = row([2.0, -3.0])
     out = diff_mutation(x, best, np.array([2.0, -3.0]), FixedRng(uniforms=[0.1, 0.8]))
     np.testing.assert_allclose(out, [2.0, -3.0], rtol=1e-15)
 
 
 def test_diff_mutation_r_half_is_identity():
     out = diff_mutation(
-        ind([1.0, 1.0]),
-        ind([4.0, 0.0]),
+        row([1.0, 1.0]),
+        row([4.0, 0.0]),
         np.array([9.0, 9.0]),
         FixedRng(uniforms=[0.5, 0.5]),
     )
@@ -36,7 +36,7 @@ def test_diff_mutation_r_half_is_identity():
 
 def test_diff_mutation_only_best_term_active():
     out = diff_mutation(
-        ind([0.0]), ind([4.0]), np.array([9.0]), FixedRng(uniforms=[0.25, 0.5])
+        row([0.0]), row([4.0]), np.array([9.0]), FixedRng(uniforms=[0.25, 0.5])
     )
     np.testing.assert_allclose(out, [4.0], atol=1e-12)
 
@@ -44,8 +44,8 @@ def test_diff_mutation_only_best_term_active():
 def test_diff_mutation_shared_r_toggle():
     # With a shared draw both sine coefficients coincide.
     out = diff_mutation(
-        ind([0.0]),
-        ind([4.0]),
+        row([0.0]),
+        row([4.0]),
         np.array([10.0]),
         FixedRng(uniforms=[0.25]),
         independent_r=False,
@@ -55,12 +55,12 @@ def test_diff_mutation_shared_r_toggle():
 
 def test_levy_move_zero_numerator_keeps_position():
     rng = FixedRng(normals=[0.0, 0.0, 1.0, -2.0])
-    out = levy_move(ind([5.0, -5.0]), 1.5, rng)
+    out = levy_move(row([5.0, -5.0]), 1.5, rng)
     np.testing.assert_array_equal(out, [5.0, -5.0])
 
 
 def test_levy_move_deterministic():
-    x = ind(np.arange(4.0))
+    x = np.arange(4.0)
     a = levy_move(x, 1.5, make_rng(21))
     b = levy_move(x, 1.5, make_rng(21))
     np.testing.assert_array_equal(a, b)

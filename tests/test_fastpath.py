@@ -24,9 +24,7 @@ from hypothesis import strategies as st
 from battleopt import Bounds, clamp, in_safe_zone, levy_sigma, safe_zone_radius
 from battleopt.core import make_rng
 from battleopt.levy import gamma_fn
-from battleopt.mbgo import RADIUS_EPSILON, SafeZone, _distance
-
-from conftest import make_individual as ind
+from battleopt.mbgo import RADIUS_EPSILON, _distance
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 5e-324, 1e308]
 # Box edges, including edges that touch zero from either side.
@@ -140,10 +138,10 @@ def test_safe_zone_is_the_uniform_and_norm_formula(best, worst, seed):
     rng = make_rng(seed)
     with np.errstate(over="ignore"):
         radius = (float(np.linalg.norm(b - w)) + RADIUS_EPSILON) * delta
-        zone = safe_zone_radius(ind(b, 0.0), ind(w, 1.0), rng)
-        inside = float(np.linalg.norm(w - b)) <= zone.radius
-        assert in_safe_zone(ind(w, 1.0), SafeZone(b, zone.radius)) is inside
-    assert float_bits(zone.radius) == float_bits(radius)
+        zone = safe_zone_radius(b, w, rng)
+        inside = float(np.linalg.norm(w - b)) <= zone
+        assert in_safe_zone(w, b, zone) is inside
+    assert float_bits(zone) == float_bits(radius)
     assert rng.random() == reference.random()
 
 
@@ -162,9 +160,9 @@ def test_low_plus_range_random_is_uniform(low, high, seed):
     for _ in range(20):
         expected = by_uniform.uniform(lo, hi)
         assert float_bits(lo + (hi - lo) * by_random.random()) == float_bits(expected)
-    zone = safe_zone_radius(ind([0.0], 0.0), ind([0.0], 1.0), make_rng(seed), lo, hi)
+    zone = safe_zone_radius(np.zeros(1), np.zeros(1), make_rng(seed), lo, hi)
     expected = make_rng(seed).uniform(lo, hi)
-    assert float_bits(zone.radius) == float_bits(RADIUS_EPSILON * expected)
+    assert float_bits(zone) == float_bits(RADIUS_EPSILON * expected)
 
 
 @pytest.mark.parametrize(
@@ -177,7 +175,7 @@ def test_safe_zone_rejects_a_range_as_numpy_does(low, high):
         make_rng(0).uniform(low, high)
     rng = make_rng(0)
     with pytest.raises(numpy_error.type, match=str(numpy_error.value)):
-        safe_zone_radius(ind([0.0], 0.0), ind([1.0], 1.0), rng, low, high)
+        safe_zone_radius(np.zeros(1), np.ones(1), rng, low, high)
     assert rng.random() == make_rng(0).random()  # no draw was taken
 
 
@@ -318,7 +316,12 @@ def test_choice_guard_flags_every_choice_call():
 
 # --- guard: the run loop holds X and F, no member objects --------------------
 
-LOOP_FUNCTIONS = (("mbgo", "battle_game"), ("mbgo", "member_sweep"), ("baselines", "run_de"))
+LOOP_FUNCTIONS = (
+    ("mbgo", "battle_game"), ("mbgo", "member_sweep"), ("baselines", "run_de"),
+    ("baselines", "run_pso"),
+)
+# the functions that return a RunResult, whose best is the one Individual they build
+RESULT_BUILDERS = ("battle_game", "run_pso")
 
 
 def individual_calls(tree: ast.AST) -> list:
@@ -330,12 +333,13 @@ def individual_calls(tree: ast.AST) -> list:
 
 
 def member_uses(tree: ast.AST) -> list:
-    """Reads of ``.fitness``/``.position``, and ``Individual(...)`` calls outside a ``best_worst(...)``."""
+    """Reads of ``.fitness``/``.position``, and ``Individual(...)`` calls but a ``RunResult(best=...)``."""
     returned = {
-        id(inner)
+        id(keyword.value)
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "best_worst"
-        for inner in ast.walk(node)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "RunResult"
+        for keyword in node.keywords
+        if keyword.arg == "best"
     }
     found = [
         node for node in ast.walk(tree)
@@ -350,17 +354,18 @@ def test_the_run_loop_keeps_no_member_objects(module, function):
     source = inspect.getsource(getattr(importlib.import_module(f"battleopt.{module}"), function))
     tree = ast.parse(source)
     assert member_uses(tree) == []
-    # the one Individual is battle_game's returned best, built in its best_worst call
-    assert len(individual_calls(tree)) == (function == "battle_game")
+    # the one Individual is the returned RunResult's best
+    assert len(individual_calls(tree)) == (function in RESULT_BUILDERS)
 
 
 def test_member_guard_flags_each_form():
     source = (
         "pop[i].fitness < f\nX[i] = ind.position\nIndividual(x, f)\ncore.Individual(x)\n"
-        "ind.fitness = f\nbest_worst([Individual(x, f) for x, f in zip(X, F)])\nF[i] < F[j]\n"
-        "'ind.fitness'\n"
+        "ind.fitness = f\nbest_worst([Individual(x, f) for x, f in zip(X, F)])\n"
+        "RunResult(Individual(x, f))\nRunResult(best=Individual(X[b].copy(), F[b]), trace=t)\n"
+        "F[i] < F[j]\n'ind.fitness'\n"
     )
     assert [line.split(":")[0] for line in member_uses(ast.parse(source))] == [
-        "line 1", "line 2", "line 3", "line 4", "line 5",
+        "line 1", "line 2", "line 3", "line 4", "line 5", "line 6", "line 7",
     ]
-    assert len(individual_calls(ast.parse(source))) == 3
+    assert len(individual_calls(ast.parse(source))) == 5

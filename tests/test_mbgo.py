@@ -14,6 +14,7 @@ from battleopt import (
     OptimizerConfig,
     Problem,
     PsoParams,
+    battle,
     battle_dir,
     battle_vs_stronger,
     battle_vs_weaker,
@@ -28,9 +29,9 @@ from battleopt import (
     safe_zone_radius,
 )
 from battleopt.core import best_worst, make_rng
-from battleopt.mbgo import RADIUS_EPSILON, SafeZone, pick_enemy
+from battleopt.mbgo import RADIUS_EPSILON, pick_enemy
 
-from conftest import FixedRng, RecordingRng, make_individual as ind
+from conftest import FixedRng, RecordingRng, row
 
 
 # --- safe zone ------------------------------------------------------------
@@ -38,39 +39,35 @@ from conftest import FixedRng, RecordingRng, make_individual as ind
 
 def test_radius_with_identical_best_and_worst():
     rng = FixedRng(uniforms=[0.5])  # delta = 1.0
-    zone = safe_zone_radius(ind([1.0, 2.0], 0.0), ind([1.0, 2.0], 1.0), rng)
-    assert zone.radius == RADIUS_EPSILON
+    assert safe_zone_radius(row([1.0, 2.0]), row([1.0, 2.0]), rng) == RADIUS_EPSILON
 
 
 def test_radius_three_four_five():
     rng = FixedRng(uniforms=[0.5])
-    zone = safe_zone_radius(ind([0.0, 0.0], 0.0), ind([3.0, 4.0], 1.0), rng)
-    assert zone.radius == pytest.approx(5.0 + RADIUS_EPSILON, rel=1e-15)
-    np.testing.assert_array_equal(zone.center, [0.0, 0.0])
+    radius = safe_zone_radius(row([0.0, 0.0]), row([3.0, 4.0]), rng)
+    assert radius == pytest.approx(5.0 + RADIUS_EPSILON, rel=1e-15)
 
 
 def test_radius_amplification_support():
     rng = make_rng(5)
-    best, worst = ind([0.0, 0.0], 0.0), ind([3.0, 4.0], 1.0)
+    best, worst = row([0.0, 0.0]), row([3.0, 4.0])
     gap = 5.0 + RADIUS_EPSILON
-    ratios = [
-        safe_zone_radius(best, worst, rng).radius / gap for _ in range(10_000)
-    ]
+    ratios = [safe_zone_radius(best, worst, rng) / gap for _ in range(10_000)]
     assert min(ratios) >= 0.8 and max(ratios) <= 1.2
 
 
 def test_zone_membership_boundary_inclusive():
-    zone = SafeZone(center=np.zeros(2), radius=5.0)
-    assert in_safe_zone(ind([0.0, 0.0]), zone)
-    assert in_safe_zone(ind([3.0, 4.0]), zone)  # distance exactly 5
-    assert not in_safe_zone(ind([0.0, 6.0]), zone)
+    center = np.zeros(2)
+    assert in_safe_zone(row([0.0, 0.0]), center, 5.0)
+    assert in_safe_zone(row([3.0, 4.0]), center, 5.0)  # distance exactly 5
+    assert not in_safe_zone(row([0.0, 6.0]), center, 5.0)
 
 
 # --- movement operators ----------------------------------------------------
 
 
 def test_move_inside_fixed_r():
-    x_i, x_best = ind([1.0, 1.0]), ind([2.0, -2.0])
+    x_i, x_best = row([1.0, 1.0]), row([2.0, -2.0])
     np.testing.assert_allclose(
         move_inside(x_i, x_best, FixedRng(uniforms=[0.5])), [1.0, 1.0], atol=1e-12
     )
@@ -83,7 +80,7 @@ def test_move_inside_fixed_r():
 
 
 def test_move_outside_branches():
-    x_i, x_best = ind([0.0, 10.0]), ind([4.0, 20.0])
+    x_i, x_best = row([0.0, 10.0]), row([4.0, 20.0])
     # dim 0 takes the jitter branch (r=0.2), dim 1 the convex step (r=0.75)
     rng = FixedRng(uniforms=[0.2, 0.75], normals=[1.5, -9.9])
     out = move_outside(x_i, x_best, rng)
@@ -91,18 +88,18 @@ def test_move_outside_branches():
 
 
 def test_move_outside_convex_step_limits():
-    x_i, x_best = ind([0.0]), ind([8.0])
+    x_i, x_best = row([0.0]), row([8.0])
     r = 0.999999
     out = move_outside(x_i, x_best, FixedRng(uniforms=[r], normals=[0.0]))
     np.testing.assert_allclose(out, [8.0 * r], rtol=1e-12)
     # coincident best: both branches keep the position when theta is zero
-    out = move_outside(ind([3.0]), ind([3.0]), FixedRng(uniforms=[0.9], normals=[0.0]))
+    out = move_outside(row([3.0]), row([3.0]), FixedRng(uniforms=[0.9], normals=[0.0]))
     np.testing.assert_allclose(out, [3.0], rtol=1e-15)
 
 
 def test_move_outside_branch_frequency():
     rng = RecordingRng(make_rng(11))
-    x_i, x_best = ind(np.zeros(5)), ind(np.ones(5))
+    x_i, x_best = np.zeros(5), np.ones(5)
     for _ in range(4000):
         move_outside(x_i, x_best, rng)
     draws = np.array(rng.uniform_draws)
@@ -113,29 +110,23 @@ def test_move_outside_branch_frequency():
 
 
 def test_battle_dir_cases():
-    np.testing.assert_array_equal(
-        battle_dir(ind([5.0], 1.0), ind([3.0], 2.0)), [2.0]
-    )
-    np.testing.assert_array_equal(
-        battle_dir(ind([5.0], 2.0), ind([3.0], 1.0)), [-2.0]
-    )
-    np.testing.assert_array_equal(
-        battle_dir(ind([5.0], 1.0), ind([3.0], 1.0)), [-2.0]
-    )
+    np.testing.assert_array_equal(battle_dir(row([5.0]), 1.0, row([3.0]), 2.0), [2.0])
+    np.testing.assert_array_equal(battle_dir(row([5.0]), 2.0, row([3.0]), 1.0), [-2.0])
+    np.testing.assert_array_equal(battle_dir(row([5.0]), 1.0, row([3.0]), 1.0), [-2.0])
 
 
 def test_battle_vs_stronger_zero_dir_and_coincident():
-    x_i, x_e = ind([1.0, 2.0], 2.0), ind([4.0, 6.0], 1.0)
+    x_i, x_e = row([1.0, 2.0]), row([4.0, 6.0])
     out = battle_vs_stronger(x_i, x_e, np.zeros(2), FixedRng(uniforms=[0.1, 0.9]))
     np.testing.assert_array_equal(out, [1.0, 6.0])
 
-    same = ind([2.0, 2.0], 2.0)
-    out = battle_vs_stronger(same, ind([2.0, 2.0], 1.0), np.zeros(2), FixedRng(uniforms=[0.3, 0.7]))
+    same = row([2.0, 2.0])
+    out = battle_vs_stronger(same, row([2.0, 2.0]), np.zeros(2), FixedRng(uniforms=[0.3, 0.7]))
     np.testing.assert_array_equal(out, [2.0, 2.0])
 
 
 def test_battle_vs_stronger_uses_r_as_scale():
-    x_i, x_e = ind([0.0], 2.0), ind([10.0], 1.0)
+    x_i, x_e = row([0.0]), row([10.0])
     direction = np.array([4.0])
     out = battle_vs_stronger(x_i, x_e, direction, FixedRng(uniforms=[0.25]))
     np.testing.assert_allclose(out, [1.0], rtol=1e-15)  # self branch: 0 + 4*0.25
@@ -144,7 +135,7 @@ def test_battle_vs_stronger_uses_r_as_scale():
 
 
 def test_battle_vs_weaker_fixed_r():
-    x_i = ind([1.0, 1.0])
+    x_i = row([1.0, 1.0])
     direction = np.array([2.0, -2.0])
     np.testing.assert_allclose(
         battle_vs_weaker(x_i, direction, FixedRng(uniforms=[0.25])), [1.0, 1.0], atol=1e-12
@@ -155,6 +146,20 @@ def test_battle_vs_weaker_fixed_r():
     np.testing.assert_allclose(
         battle_vs_weaker(x_i, direction, FixedRng(uniforms=[0.5])), [-1.0, 3.0], rtol=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "F, uniforms, expected",
+    [
+        ([1.0, 2.0], [0.0], [7.0]),  # weaker enemy: 5 + (5 - 3) cos(0)
+        ([2.0, 1.0], [0.25], [4.5]),  # stronger enemy: self branch, 5 + (3 - 5) 0.25
+        ([1.0, 1.0], [0.0], [3.0]),  # a tie battles as weaker: 5 + (3 - 5) cos(0)
+    ],
+)
+def test_battle_reads_rows_and_fitnesses(F, uniforms, expected):
+    X = np.array([[5.0], [3.0]])
+    out = battle(X, F, 0, FixedRng(uniforms=uniforms, integers=[0]))
+    np.testing.assert_allclose(out, expected, rtol=1e-15)
 
 
 def test_pick_enemy_never_self_and_forced_with_two():
