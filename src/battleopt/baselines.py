@@ -16,11 +16,12 @@ replaced after its window was computed (see :func:`run_de`). DE
 evaluates a window's rows in one ``Problem.evaluate_batch`` call when
 the package built the objective and knows it pure
 (:func:`~battleopt.problems.pure_rows`: the raw and transformed
-benchmarks, a table with no missing score); PSO does so only once the
-global best has held for twice the window's particles. Only such an
-objective sees the rows DE recomputes and the PSO rows after a
-global-best improvement, whose batch values are thrown away. Any other
-objective, a user's included, is called once per function evaluation.
+benchmarks, the three-bar truss, a table with no missing score); PSO
+does so only once the global best has held for twice the window's
+particles. Only such an objective sees the rows DE recomputes and the
+PSO rows after a global-best improvement, whose batch values are thrown
+away. Any other objective, a user's included, is called once per
+function evaluation.
 Initial populations and random search's samples go through
 ``Problem.evaluate_batch``.
 """

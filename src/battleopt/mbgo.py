@@ -327,11 +327,11 @@ def member_sweep(problem, passes):
     a time, with no state saved.
 
     For an objective the package built and knows pure (the raw and
-    transformed benchmarks, a table with no missing score; see
-    :func:`~battleopt.problems.pure_rows`) a window's block is evaluated
-    in one batch call after step 2, and a member that is not stale is
-    stepped with its value from it. Only such an objective sees the
-    candidates of stale members and of members after a rewind, whose
+    transformed benchmarks, the three-bar truss, a table with no missing
+    score; see :func:`~battleopt.problems.pure_rows`) a window's block is
+    evaluated in one batch call after step 2, and a member that is not
+    stale is stepped with its value from it. Only such an objective sees
+    the candidates of stale members and of members after a rewind, whose
     batch values are thrown away. Any other objective, a user's included,
     is called by ``step`` once per candidate, exactly one call per FE.
     """

@@ -6,10 +6,11 @@ orthogonal rotation and a shift drawn from the middle of the box, chosen
 so the transformed optimum stays inside the search region. Constrained
 problems are handled through a static penalty on the violation amounts.
 
-Every registered benchmark and its transformed variants also have a
-row-wise form, the ``evaluate`` callable's ``evaluate.batch``, reached
-through :meth:`Problem.evaluate_batch`; it gives the per-row values bit
-for bit. A raw benchmark function is written once and is its own
+Every registered benchmark, its transformed variants and the three-bar
+truss also have a row-wise form, the ``evaluate`` callable's
+``evaluate.batch``, reached through :meth:`Problem.evaluate_batch`; it
+gives the per-row values bit for bit without a Python loop over the
+rows. A benchmark, raw or transformed, is written once and is its own
 row-wise form: it takes a vector or an ``(m, D)`` array of rows.
 """
 
@@ -71,13 +72,15 @@ class Problem:
     A user's ``evaluate`` is called exactly once per function evaluation
     (FE), at the points and in the order of a loop that builds and
     evaluates one candidate at a time. Only the objectives the package
-    builds and knows to be pure (see :func:`pure_rows`) may be handed
-    candidates whose values are thrown away: MBGO's and EMBGO's windows
-    and DE's evaluate a block of candidates in one ``evaluate_batch``
-    call, then rebuild and evaluate again the rows that earlier
-    replacements made stale. PSO does so for a window once the global
-    best has held for twice the window's particles, and throws away the
-    rows after the first one that improves it.
+    builds and knows to be pure (see :func:`pure_rows`: the benchmarks,
+    raw or ``:srK``, the three-bar truss and a table problem with no
+    missing score), whose ``evaluate_batch`` has no per-row Python loop,
+    may be handed candidates whose values are thrown away: MBGO's and
+    EMBGO's windows and DE's evaluate a block of candidates in one
+    ``evaluate_batch`` call, then rebuild and evaluate again the rows
+    that earlier replacements made stale. PSO does so for a window once
+    the global best has held for twice the window's particles, and throws
+    away the rows after the first one that improves it.
     """
 
     name: str
@@ -92,9 +95,11 @@ class Problem:
 
         Bit-identical to ``[evaluate(x) for x in X]`` under the value rule
         of the class docstring: each value as a float, NaN as +inf, so that
-        no optimizer keeps NaN as its best. The fast
-        path is ``evaluate.batch``: a raw benchmark function is its own,
-        and the transformed benchmarks and the lookup-table problem set
+        no optimizer keeps NaN as its best. The fast path is
+        ``evaluate.batch``: a benchmark's ``evaluate``, raw or
+        transformed, is its own (``:srK`` rotates the rows in one stacked
+        ``np.matmul``, one BLAS matrix-vector product per row, as for one
+        vector), and the three-bar truss and the lookup-table problem set
         one on their ``evaluate``. An ``evaluate`` without one, such as a
         wrapper put in its place, is called once per row in row order, so
         it still sees every point.
@@ -117,11 +122,11 @@ class Problem:
 # The objectives the package builds and knows to be pure, so that the
 # value of a point does not depend on which points were evaluated before
 # it, and a call has no effect: the raw benchmarks, make_problem's
-# transformed ones and a table problem with no missing score. The mark
-# belongs to the ``evaluate`` function object, so a function put in its
-# place (a recording or tracing wrapper, a functools.wraps copy) does not
-# carry it, even when it copies ``.batch``. A weak set: a marked closure
-# goes with its problem.
+# transformed ones, the three-bar truss and a table problem with no
+# missing score. The mark belongs to the ``evaluate`` function object, so
+# a function put in its place (a recording or tracing wrapper, a
+# functools.wraps copy) does not carry it, even when it copies
+# ``.batch``. A weak set: a marked closure goes with its problem.
 _PURE = weakref.WeakSet()
 
 
@@ -138,7 +143,10 @@ def pure_rows(problem: Problem):
     through it in one call when it is not None, and throw away the values
     of the rows they rebuild; PSO does the same for a window once the
     global best has held for twice its particles, and throws away the
-    rows after the first that improves it (see :class:`Problem`).
+    rows after the first that improves it (see :class:`Problem`). The
+    marked objectives are the benchmarks, raw or ``:srK``, the three-bar
+    truss and a table problem with no missing score; none of their
+    batches loops over the rows in Python but for a ``math`` tail.
     Otherwise each candidate gets its own ``evaluate`` call.
     """
     evaluate = problem.evaluate
@@ -349,11 +357,20 @@ class Transform:
 
 
 def apply_transform(t: Transform, x: np.ndarray) -> np.ndarray:
-    """Map x to rotated, shifted coordinates: M @ (x - o)."""
+    """Map x to rotated, shifted coordinates: M @ (x - o).
+
+    ``x`` is a vector or an ``(m, D)`` array of rows. Rows go through one stacked ``np.matmul(M, (X - o)[:, :, None])``,
+    which runs the same BLAS matrix-vector product per row as ``M @ (x -
+    o)`` does for one vector, so each row gets the vector's bits. One
+    ``(X - o) @ M.T`` product would not: a matrix-matrix kernel rounds
+    differently.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != t.shift.shape:
+    if x.shape[-1:] != t.shift.shape or x.ndim > 2:
         raise ValueError("position and transform dimensions differ")
-    return t.rotation @ (x - t.shift)
+    if x.ndim == 1:
+        return t.rotation @ (x - t.shift)
+    return np.matmul(t.rotation, (x - t.shift)[:, :, None])[:, :, 0]
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -404,17 +421,12 @@ def make_problem(
             f"cannot place the transformed optimum of {name!r} inside the box"
         )
 
+    # Like the raw function, it takes a vector or an (m, D) array of rows
+    # and is its own row-wise form.
     def evaluate(x: np.ndarray, _fn=fn, _t=t) -> float:
         return _fn(apply_transform(_t, x))
 
-    def rows(X: np.ndarray, _fn=fn, _t=t) -> np.ndarray:
-        # One matrix-vector product per row: (X - o) @ M.T differs in low bits.
-        Z = np.empty_like(X)
-        for i, x in enumerate(X):
-            Z[i] = apply_transform(_t, x)
-        return _fn(Z)
-
-    evaluate.batch = rows
+    evaluate.batch = evaluate
     _mark_pure(evaluate)
 
     return Problem(
@@ -479,6 +491,23 @@ _TRUSS_STRESS = 2.0
 _SQRT2 = math.sqrt(2.0)
 
 
+def _truss(x1, x2):
+    """Volume, the three stresses g_i and the two stress denominators of the truss.
+
+    The one copy of the formula: ``x1`` and ``x2`` are Python floats, or
+    float64 arrays of one value per row, which give each row a vector's
+    bits. A vanishing denominator raises ZeroDivisionError on floats and
+    gives inf or NaN in arrays.
+    """
+    f = (2.0 * _SQRT2 * x1 + x2) * 100.0
+    d12 = _SQRT2 * x1 * x1 + 2.0 * x1 * x2
+    d3 = x1 + _SQRT2 * x2
+    g1 = (_SQRT2 * x1 + x2) * _TRUSS_LOAD / d12 - _TRUSS_STRESS
+    g2 = x2 * _TRUSS_LOAD / d12 - _TRUSS_STRESS
+    g3 = _TRUSS_LOAD / d3 - _TRUSS_STRESS
+    return f, [g1, g2, g3], (d12, d3)
+
+
 def three_bar_truss(x: np.ndarray) -> tuple[float, list[float]]:
     """Volume objective and the three stress constraints (g_i <= 0 feasible).
 
@@ -488,16 +517,11 @@ def three_bar_truss(x: np.ndarray) -> tuple[float, list[float]]:
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
         raise ValueError("three_bar_truss expects a 2-vector")
-    x1, x2 = float(x[0]), float(x[1])
-    f = (2.0 * _SQRT2 * x1 + x2) * 100.0
-    d12 = _SQRT2 * x1 * x1 + 2.0 * x1 * x2
-    d3 = x1 + _SQRT2 * x2
-    if d12 == 0.0 or d3 == 0.0:
-        raise SingularPointError(f"stress denominators vanish at {x.tolist()}")
-    g1 = (_SQRT2 * x1 + x2) * _TRUSS_LOAD / d12 - _TRUSS_STRESS
-    g2 = x2 * _TRUSS_LOAD / d12 - _TRUSS_STRESS
-    g3 = _TRUSS_LOAD / d3 - _TRUSS_STRESS
-    return f, [g1, g2, g3]
+    try:
+        f, g, _ = _truss(float(x[0]), float(x[1]))
+    except ZeroDivisionError:
+        raise SingularPointError(f"stress denominators vanish at {x.tolist()}") from None
+    return f, g
 
 
 def three_bar_truss_problem(
@@ -506,7 +530,8 @@ def three_bar_truss_problem(
     """Three-bar truss as a penalized box problem on [0, 1]^2.
 
     Singular points (reachable through clamping to x1 = 0) evaluate to
-    +inf so the objective stays total on the box.
+    +inf so the objective stays total on the box. ``evaluate.batch`` gives
+    the rows' values bit for bit (see :meth:`Problem.evaluate_batch`).
     """
 
     def evaluate(x: np.ndarray) -> float:
@@ -515,6 +540,22 @@ def three_bar_truss_problem(
         except SingularPointError:
             return math.inf
         return penalized_fitness(f, g, penalty_weight)
+
+    def rows(X: np.ndarray) -> np.ndarray:
+        if X.shape[1] != 2 or penalty_weight <= 0:
+            # The rows' own outcome: three_bar_truss's or penalized_fitness's
+            # ValueError, or +inf for rows that are all singular.
+            return np.fromiter(map(evaluate, X), dtype=float, count=len(X))
+        with np.errstate(all="ignore"):
+            f, g, (d12, d3) = _truss(X[:, 0], X[:, 1])
+            # max(0.0, g) and sum()'s order, so each row gets penalized_fitness's bits
+            v1, v2, v3 = (np.where(gi > 0.0, gi, 0.0) for gi in g)
+            out = f + penalty_weight * ((v1 + v2) + v3)
+        out[(d12 == 0.0) | (d3 == 0.0)] = math.inf
+        return out
+
+    evaluate.batch = rows
+    _mark_pure(evaluate)
 
     def _g(i: int):
         return lambda x: three_bar_truss(x)[1][i]

@@ -4,6 +4,11 @@ replaced ``evaluate``, and the NaN -> +inf policy at the batch boundary."""
 import dataclasses
 import functools
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,8 +61,9 @@ def benchmark(spec: str, dim: int):
 @given(
     name=st.sampled_from(BENCHMARK_NAMES),
     rotated=st.booleans(),
-    dim=st.sampled_from([1, 2, 3, 10, 300]),
-    rows=st.sampled_from([0, 1, 2, 17]),
+    # odd dims and row counts reach the tails of the BLAS matrix-vector kernel
+    dim=st.sampled_from([1, 2, 3, 5, 10, 33, 129, 300]),
+    rows=st.sampled_from([0, 1, 2, 7, 17, 64]),
     scale=st.sampled_from([1e-3, 1.0, 100.0, 1e4]),
     seed=st.integers(0, 2**32 - 1),
     specials=st.lists(
@@ -89,22 +95,23 @@ def test_benchmark_batch_is_bit_identical_on_many_rows(name):
             assert_same_bits(problem.evaluate_batch(X), per_row(problem, X))
 
 
-def test_benchmarks_and_the_table_carry_a_batch_form():
-    problems = [resolve_problem(name, 3) for name in BENCHMARK_NAMES]
-    for problem in problems:  # a raw benchmark function is its own row-wise form
+def test_benchmarks_the_truss_and_the_table_carry_a_batch_form():
+    problems = [resolve_problem(spec, 3) for name in BENCHMARK_NAMES
+                for spec in (name, f"{name}:sr")]
+    for problem in problems:  # a benchmark, rotated or not, is its own row-wise form
         assert problem.evaluate.batch is problem.evaluate, problem.name
-    problems += [resolve_problem(f"{name}:sr", 3) for name in BENCHMARK_NAMES]
-    problems.append(table_problem(synthetic_table(1)))
+    problems += [resolve_problem("three-bar-truss", 2), table_problem(synthetic_table(1))]
     for problem in problems:
         assert callable(getattr(problem.evaluate, "batch", None)), problem.name
 
 
-# The truss has no row-wise form: its batch is the per-row fallback.
+# The truss's row-wise form evaluates its one formula on columns.
 TRUSS_ROWS = st.lists(
     st.one_of(
         st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
         st.tuples(st.just(0.0), st.floats(0.0, 1.0)),  # x1 = 0: singular
         st.tuples(st.floats(0.0, 0.05), st.floats(0.0, 0.05)),  # infeasible
+        st.tuples(st.floats(), st.floats()),  # off the box: NaN, ±inf, overflow
     ),
     max_size=12,
 )
@@ -126,6 +133,68 @@ def test_truss_singular_and_infeasible_rows():
     assert got[2] > 1e6  # penalized
     assert got[3] == (2.0 * math.sqrt(2.0) + 1.0) * 100.0  # feasible: the volume alone
     assert_same_bits(got, per_row(problem, X))
+
+
+def test_truss_batch_with_other_than_two_columns_raises_as_a_row_does():
+    problem = resolve_problem("three-bar-truss", 2)
+    for shape in ((3, 3), (1, 1)):
+        with pytest.raises(ValueError, match="three_bar_truss expects a 2-vector"):
+            problem.evaluate_batch(np.full(shape, 0.5))
+    for shape in ((0, 2), (0, 3)):  # no row, no call
+        got = problem.evaluate_batch(np.zeros(shape))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0])
+def test_truss_batch_without_a_positive_weight_raises_when_it_evaluates(weight):
+    problem = bo.three_bar_truss_problem(penalty_weight=weight)  # builds
+    with pytest.raises(ValueError, match="penalty weight must be positive"):
+        problem.evaluate_batch(np.array([[0.0, 0.5], [0.5, 0.5]]))
+    # singular rows never reach the penalty, so they stay +inf
+    assert problem.evaluate_batch(np.array([[0.0, 0.5], [0.0, 0.0]])).tolist() == [math.inf] * 2
+    assert problem.evaluate_batch(np.zeros((0, 2))).shape == (0,)
+
+
+# The :sr batch's bits rest on numpy running, per row of its stacked
+# matmul, the BLAS matrix-vector kernel that one vector's ``M @ v`` runs.
+# OpenBLAS reads these settings when it loads, so each runs in a child
+# interpreter of its own, one at a time.
+KERNEL_CHILD = """
+import numpy as np
+from battleopt import resolve_problem
+differ = []
+for dim in (1, 5, 10, 33, 129, 300):
+    problem = resolve_problem("rastrigin:sr", dim)
+    for rows in (1, 7, 64):
+        X = np.random.default_rng(dim + rows).uniform(-100.0, 100.0, (rows, dim))
+        single = np.array([problem.evaluate(x) for x in X])
+        if problem.evaluate_batch(X).tobytes() != single.tobytes():
+            differ.append([dim, rows])
+print(differ)
+"""
+X86_64 = platform.machine().lower() in ("x86_64", "amd64")
+
+
+def _has_avx2() -> bool:
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize("setting", [
+    {"OPENBLAS_NUM_THREADS": "1"},
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, marks=pytest.mark.skipif(
+        not (X86_64 and _has_avx2()), reason="the Haswell kernel needs x86-64 with AVX2")),
+])
+def test_rotated_batch_matches_single_rows_under_another_blas_kernel(setting):
+    src = str(Path(bo.__file__).resolve().parent.parent)
+    env = {**os.environ, **setting}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", KERNEL_CHILD], capture_output=True,
+                           text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
 
 
 BAND_EDGES = [-100.0, -60.0, -20.0, 0.0, 20.0, 60.0, 100.0,

@@ -102,7 +102,7 @@ def thrown_away(calls, config):
 def test_what_the_package_marks():
     for spec in ("sphere", "ackley:sr", "rastrigin:sr7"):
         assert pure_rows(resolve_problem(spec, 4)) is not None
-    assert pure_rows(resolve_problem("three-bar-truss", 2)) is None
+    assert pure_rows(resolve_problem("three-bar-truss", 2)) is not None
     assert pure_rows(table_problem(synthetic_table(1))) is not None
     partial = LookupTable({(0,) * 6: 50.0}, default=10.0)
     assert pure_rows(table_problem(partial)) is not None
@@ -118,6 +118,16 @@ def test_a_rugged_objective_with_windows(name, n):
     calls = assert_same_run(name, problem, config)
     # rows rebuilt after a block was evaluated, or left by a rewind
     assert calls["rows"] > n and thrown_away(calls, config) > 0
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_truss_with_windows(name):
+    config = OptimizerConfig(pop_size=256, budget=256 * 5 + 11, seed=7)
+    batches = []
+    calls = assert_same_run(name, resolve_problem("three-bar-truss", 2), config, batches)
+    assert calls["rows"] > 256
+    if name != "pso":  # clamping to x1 = 0 puts singular rows into the windows' blocks
+        assert any((X[:, 0] == 0.0).any() for X in batches[1:])
 
 
 @pytest.mark.parametrize("name", ["embgo", "mbgo"])

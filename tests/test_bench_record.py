@@ -146,3 +146,11 @@ def test_parse_tier1_reads_the_walls_and_counts_of_a_durations_run():
     assert framed == {"wall_s": 3.5, "criterion_06_s": None, "passed": 867, "failed": 0,
                       "errors": 0}
     assert bench_record.parse_tier1("no summary at all\n")["wall_s"] is None
+
+
+def test_tier1_runs_each_checkout_twice_in_mirrored_order():
+    a, b, c = ("parent", Path("a")), ("change", Path("b")), ("other", Path("c"))
+    assert bench_record.tier1_order([a, b]) == [a, b, b, a]
+    assert bench_record.tier1_order([a, b, c]) == [a, b, c, c, b, a]
+    assert bench_record.tier1_order([a]) == [a, a]
+

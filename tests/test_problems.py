@@ -71,6 +71,18 @@ def test_rotation_is_held_64_byte_aligned_with_the_same_bits(offset):
     assert apply_transform(t, x).tobytes() == (placed @ x).tobytes()
 
 
+def test_transform_maps_rows_with_each_vectors_bits():
+    t = random_transform(33, Bounds.cube(-100.0, 100.0, 33), make_rng(5))
+    X = make_rng(6).uniform(-100.0, 100.0, (7, 33))
+    Z = apply_transform(t, X)
+    assert Z.shape == X.shape
+    assert Z.tobytes() == np.array([apply_transform(t, x) for x in X]).tobytes()
+    assert apply_transform(t, X[:0]).shape == (0, 33)
+    for bad in (X[:, :32], X[None], X[0, 0]):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            apply_transform(t, bad)
+
+
 def test_transform_rejects_non_orthogonal():
     with pytest.raises(ValueError):
         Transform(shift=np.zeros(2), rotation=np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -30,12 +30,13 @@ are kept next to it. Its quartiles over the seeds go into the record next
 to the workloads. The table is not gated: no metric of ``BENCHMARK.json``
 reads it.
 
-Before the first seed, every checkout runs its own tier-1 suite once,
-with ``--durations=0``, the checkouts one after the other in the order
-given. The record keeps, per checkout, the suite's wall (pytest's own
-``in <s>s`` summary), criterion 06's wall (its setup, call and teardown
-durations summed) and the pass and fail counts. These are not gated
-either.
+Before the first seed, every checkout runs its own tier-1 suite twice,
+with ``--durations=0``: the checkouts in the order given, then in reverse
+(A B B A for two), so that a drift in the host's speed over the block
+weighs on each checkout alike. The record keeps, per checkout, both runs
+in the order they ran: the suite's wall (pytest's own ``in <s>s``
+summary), criterion 06's wall (its setup, call and teardown durations
+summed) and the pass and fail counts. These are not gated either.
 
 Seed lists and the run timeout come from ``perfbench/report.py``, and
 quartiles use its method, so the spreads match the table it prints.
@@ -139,6 +140,11 @@ def time_tier1(root: Path) -> dict:
     if parsed["wall_s"] is None:
         return {"error": f"exit {proc.returncode}: no summary line: {proc.stdout.strip()[-300:]}"}
     return {"exit": proc.returncode, **parsed}
+
+
+def tier1_order(checkouts: list) -> list:
+    """The checkouts in the order given, then reversed: A B B A for two."""
+    return [*checkouts, *checkouts[::-1]]
 
 
 def checkout(text: str) -> tuple:
@@ -318,15 +324,16 @@ def main(argv=None) -> int:
             "tier1": {
                 "gated": False,
                 "command": "PYTHONPATH=src python " + " ".join(TIER1),
-                "runs": "one per checkout, before the first seed, in the order given",
-                "checkouts": {k: tier1.get(k) for k in labels},
+                "runs": "two per checkout, before the first seed: in the order given, "
+                        "then reversed (A B B A)",
+                "checkouts": {k: tier1.get(k, []) for k in labels},
             },
         }
         args.out.write_text(json.dumps(bench, indent=1) + "\n")
 
-    for label, root in args.checkouts:
-        tier1[label] = time_tier1(root)
-        print(f"{label} tier-1: {tier1[label]}", flush=True)
+    for label, root in tier1_order(args.checkouts):
+        tier1.setdefault(label, []).append(time_tier1(root))
+        print(f"{label} tier-1: {tier1[label][-1]}", flush=True)
         write()
     for i, seed in enumerate(report.seed_list(args.seeds)):
         order = args.checkouts if i % 2 == 0 else args.checkouts[::-1]
