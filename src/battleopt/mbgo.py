@@ -252,16 +252,16 @@ class Movement(NamedTuple):
     outside: Callable
 
 
-# Windows (see member_sweep) hold from _WINDOW_MIN to
-# min(_WINDOW_MAX, N // _WINDOW_SHARE) members; other members step one at a
-# time. Below _WINDOW_MIN a window's fixed cost (a state save, the zone
-# distances, a few block expressions per branch) outweighs what it saves.
-# Measured raw on sphere, D=10, 41 N evaluations, 12 interleaved pairs
-# against no windows: windows of up to 8 at N=128 read embgo 7.5 % slower
-# (faster in 4 of 12 pairs) and mbgo 3.7 % faster (9 of 12); windows of 12
-# at N=200 read embgo 1.8 % (9 of 12) and mbgo 10.6 % faster (9 of 12).
+# Windows (see member_sweep) hold from _WINDOW_MIN to min(_WINDOW_MAX,
+# _WINDOW_COORDS * N // D) members; others step alone. Below _WINDOW_MIN the fixed cost
+# (state save, zone distances, block expressions) outweighs the saving: windows of 8 at
+# N=128, D=10 read embgo 7.5 % slower than none. The cap reads N·D because a window's
+# wasted rows (stale or rewound) grow with its length squared over N, each a full FE
+# whose cost grows with D. Batched, against the former N // 16 (best of 3, 8-10 pairs),
+# the embgo / mbgo µs/FE ratios at N=50 are 0.55 / 0.60 on rastrigin:sr D=10, 0.74 / 0.63 on a
+# table (D=6), 1.02 / 0.85 on sphere D=100; 16 loses mbgo's D=100 gain, 64 is within 5 %.
 _WINDOW_MAX = 64
-_WINDOW_SHARE = 16
+_WINDOW_COORDS = 32
 _WINDOW_MIN = 12
 
 # A window's zone test reads a row-wise einsum distance. Where its order of
@@ -276,8 +276,8 @@ _TINY = 1e-150
 _STRONGER, _WEAKER, _INSIDE, _OUTSIDE = range(4)
 
 
-def _window_cap(n: int) -> int:
-    return min(_WINDOW_MAX, n // _WINDOW_SHARE)
+def _window_cap(n: int, dim: int) -> int:
+    return min(_WINDOW_MAX, _WINDOW_COORDS * n // dim)
 
 
 def member_sweep(problem, passes):
@@ -305,8 +305,8 @@ def member_sweep(problem, passes):
     candidate of such a plan from the current rows. A member alone is
     planned, built and stepped.
 
-    From N = 192 on, runs of 12 to min(64, N // 16) consecutive members go
-    as a window (see ``_WINDOW_MIN``), in three steps:
+    Where 32 N // D reaches 12, runs of 12 to min(64, 32 N // D) consecutive
+    members go as a window (see ``_WINDOW_COORDS``), in three steps:
 
     1. Plan every member with the data at the window's start, the zone
        test reading one einsum distance per row.
@@ -343,7 +343,7 @@ def member_sweep(problem, passes):
     def sweep(F, X, draws, step, left):
         nonlocal calm
         n, dim = X.shape
-        cap = _window_cap(n)
+        cap = _window_cap(n, dim)
         ext = Extremes(F)
         random = draws.random
         epoch = 0  # changes of best or worst, index or row, in this sweep

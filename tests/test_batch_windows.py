@@ -1,7 +1,8 @@
 """Window blocks evaluated in one batch call, against the same objective called per member.
 
-MBGO's and EMBGO's windows (from N = 192) and DE's evaluate their block
-of candidates through ``Problem.evaluate_batch`` in one call when
+MBGO's and EMBGO's windows (where 32 N // D reaches 12, so at N = 50
+for D = 10) and DE's evaluate their block of candidates through
+``Problem.evaluate_batch`` in one call when
 :func:`~battleopt.problems.pure_rows` finds the objective marked pure,
 and take each member's value from it unless the member was rebuilt.
 PSO does so for a window only once the global best has held for twice
@@ -131,10 +132,15 @@ def test_the_truss_with_windows(name):
 
 
 @pytest.mark.parametrize("name", ["embgo", "mbgo"])
-def test_no_windows_below_192_members(name):
-    config = OptimizerConfig(pop_size=50, budget=50 * 8 + 3, seed=2)
-    calls = assert_same_run(name, resolve_problem("rastrigin:sr", 10), config)
-    assert calls == {"single": 50 * 7 + 3, "rows": 50}
+@pytest.mark.parametrize("spec, dim, n", [("rastrigin:sr", 10, 50), ("rastrigin:sr", 300, 50),
+                                          ("sphere", 2048, 64)])
+def test_windows_follow_members_times_dimensions(name, spec, dim, n):
+    config = OptimizerConfig(pop_size=n, budget=n * 8 + 3, seed=2)
+    calls = assert_same_run(name, resolve_problem(spec, dim), config)
+    if dim == 10:  # 50 members at D=10 go in windows, whose blocks are batched
+        assert calls["rows"] > n and calls["single"] < n * 7 + 3
+    else:  # only the initial population is a batch
+        assert calls == {"single": n * 7 + 3, "rows": n}
 
 
 def test_de_at_50_members():
@@ -146,7 +152,7 @@ def test_de_at_50_members():
 @pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("extra", [1, 13, 29])
 def test_budgets_that_end_mid_window(name, extra):
-    # 256 members: MBGO and EMBGO windows of up to 16, DE's of 32
+    # 256 members: MBGO and EMBGO windows of up to 64, DE's of 32
     config = OptimizerConfig(pop_size=256, budget=256 * 3 + extra, seed=8)
     assert_same_run(name, make_problem("ackley", 5), config)
 

@@ -2,6 +2,7 @@
 
 import argparse
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -96,9 +97,20 @@ def test_scaled_takes_a_cell_to_reference_speed():
     assert bench_record.scaled(7.0, 0.002, 0.002, 0.002)["us_per_fe"] == 7.0
 
 
+def test_median_cell_takes_the_median_run_and_keeps_every_run():
+    # reference 2 ms; the second run's host ran at half speed
+    cell = bench_record.median_cell([[4.0, 0.002, 0.002], [10.0, 0.004, 0.004],
+                                     [6.0, 0.002, 0.002]], 0.002)
+    assert cell["us_per_fe"] == pytest.approx(5.0)
+    assert cell["raw_us_per_fe"] == 6.0
+    assert [r["raw_us_per_fe"] for r in cell["runs"]] == [4.0, 10.0, 6.0]
+    assert cell["runs"][1] == bench_record.scaled(10.0, 0.004, 0.004, 0.002)
+    assert bench_record.median_cell([[7.0, 0.002, 0.002]], 0.002)["us_per_fe"] == 7.0
+
+
 def test_nd_summary_gives_quartiles_per_optimizer_and_cell():
     def cell(us, raw):
-        return {"us_per_fe": us, "raw_us_per_fe": raw, "kernel_s": [0.002, 0.003]}
+        return {"us_per_fe": us, "raw_us_per_fe": raw, "runs": [{"raw_us_per_fe": raw}]}
 
     by_seed = {1: {"de": {"N=50 D=10": cell(3.0, 6.0)}}, 2: {"de": {"N=50 D=10": cell(5.0, 5.5)}},
                3: {"de": {"N=50 D=10": cell(4.0, 4.0)}}, 4: {"error": "exit 1: boom"}}
@@ -106,19 +118,20 @@ def test_nd_summary_gives_quartiles_per_optimizer_and_cell():
     assert summary["de"]["N=50 D=10"]["median"] == 4.0
     assert summary["de"]["N=50 D=10"]["n"] == 3
     assert summary["de"]["N=50 D=10"]["raw"]["median"] == 5.5
-    assert summary["de"]["N=50 D=10"]["kernel_s"] == [[0.002, 0.003]] * 3
+    assert summary["de"]["N=50 D=10"]["runs"] == [[{"raw_us_per_fe": r}] for r in (6.0, 5.5, 4.0)]
     assert summary["run_errors"] == {"4": "exit 1: boom"}
     assert bench_record.nd_summary({1: {"error": "exit 2"}}) == {"run_errors": {"1": "exit 2"}}
 
 
 def test_time_nd_times_every_optimizer_in_the_checkouts_own_package():
-    table = bench_record.time_nd(PATH.parent.parent, seed=3, pops=(4, 6), dims=(2,))
+    table = bench_record.time_nd(PATH.parent.parent, seed=3, pops=(4, 6), dims=(2,), runs=2)
     assert sorted(table) == sorted(bench_record.ND_OPTIMIZERS)
     for cells in table.values():
         assert sorted(cells) == ["N=4 D=2", "N=6 D=2"]
         for cell in cells.values():
             assert 0.0 < cell["us_per_fe"] < 1e5 and 0.0 < cell["raw_us_per_fe"] < 1e5
-            assert all(0.0 < t < 1.0 for t in cell["kernel_s"])
+            assert len(cell["runs"]) == 2
+            assert all(0.0 < t < 1.0 for run in cell["runs"] for t in run["kernel_s"])
 
 
 DURATIONS = """\
@@ -154,3 +167,35 @@ def test_tier1_runs_each_checkout_twice_in_mirrored_order():
     assert bench_record.tier1_order([a, b, c]) == [a, b, c, c, b, a]
     assert bench_record.tier1_order([a]) == [a, a]
 
+
+def test_each_checkout_collects_its_suite_once_before_the_timed_runs(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(bench_record, "identity", lambda root: {})
+    monkeypatch.setattr(bench_record, "warm_tier1", lambda root: calls.append(("warm", root)))
+    monkeypatch.setattr(bench_record, "time_tier1",
+                        lambda root: calls.append(("timed", root)) or {"wall_s": 1.0})
+    monkeypatch.setattr(bench_record, "run_once", lambda *args: {"error": "not run"})
+    monkeypatch.setattr(bench_record, "time_nd", lambda *args: {"error": "not run"})
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").touch()
+    out = tmp_path / "bench.json"
+    assert bench_record.main([f"parent={a}", f"change={b}", "--out", str(out), "--seeds", "1"]) == 0
+    assert calls == [("warm", a), ("warm", b), ("timed", a), ("timed", b), ("timed", b),
+                     ("timed", a)]
+    # the warm-ups leave nothing in the record
+    record = json.loads(out.read_text())["tier1"]["checkouts"]
+    assert record == {"parent": [{"wall_s": 1.0}] * 2, "change": [{"wall_s": 1.0}] * 2}
+
+
+def test_warm_up_collects_the_checkouts_own_suite_without_running_it(monkeypatch):
+    seen = []
+    monkeypatch.setattr(bench_record.subprocess, "run",
+                        lambda cmd, **kw: seen.append((cmd, kw)))
+    root = PATH.parent.parent
+    assert bench_record.warm_tier1(root) is None
+    (cmd, kw), = seen
+    assert cmd[1:] == bench_record.TIER1_WARM and "--collect-only" in cmd
+    assert kw["cwd"] == root
+    assert kw["env"]["PYTHONPATH"].split(bench_record.os.pathsep)[0] == str(root / "src")

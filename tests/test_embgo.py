@@ -10,7 +10,7 @@ from battleopt import (
     make_problem,
     run_embgo,
 )
-from battleopt import mbgo
+from battleopt import core, mbgo
 from battleopt.core import best_worst, make_rng
 from battleopt.levy import levy_sample
 
@@ -114,24 +114,54 @@ def test_best_worst_calls_do_not_grow_with_population(monkeypatch):
     assert sizes.count(200) <= sizes.count(20)
 
 
-def test_branch_choice_is_balanced(monkeypatch):
-    # one enemy is drawn per battle; every other evaluation after the
-    # initial population is a movement
-    battles = []
-    pick_enemy = mbgo.pick_enemy
+def battles_of_a_run(config, windows=True):
+    """Battles of a seeded EMBGO run on rastrigin D=6, each member's once per sweep; FEs; windows.
 
-    def counted(*args):
-        battles.append(args[0])
-        return pick_enemy(*args)
+    With ``windows`` false, every member goes alone.
 
-    monkeypatch.setattr("battleopt.mbgo.pick_enemy", counted)
-    problem, seen = recording(make_problem("rastrigin", 6), None)
+    One enemy is drawn per battle (``Draws.integers``). A window draws its
+    members' enemies before it steps them; a rewind restores the draws
+    saved at the window's start and takes the kept members' draws again,
+    so the enemies drawn since that save are dropped from the count.
+    """
+    enemies, saved = [], []
+    integers, save, restore = core.Draws.integers, core.Draws.save, core.Draws.restore
+
+    def counted_integers(self, high):
+        enemies.append(high)
+        return integers(self, high)
+
+    def counted_save(self):
+        saved.append(len(enemies))
+        return save(self)
+
+    def counted_restore(self, state):
+        del enemies[saved[-1]:]
+        return restore(self, state)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core.Draws, "integers", counted_integers)
+        patch.setattr(core.Draws, "save", counted_save)
+        patch.setattr(core.Draws, "restore", counted_restore)
+        if not windows:
+            patch.setattr(mbgo, "_WINDOW_MIN", config.pop_size + 1)
+        problem, seen = recording(make_problem("rastrigin", 6), None)
+        run_embgo(problem, config)
+    return len(enemies), len(seen), len(saved)
+
+
+def test_branch_choice_is_balanced():
+    # every evaluation after the initial population is a battle or a movement
     config = OptimizerConfig(pop_size=50, budget=50 + 10_000, seed=9)
-    run_embgo(problem, config)
-    total = len(seen) - 50
-    movements = total - len(battles)
+    battles, fes, windows = battles_of_a_run(config)
+    total = fes - 50
+    movements = total - battles
     assert total == 10_000
     assert abs(movements / total - 0.5) <= 0.02
+    # the per-member path, with no window, draws each battle's enemy once
+    alone = battles_of_a_run(config, windows=False)
+    assert windows > 0 and alone[2] == 0
+    assert alone[:2] == (battles, fes)
 
 
 def test_solves_sphere_to_tight_tolerance():

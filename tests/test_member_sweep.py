@@ -12,10 +12,11 @@ then a clamp and one ``step``. ``run_mbgo`` and ``run_embgo`` must give
 the same ``serialize()``, leave the caller's generator in the same state,
 and have their ``evaluate`` see the same points in the same order.
 
-Windows run from N = 192 on (``mbgo._window_cap``). The ``counts``
-fixture counts their rewinds (``Draws.restore``) and their stale members
-recomputed alone (one-row clamps that follow a block clamp with no draw
-between), so that a test can show that it ran them.
+Windows run where ``mbgo._window_cap(N, D)``, min(64, 32 N // D), reaches
+12: at N = 50 for D = 10, not for D = 300. The ``counts`` fixture counts
+the windows (``Draws.save``), their rewinds (``Draws.restore``) and their
+stale members recomputed alone (one-row clamps that follow a block clamp
+with no draw between), so that a test can show that it ran them.
 """
 
 import math
@@ -147,7 +148,7 @@ def assert_same_run(name, problem, config, make_objective=None, bit_generator=np
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Rewinds and stale recomputes of the windowed sweep, counted.
+    """Windows (``Draws.save``), their rewinds and stale recomputes, counted.
 
     A window takes all its draws, then clamps its block, then steps its
     members with no further draw; a member stepped alone takes a draw
@@ -155,9 +156,13 @@ def counts(monkeypatch):
     one-row clamp with a block clamp since the last such draw is a stale
     member recomputed alone.
     """
-    counted = {"rewinds": 0, "recomputes": 0}
+    counted = {"windows": 0, "rewinds": 0, "recomputes": 0}
     after_block = False
-    restore, inner_clamp = core.Draws.restore, mbgo.clamp
+    save, restore, inner_clamp = core.Draws.save, core.Draws.restore, mbgo.clamp
+
+    def counted_save(self):
+        counted["windows"] += 1
+        return save(self)
 
     def counted_restore(self, state):
         counted["rewinds"] += 1
@@ -179,6 +184,7 @@ def counts(monkeypatch):
 
         return draw
 
+    monkeypatch.setattr(core.Draws, "save", counted_save)
     monkeypatch.setattr(core.Draws, "restore", counted_restore)
     monkeypatch.setattr(core.Draws, "random", drawing(core.Draws.random))
     monkeypatch.setattr(core.Draws, "integers", drawing(core.Draws.integers))
@@ -194,18 +200,24 @@ NAMES = sorted(RUNNERS)
 
 
 def test_the_window_threshold():
-    caps = [mbgo._window_cap(n) for n in (2, 100, 191, 192, 200, 1024, 3200)]
-    assert caps == [0, 6, 11, 12, 12, 64, 64]
+    # (N, D): 50 members window at D=10, not at D=300; nor do 64 at D=2048
+    shapes = [(2, 3), (50, 10), (50, 100), (50, 300), (112, 300), (113, 300), (64, 2048),
+              (3200, 10)]
+    caps = [mbgo._window_cap(n, dim) for n, dim in shapes]
+    assert caps == [21, 64, 16, 5, 11, 12, 1, 64]
     assert mbgo._WINDOW_MIN == 12
 
 
 @pytest.mark.parametrize("name", NAMES)
-@pytest.mark.parametrize("n", [191, 192])
-def test_both_sides_of_the_window_threshold(name, n, counts):
-    problem = make_problem("sphere", 3)
+@pytest.mark.parametrize("n, dim, windows", [(50, 10, True), (50, 300, False), (112, 300, False),
+                                             (113, 300, True), (64, 2048, False)])
+def test_both_sides_of_the_window_threshold(name, n, dim, windows, counts):
+    problem = make_problem("sphere", dim)
     assert_same_run(name, problem, OptimizerConfig(pop_size=n, budget=n * 6 + 5, seed=3))
-    if n == 191:
-        assert counts == {"rewinds": 0, "recomputes": 0}
+    if windows:
+        assert counts["windows"] > 0
+    else:
+        assert counts == {"windows": 0, "rewinds": 0, "recomputes": 0}
 
 
 @pytest.mark.parametrize("name", ["embgo", "mbgo"])
@@ -243,7 +255,7 @@ def test_one_dimension(name, counts):
 @pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("extra", [1, 13, 100, 199, 233])
 def test_budgets_that_end_mid_pass_and_mid_window(name, extra):
-    # 200 members: windows of up to 12; extra 13 ends inside a window
+    # 200 members at D=2: windows of up to 64; extra 13 cuts the last pass to 13 members
     problem = make_problem("sphere", 2)
     assert_same_run(name, problem, OptimizerConfig(pop_size=200, budget=200 * 4 + extra, seed=8))
 
@@ -325,7 +337,8 @@ def test_a_wrapper_rng(name, wrap, counts):
 @given(
     name=st.sampled_from(NAMES),
     n=st.one_of(st.integers(2, 20), st.integers(192, 260)),
-    dim=st.integers(1, 4),
+    # at D=40, 12 to 14 members go one at a time and 15 or more in windows
+    dim=st.one_of(st.integers(1, 4), st.just(40)),
     sweeps=st.integers(0, 5),
     extra=st.integers(0, 259),
     seed=st.integers(0, 2**32 - 1),

@@ -20,23 +20,27 @@ and the number of seeds on which it read better.
 
 After each seed's workloads, every checkout (in the same alternating
 order) also times the ``nd_table``: µs/FE of embgo, mbgo, de and pso on
-sphere at N in {50, 200, 800, 3200} and D in {10, 100}, one run of
-``N + max(2 N, 4000)`` evaluations per cell, seeded with the seed. Like
-perfbench's end-to-end times, each cell is scaled to the reference speed:
+sphere at N in {50, 200, 800, 3200} and D in {10, 100}, runs of
+``N + max(2 N, 4000)`` evaluations seeded with the seed. The whole table
+runs ``ND_RUNS`` times over, and each cell is the median of its runs. Like
+perfbench's end-to-end times, each run is scaled to the reference speed:
 perfbench's calibration kernel is timed right before and right after the
 run, and the raw µs/FE is multiplied by ``CAL_REF_S`` over the mean of the
-two (see ``perfbench/workloads.py``). The raw value and the kernel times
-are kept next to it. Its quartiles over the seeds go into the record next
-to the workloads. The table is not gated: no metric of ``BENCHMARK.json``
-reads it.
+two (see ``perfbench/workloads.py``). Every run's scaled and raw value and
+kernel times are kept next to the median. The cells' quartiles over the
+seeds go into the record next to the workloads. The table is not gated:
+no metric of ``BENCHMARK.json`` reads it.
 
-Before the first seed, every checkout runs its own tier-1 suite twice,
-with ``--durations=0``: the checkouts in the order given, then in reverse
-(A B B A for two), so that a drift in the host's speed over the block
-weighs on each checkout alike. The record keeps, per checkout, both runs
-in the order they ran: the suite's wall (pytest's own ``in <s>s``
-summary), criterion 06's wall (its setup, call and teardown durations
-summed) and the pass and fail counts. These are not gated either.
+Before the first seed, every checkout collects its own tier-1 suite once
+(``pytest --collect-only``, untimed and not recorded), so that no timed
+run pays the cold start of a fresh checkout. Then every checkout runs the
+suite twice, with ``--durations=0``: the checkouts in the order given,
+then in reverse (A B B A for two), so that a drift in the host's speed
+over the block weighs on each checkout alike. The record keeps, per
+checkout, both timed runs in the order they ran: the suite's wall
+(pytest's own ``in <s>s`` summary), criterion 06's wall (its setup, call
+and teardown durations summed) and the pass and fail counts. These are
+not gated either.
 
 Seed lists and the run timeout come from ``perfbench/report.py``, and
 quartiles use its method, so the spreads match the table it prints.
@@ -67,11 +71,13 @@ MEASURED = ("src", "perfbench")
 ND_OPTIMIZERS = ("embgo", "mbgo", "de", "pso")
 ND_POPS = (50, 200, 800, 3200)
 ND_DIMS = (10, 100)
+ND_RUNS = 3
 
 # Runs in the checkout's own package (PYTHONPATH=<checkout>/src), so it
 # uses only the API every checkout has: run_X(problem, config). The
 # calibration kernel is this tool's own perfbench's, the same for every
-# checkout. Per cell it prints [raw µs/FE, kernel before, kernel after].
+# checkout. The table runs `runs` times over; per cell it prints one
+# [raw µs/FE, kernel before, kernel after] per run.
 ND_TIMER = """
 import json, sys, time
 sys.path.insert(0, sys.argv[5])
@@ -79,25 +85,29 @@ import battleopt as bo
 from workloads import CAL_REF_S, kernel_time
 seed, pops, dims, names = int(sys.argv[1]), *map(json.loads, sys.argv[2:5])
 table = {}
-for dim in dims:
-    problem = bo.make_problem("sphere", dim)
-    for n in pops:
-        budget = n + max(2 * n, 4000)
-        config = bo.OptimizerConfig(pop_size=n, budget=budget, seed=seed)
-        for name in names:
-            run = getattr(bo, "run_" + name)
-            before = kernel_time()
-            start = time.perf_counter()
-            run(problem, config)
-            wall = time.perf_counter() - start
-            after = kernel_time()
-            table.setdefault(name, {})[f"N={n} D={dim}"] = [wall / budget * 1e6, before, after]
+for _ in range(int(sys.argv[6])):
+    for dim in dims:
+        problem = bo.make_problem("sphere", dim)
+        for n in pops:
+            budget = n + max(2 * n, 4000)
+            config = bo.OptimizerConfig(pop_size=n, budget=budget, seed=seed)
+            for name in names:
+                run = getattr(bo, "run_" + name)
+                before = kernel_time()
+                start = time.perf_counter()
+                run(problem, config)
+                wall = time.perf_counter() - start
+                after = kernel_time()
+                cell = table.setdefault(name, {}).setdefault(f"N={n} D={dim}", [])
+                cell.append([wall / budget * 1e6, before, after])
 print(json.dumps({"ref_s": CAL_REF_S, "table": table}))
 """
 
 
 # The tier-1 command of ROADMAP.md, with every test's durations listed.
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0"]
+# The untimed warm-up before the timed runs: imports and bytecode, no test run.
+TIER1_WARM = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--collect-only"]
 TIER1_TIMEOUT_S = 1800
 CRITERION_06 = "test_criterion_06_directional_check"
 _DURATION = re.compile(r"^(\d+(?:\.\d+)?)s\s+(setup|call|teardown)\s+(\S+)")
@@ -126,13 +136,22 @@ def parse_tier1(text: str) -> dict:
     return {"wall_s": wall, "criterion_06_s": criterion, **counts}
 
 
+def tier1_env(root: Path) -> dict:
+    """The environment with the checkout's ``src`` first on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": str(root / "src") + (os.pathsep + path if path else "")}
+
+
+def warm_tier1(root: Path) -> None:
+    """Collect the checkout's tier-1 suite once, untimed; nothing of it is kept."""
+    subprocess.run([sys.executable, *TIER1_WARM], cwd=root, env=tier1_env(root),
+                   capture_output=True, timeout=TIER1_TIMEOUT_S)
+
+
 def time_tier1(root: Path) -> dict:
     """One tier-1 run of the checkout's own suite, parsed; or its error."""
-    src = str(root / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     try:
-        proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env,
+        proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=tier1_env(root),
                               capture_output=True, text=True, timeout=TIER1_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return {"error": f"timed out after {TIER1_TIMEOUT_S} s"}
@@ -193,29 +212,38 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def scaled(raw_us: float, before_s: float, after_s: float, ref_s: float) -> dict:
-    """One cell at reference speed: ``raw_us`` times ``ref_s`` over the mean kernel time."""
+    """One run at reference speed: ``raw_us`` times ``ref_s`` over the mean kernel time."""
     return {"us_per_fe": raw_us * ref_s / ((before_s + after_s) / 2),
             "raw_us_per_fe": raw_us, "kernel_s": [before_s, after_s]}
 
 
-def time_nd(root: Path, seed: int, pops=ND_POPS, dims=ND_DIMS, names=ND_OPTIMIZERS) -> dict:
-    """The checkout's scaled cells (see :func:`scaled`) per optimizer and ``"N=<n> D=<d>"``, or its error."""
+def median_cell(readings: list, ref_s: float) -> dict:
+    """A cell's scaled and raw medians over its runs (see :func:`scaled`), every run kept."""
+    runs = [scaled(*reading, ref_s) for reading in readings]
+    return {"us_per_fe": statistics.median(r["us_per_fe"] for r in runs),
+            "raw_us_per_fe": statistics.median(r["raw_us_per_fe"] for r in runs),
+            "runs": runs}
+
+
+def time_nd(root: Path, seed: int, pops=ND_POPS, dims=ND_DIMS, names=ND_OPTIMIZERS,
+            runs=ND_RUNS) -> dict:
+    """The checkout's cells (see :func:`median_cell`) per optimizer and ``"N=<n> D=<d>"``, or its error."""
     cmd = [sys.executable, "-c", ND_TIMER, str(seed), json.dumps(list(pops)),
-           json.dumps(list(dims)), json.dumps(list(names)), str(ROOT / "perfbench")]
+           json.dumps(list(dims)), json.dumps(list(names)), str(ROOT / "perfbench"), str(runs)]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
                           timeout=report.RUN_TIMEOUT_S)
     if proc.returncode != 0:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     timed = json.loads(proc.stdout)
-    return {name: {cell: scaled(*reading, timed["ref_s"]) for cell, reading in cells.items()}
+    return {name: {cell: median_cell(readings, timed["ref_s"]) for cell, readings in cells.items()}
             for name, cells in timed["table"].items()}
 
 
 def nd_summary(by_seed: dict) -> dict:
-    """Per optimizer and cell: scaled µs/FE quartiles over the seeds that ran.
+    """Per optimizer and cell: quartiles of the cell's scaled median over the seeds that ran.
 
-    Each cell also keeps the raw µs/FE quartiles and every seed's kernel times.
+    Each cell also keeps the raw medians' quartiles and every seed's runs.
     """
     tables = [t for t in by_seed.values() if "error" not in t]
     out = {"run_errors": {str(s): t["error"] for s, t in by_seed.items() if "error" in t}}
@@ -225,7 +253,7 @@ def nd_summary(by_seed: dict) -> dict:
             readings = [t[name][cell] for t in tables]
             out[name][cell] = {**quartiles([r["us_per_fe"] for r in readings]),
                                "raw": quartiles([r["raw_us_per_fe"] for r in readings]),
-                               "kernel_s": [r["kernel_s"] for r in readings]}
+                               "runs": [r["runs"] for r in readings]}
     return out
 
 
@@ -316,21 +344,26 @@ def main(argv=None) -> int:
                 "gated": False,
                 "unit": "us per FE at perfbench's reference speed: wall over budget, "
                         "times CAL_REF_S over the mean of the kernel times taken right "
-                        "before and after the run; raw value and kernel_s kept per cell",
+                        "before and after the run; median of the runs per cell and seed, "
+                        "every run's scaled and raw value and kernel_s kept",
                 "problem": "sphere",
-                "budget": "N + max(2 N, 4000), one run per cell and seed",
+                "budget": f"N + max(2 N, 4000), {ND_RUNS} runs per cell and seed "
+                          "(the whole table over, then again)",
                 "checkouts": {k: nd_summary(nd[k]) for k in labels},
             },
             "tier1": {
                 "gated": False,
                 "command": "PYTHONPATH=src python " + " ".join(TIER1),
                 "runs": "two per checkout, before the first seed: in the order given, "
-                        "then reversed (A B B A)",
+                        "then reversed (A B B A), after one untimed --collect-only per "
+                        "checkout",
                 "checkouts": {k: tier1.get(k, []) for k in labels},
             },
         }
         args.out.write_text(json.dumps(bench, indent=1) + "\n")
 
+    for label, root in args.checkouts:
+        warm_tier1(root)
     for label, root in tier1_order(args.checkouts):
         tier1.setdefault(label, []).append(time_tier1(root))
         print(f"{label} tier-1: {tier1[label][-1]}", flush=True)
