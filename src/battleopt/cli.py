@@ -350,8 +350,6 @@ def cmd_compare(args) -> int:
 def cmd_arnas(args) -> int:
     params = _select(args, [args.algorithm], 1)[args.algorithm]
     table = load_table(args.table)
-    if not table.complete:
-        raise ConfigurationError(f"table {args.table} is incomplete; arnas needs all codes")
     problem = table_problem(table)
     opt_code, opt_acc = brute_force_optimum(table)
 

@@ -17,7 +17,6 @@ import functools
 import itertools
 import math
 from bisect import bisect_right
-from typing import Optional
 
 import numpy as np
 
@@ -55,7 +54,7 @@ _PLACE = N_SYMBOLS ** np.arange(N_EDGES - 1, -1, -1)
 
 
 class TableError(ValueError):
-    """Malformed, incomplete, or out-of-range lookup table."""
+    """Malformed or out-of-range lookup table, or one without every code."""
 
 
 def transfer(x: float) -> int:
@@ -110,56 +109,48 @@ def _checked_accuracy(acc) -> float:
 
 
 class LookupTable:
-    """Architecture code -> accuracy percentage in [0, 100].
+    """Architecture code -> accuracy percentage in [0, 100], for every one of the 15,625 codes.
 
-    ``accuracies`` is one read-only float64 array of all 15,625 codes by
-    index, NaN where a code is missing; ``entries`` is a fresh dict of the
-    codes present. ``default`` supplies the accuracy of missing codes for
-    declaredly partial tables; a complete table covers every code.
+    ``accuracies`` is one read-only float64 array of the accuracies by
+    code index; ``entries`` is a fresh dict of every code. The constructor
+    and :func:`load_table` refuse input that misses a code with one
+    :class:`TableError` naming how many are missing and the first.
     """
 
-    def __init__(self, entries: dict, dataset="", attack="", default: Optional[float] = None):
+    def __init__(self, entries: dict, dataset="", attack=""):
         accuracies = [math.nan] * CODE_COUNT
         for code, acc in entries.items():
             accuracies[_index(code)] = _checked_accuracy(acc)
-        if default is not None:
-            _checked_accuracy(default)
-        self._set(np.array(accuracies), dataset, attack, default)
+        self._set(_every_code(accuracies, ""), dataset, attack)
 
     @classmethod
     def _of(cls, accuracies: np.ndarray, dataset: str, attack: str) -> "LookupTable":
         """A table over an array whose values are already checked."""
-        return cls.__new__(cls)._set(accuracies, dataset, attack, None)
+        return cls.__new__(cls)._set(accuracies, dataset, attack)
 
-    def _set(self, accuracies: np.ndarray, dataset, attack, default) -> "LookupTable":
+    def _set(self, accuracies: np.ndarray, dataset, attack) -> "LookupTable":
         accuracies.flags.writeable = False
         self.accuracies = accuracies
-        self.dataset, self.attack, self.default = dataset, attack, default
+        self.dataset, self.attack = dataset, attack
         return self
 
     @property
     def entries(self) -> dict:
-        present = ~np.isnan(self.accuracies)
-        return dict(zip(itertools.compress(_code_index(), present.tolist()),
-                        self.accuracies[present].tolist()))
-
-    @property
-    def complete(self) -> bool:
-        return not np.isnan(self.accuracies).any()
+        return dict(zip(_code_index(), self.accuracies.tolist()))
 
     def accuracy(self, code) -> float:
-        index = _index(code)
-        acc = float(self.accuracies[index])
-        if not math.isnan(acc):
-            return acc
-        if self.default is not None:
-            return self.default
-        raise _missing(index)
+        return float(self.accuracies[_index(code)])
 
 
-def _missing(index: int) -> TableError:
-    code = code_to_string(_code(index))
-    return TableError(f"code {code} missing and the table declares no default")
+def _every_code(accuracies: list, where: str) -> np.ndarray:
+    """``accuracies``, NaN in a slot no entry filled, as an array; a TableError if one is NaN."""
+    array = np.array(accuracies)
+    missing = np.isnan(array)
+    if missing.any():
+        first = code_to_string(_code(int(missing.argmax())))
+        raise TableError(f"{where}{int(missing.sum())} of {CODE_COUNT} codes missing, "
+                         f"the first {first}")
+    return array
 
 
 def lookup_fitness(table: LookupTable, code) -> float:
@@ -170,17 +161,15 @@ def lookup_fitness(table: LookupTable, code) -> float:
 def brute_force_optimum(table: LookupTable) -> tuple:
     """Exact argmax accuracy over all codes; lexicographic tie-break.
 
-    Requires a complete table: the enumeration is the ground truth an
-    optimizer's result is measured against; ``argmax`` keeps the first.
+    The enumeration is the ground truth an optimizer's result is measured
+    against; ``argmax`` keeps the first.
     """
-    if not table.complete:
-        raise TableError("brute-force optimum requires a complete table")
     index = int(np.argmax(table.accuracies))
     return _code(index), float(table.accuracies[index])
 
 
 def load_table(path) -> LookupTable:
-    """Parse the delimited table format; a TableError names the path and line."""
+    """Parse the delimited table format; a TableError names the path, and a bad line's number."""
     codes = _string_index()
     accuracies = [math.nan] * CODE_COUNT
     meta = {"dataset": "", "attack": ""}
@@ -227,7 +216,7 @@ def load_table(path) -> LookupTable:
         accuracies[index] = acc
     if not header_seen:
         raise TableError(f"{path}: missing 'code,accuracy' header")
-    return LookupTable._of(np.array(accuracies), meta["dataset"], meta["attack"])
+    return LookupTable._of(_every_code(accuracies, f"{path}: "), meta["dataset"], meta["attack"])
 
 
 def save_table(table: LookupTable, path) -> None:
@@ -244,9 +233,7 @@ def save_table(table: LookupTable, path) -> None:
                                 and value.encode("utf-8", "replace").decode("utf-8") == value):
             raise TableError(f"{field} {value!r} would not load back unchanged: it must be one "
                              "line of UTF-8 text without leading or trailing whitespace")
-    present = ~np.isnan(table.accuracies)
-    rows = map("{},{!r}\n".format, itertools.compress(_string_index(), present.tolist()),
-               table.accuracies[present].tolist())
+    rows = map("{},{!r}\n".format, _string_index(), table.accuracies.tolist())
     head = "".join(f"# {field}={value}\n" for field, value in meta.items() if value)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(head + "code,accuracy\n" + "".join(rows))
@@ -270,16 +257,13 @@ def table_problem(table: LookupTable) -> Problem:
     """Continuous 6-D problem whose fitness is the decoded table lookup.
 
     The problem keeps a snapshot of the table, so later edits do not reach
-    it: the negated accuracies, the default in missing slots, indexed by
-    the base-5 code of the transfer bands (``decode``). One evaluation
-    indexes a list of Python floats; a batch indexes the array. Only a
-    table with a score in every slot, once the default is applied, makes
-    a problem that :func:`~battleopt.problems.pure_rows` may batch.
+    it: the negated accuracies, indexed by the base-5 code of the transfer
+    bands (``decode``). One evaluation indexes a list of Python floats; a
+    batch indexes the array. Every code has a score, so no row can fail
+    and :func:`~battleopt.problems.pure_rows` may batch the problem.
     """
     bounds = Bounds.cube(-100.0, 100.0, N_EDGES)
     fitness = -table.accuracies
-    if table.default is not None:
-        fitness[np.isnan(fitness)] = -float(table.default)
     scores = fitness.tolist()
 
     def evaluate(x: np.ndarray) -> float:
@@ -289,24 +273,13 @@ def table_problem(table: LookupTable) -> Problem:
         index = 0
         for v in x.tolist():
             index = index * N_SYMBOLS + transfer(v)
-        f = scores[index]
-        if math.isnan(f):
-            raise _missing(index)
-        return f
+        return scores[index]
 
     def rows(X: np.ndarray) -> np.ndarray:
-        index = np.searchsorted(_THRESHOLD_ARRAY, X, side="right") @ _PLACE
-        out = fitness[index]
-        missing = np.isnan(out)
-        if missing.any():
-            raise _missing(int(index[np.argmax(missing)]))
-        return out
+        return fitness[np.searchsorted(_THRESHOLD_ARRAY, X, side="right") @ _PLACE]
 
     evaluate.batch = rows
-    # A missing score raises; a block evaluated ahead could raise on a row
-    # that one evaluation at a time would never reach.
-    if not np.isnan(fitness).any():
-        _mark_pure(evaluate)
+    _mark_pure(evaluate)
 
     label = ":".join(part for part in (table.dataset, table.attack) if part)
     return Problem(

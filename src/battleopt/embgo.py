@@ -104,7 +104,7 @@ def run_embgo(
     draw_sines = partial(_draw_sines, params.independent_r)
     draw_flight = partial(levy_sample, params.beta, problem.bounds.dim)
 
-    def passes(X, draws):
+    def passes(X):
         mutate = partial(_mutate, X.mean(axis=0))
         move = Movement(params.delta_low, params.delta_high, draw_sines, mutate, draw_flight, _flight)
         return [(move, True)]

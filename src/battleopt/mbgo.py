@@ -283,7 +283,7 @@ def _window_cap(n: int, dim: int) -> int:
 def member_sweep(problem, passes):
     """:func:`battle_game` sweep of the per-member passes of MBGO and EMBGO.
 
-    ``passes(X, draws)`` gives an iteration's passes, each a pair
+    ``passes(X)`` gives an iteration's passes, each a pair
     ``(movement, battle)``: a :class:`Movement` or None, and whether members
     battle. With both, each member flips EMBGO's coin, ``draws.random()``,
     and battles when it is >= 0.5. A battle is :func:`battle`'s: the enemy
@@ -327,8 +327,8 @@ def member_sweep(problem, passes):
     a time, with no state saved.
 
     For an objective the package built and knows pure (the raw and
-    transformed benchmarks, the three-bar truss, a table with no missing
-    score; see :func:`~battleopt.problems.pure_rows`) a window's block is
+    transformed benchmarks, the three-bar truss, a lookup table; see
+    :func:`~battleopt.problems.pure_rows`) a window's block is
     evaluated in one batch call after step 2, and a member that is not
     stale is stepped with its value from it. Only such an objective sees
     the candidates of stale members and of members after a rewind, whose
@@ -382,17 +382,21 @@ def member_sweep(problem, passes):
                 return r <= radius
             return _distance(X[i], xb) <= radius
 
-        def plan(i, r=math.nan):
+        def plan(i, r=math.nan, kind=None):
             """Member ``i``'s draws and branch: ``(kind, enemy or delta, drawn)``.
 
             ``r`` is its zone distance in a window, NaN for a member alone.
+            Given ``kind``, the member's draws are taken again after a
+            rewind: the same draws, with the branch as ``kind`` says.
             """
             if mv is not None and not (coin and random() >= 0.5):
                 a = low + span * random()
-                kind = _INSIDE if within(i, a, r) else _OUTSIDE
+                if kind is None:
+                    kind = _INSIDE if within(i, a, r) else _OUTSIDE
             else:
                 a = pick_enemy(i, n, draws)
-                kind = _STRONGER if F[a] < F[i] else _WEAKER
+                if kind is None:
+                    kind = _STRONGER if F[a] < F[i] else _WEAKER
             return kind, a, take[kind](draws)
 
         def row(i, kind, a, drawn):
@@ -464,8 +468,10 @@ def member_sweep(problem, passes):
                 else:
                     stale = epoch != since
                     changed = stale and within(i, a) != (kind == _INSIDE)
-                if changed:
-                    rewind(saved, planned[:k])
+                if changed:  # take the kept members' draws again
+                    draws.restore(saved)
+                    for j, (kept, _, _) in enumerate(planned[:k], lo):
+                        plan(j, kind=kept)
                     return i
                 if stale:
                     accepted = stepped(i, row(i, kind, a, drawn))
@@ -475,19 +481,7 @@ def member_sweep(problem, passes):
                     moved.add(i)
             return hi
 
-        def rewind(saved, kept):
-            """Restore ``saved``, then take the draws of the ``kept`` members again."""
-            draws.restore(saved)
-            for kind, _, _ in kept:
-                if coin:
-                    random()
-                if kind >= _INSIDE:
-                    random()
-                else:
-                    draws.integers(n - 1)
-                take[kind](draws)
-
-        for mv, fights in passes(X, draws):
+        for mv, fights in passes(X):
             coin = mv is not None and fights
             # the draw function of each kind
             take = (uniforms, _draw_cosine)
@@ -611,5 +605,5 @@ def run_mbgo(
         _outside,
     )
     chosen = [p for p, on in (((move, False), movement_phase), ((None, True), battle_phase)) if on]
-    sweep = member_sweep(problem, lambda X, draws: chosen)
+    sweep = member_sweep(problem, lambda X: chosen)
     return battle_game(problem, config, rng, "mbgo", sweep)

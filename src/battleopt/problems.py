@@ -73,9 +73,9 @@ class Problem:
     (FE), at the points and in the order of a loop that builds and
     evaluates one candidate at a time. Only the objectives the package
     builds and knows to be pure (see :func:`pure_rows`: the benchmarks,
-    raw or ``:srK``, the three-bar truss and a table problem with no
-    missing score), whose ``evaluate_batch`` has no per-row Python loop,
-    may be handed candidates whose values are thrown away: MBGO's and
+    raw or ``:srK``, the three-bar truss and a table problem, which has a
+    score for every code), whose ``evaluate_batch`` has no per-row Python
+    loop, may be handed candidates whose values are thrown away: MBGO's and
     EMBGO's windows and DE's evaluate a block of candidates in one
     ``evaluate_batch`` call, then rebuild and evaluate again the rows
     that earlier replacements made stale. PSO does so for a window once
@@ -122,11 +122,11 @@ class Problem:
 # The objectives the package builds and knows to be pure, so that the
 # value of a point does not depend on which points were evaluated before
 # it, and a call has no effect: the raw benchmarks, make_problem's
-# transformed ones, the three-bar truss and a table problem with no
-# missing score. The mark belongs to the ``evaluate`` function object, so
-# a function put in its place (a recording or tracing wrapper, a
-# functools.wraps copy) does not carry it, even when it copies
-# ``.batch``. A weak set: a marked closure goes with its problem.
+# transformed ones, the three-bar truss and a table problem. The mark
+# belongs to the ``evaluate`` function object, so a function put in its
+# place (a recording or tracing wrapper, a functools.wraps copy) does not
+# carry it, even when it copies ``.batch``. A weak set: a marked closure
+# goes with its problem.
 _PURE = weakref.WeakSet()
 
 
@@ -145,8 +145,8 @@ def pure_rows(problem: Problem):
     global best has held for twice its particles, and throws away the
     rows after the first that improves it (see :class:`Problem`). The
     marked objectives are the benchmarks, raw or ``:srK``, the three-bar
-    truss and a table problem with no missing score; none of their
-    batches loops over the rows in Python but for a ``math`` tail.
+    truss and a table problem, whose table holds every code; none of
+    their batches loops over the rows in Python but for a ``math`` tail.
     Otherwise each candidate gets its own ``evaluate`` call.
     """
     evaluate = problem.evaluate

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from battleopt import OptimizerConfig, Problem, make_problem, run_random_search
+from battleopt import LookupTable, OptimizerConfig, Problem, make_problem, run_random_search
+from battleopt.discrete import N_EDGES, N_SYMBOLS
 
 
 class FixedRng:
@@ -62,6 +64,17 @@ class RecordingRng:
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
+
+
+def complete_table(overrides=None, *, fill=50.0, dataset="", attack=""):
+    """``LookupTable`` of every code at ``fill``, but for the ``{code: accuracy}`` ``overrides``.
+
+    The constructor checks every entry, so an override that is not a valid
+    code or accuracy raises its ``TableError``.
+    """
+    entries = dict.fromkeys(itertools.product(range(N_SYMBOLS), repeat=N_EDGES), fill)
+    entries.update(overrides or {})
+    return LookupTable(entries, dataset, attack)
 
 
 # --- objectives and a recording problem for the sweep oracles ----------------

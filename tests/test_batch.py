@@ -19,15 +19,15 @@ import battleopt as bo
 from battleopt import (
     BENCHMARK_NAMES,
     ConfigurationError,
-    LookupTable,
     OptimizerConfig,
-    TableError,
     resolve_problem,
     synthetic_table,
     table_problem,
 )
 from battleopt.baselines import RANDOM_SEARCH_CHUNK
 from battleopt.core import EvaluationBudget
+
+from conftest import complete_table
 
 RUNNERS = {
     "mbgo": bo.run_mbgo,
@@ -220,24 +220,16 @@ def test_table_batch_is_bit_identical(rows):
     assert got.tolist() == expected
 
 
-def test_table_partial_with_default_and_missing_without():
-    present = (0, 1, 2, 3, 4, 0)
-    partial = table_problem(LookupTable(entries={present: 70.0}, default=12.5))
+def test_table_thresholds_belong_to_the_upper_band():
+    problem = table_problem(complete_table({(0, 1, 2, 3, 4, 0): 70.0}, fill=12.5))
     # -60 is band 1 and 20 band 3: the threshold belongs to the upper band.
     X = np.array([[-99.0, -60.0, 0.0, 20.0, 60.0, -61.0], [0.0] * 6])
-    assert partial.evaluate_batch(X).tolist() == [-70.0, -12.5]
-    assert_same_bits(partial.evaluate_batch(X), per_row(partial, X))
-
-    strict = table_problem(LookupTable(entries={present: 70.0}))
-    assert strict.evaluate_batch(X[:1]).tolist() == [-70.0]
-    with pytest.raises(TableError, match="222222"):
-        strict.evaluate(X[1])
-    with pytest.raises(TableError, match="222222"):
-        strict.evaluate_batch(X)
+    assert problem.evaluate_batch(X).tolist() == [-70.0, -12.5]
+    assert_same_bits(problem.evaluate_batch(X), per_row(problem, X))
 
 
-def test_table_partial_with_an_integer_default_keeps_float_entries():
-    problem = table_problem(LookupTable(entries={(0,) * 6: 70.5}, default=10))
+def test_table_of_integer_and_float_accuracies_keeps_float_entries():
+    problem = table_problem(complete_table({(0,) * 6: 70.5}, fill=10))
     X = np.array([[-99.0] * 6, [0.0] * 6])
     got = problem.evaluate_batch(X)
     assert got.dtype == np.float64
@@ -246,10 +238,10 @@ def test_table_partial_with_an_integer_default_keeps_float_entries():
 
 
 def test_table_problem_returns_python_floats_for_integer_accuracies():
-    problem = table_problem(LookupTable(entries={(0,) * 6: 50}, default=10))
+    problem = table_problem(complete_table({(0,) * 6: 50}, fill=10))
     assert repr(problem.evaluate(np.full(6, -99.0))) == "-50.0"
-    # an integer default of 0 is negated as a float, to -0.0
-    zero = table_problem(LookupTable(entries={}, default=0))
+    # an integer accuracy of 0 is negated as a float, to -0.0
+    zero = table_problem(complete_table(fill=0))
     assert repr(zero.evaluate(np.zeros(6))) == "-0.0"
     assert repr(zero.evaluate_batch(np.zeros((1, 6)))[0]) == "np.float64(-0.0)"
 

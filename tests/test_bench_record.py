@@ -173,7 +173,7 @@ def test_each_checkout_collects_its_suite_once_before_the_timed_runs(monkeypatch
     monkeypatch.setattr(bench_record, "identity", lambda root: {})
     monkeypatch.setattr(bench_record, "warm_tier1", lambda root: calls.append(("warm", root)))
     monkeypatch.setattr(bench_record, "time_tier1",
-                        lambda root: calls.append(("timed", root)) or {"wall_s": 1.0})
+                        lambda root: calls.append(("timed", root)) or {"wall_s": len(calls)})
     monkeypatch.setattr(bench_record, "run_once", lambda *args: {"error": "not run"})
     monkeypatch.setattr(bench_record, "time_nd", lambda *args: {"error": "not run"})
     a, b = tmp_path / "a", tmp_path / "b"
@@ -182,11 +182,14 @@ def test_each_checkout_collects_its_suite_once_before_the_timed_runs(monkeypatch
         (root / "perfbench" / "run.py").touch()
     out = tmp_path / "bench.json"
     assert bench_record.main([f"parent={a}", f"change={b}", "--out", str(out), "--seeds", "1"]) == 0
-    assert calls == [("warm", a), ("warm", b), ("timed", a), ("timed", b), ("timed", b),
-                     ("timed", a)]
-    # the warm-ups leave nothing in the record
-    record = json.loads(out.read_text())["tier1"]["checkouts"]
-    assert record == {"parent": [{"wall_s": 1.0}] * 2, "change": [{"wall_s": 1.0}] * 2}
+    # collect each checkout, then one discarded run of the first, then A B B A
+    assert calls == [("warm", a), ("warm", b), ("timed", a), ("timed", a), ("timed", b),
+                     ("timed", b), ("timed", a)]
+    # the warm-ups leave nothing in the record, and the discarded run is kept apart
+    record = json.loads(out.read_text())["tier1"]
+    assert record["discarded"] == {"checkout": "parent", "wall_s": 3}
+    assert record["checkouts"] == {"parent": [{"wall_s": 4}, {"wall_s": 7}],
+                                   "change": [{"wall_s": 5}, {"wall_s": 6}]}
 
 
 def test_warm_up_collects_the_checkouts_own_suite_without_running_it(monkeypatch):

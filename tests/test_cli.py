@@ -1,4 +1,3 @@
-import itertools
 import math
 from dataclasses import fields
 
@@ -21,7 +20,9 @@ from battleopt import (
 )
 from battleopt import cli
 from battleopt.cli import main
-from battleopt.discrete import LookupTable, save_table, synthetic_table
+from battleopt.discrete import save_table, synthetic_table
+
+from conftest import complete_table
 
 
 def run_cli(*argv):
@@ -190,11 +191,7 @@ def test_unknown_algorithm_lists_the_known_names(argv, tmp_path, capsys):
 
 def test_arnas_reports_regret_and_defaults(tmp_path):
     table_path = tmp_path / "table.csv"
-    entries = {
-        code: 50.0 for code in itertools.product(range(5), repeat=6)
-    }
-    entries[(2, 2, 2, 2, 2, 2)] = 90.0
-    save_table(LookupTable(entries=entries), table_path)
+    save_table(complete_table({(2, 2, 2, 2, 2, 2): 90.0}), table_path)
     out = tmp_path / "arnas"
     code = run_cli(
         "arnas", "--table", str(table_path), "--trials", "2", "--seed", "1",
@@ -224,10 +221,14 @@ def test_arnas_same_seed_same_code(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_arnas_rejects_incomplete_table(tmp_path):
+def test_arnas_rejects_incomplete_table(tmp_path, capsys):
     table_path = tmp_path / "partial.csv"
     table_path.write_text("code,accuracy\n000000,50.0\n")
-    assert run_cli("arnas", "--table", str(table_path), "--out", str(tmp_path)) == 2
+    out = tmp_path / "out"
+    assert run_cli("arnas", "--table", str(table_path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {table_path}: 15624 of 15625 codes missing, the first 000001\n")
+    assert not out.exists()
 
 
 def test_arnas_rejects_zero_trials_before_loading_table(tmp_path, capsys):

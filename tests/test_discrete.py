@@ -20,7 +20,9 @@ from battleopt import (
     transfer,
 )
 from battleopt.core import make_rng
-from battleopt.discrete import CODE_COUNT, N_EDGES, N_SYMBOLS, OPERATIONS
+from battleopt.discrete import CODE_COUNT, N_EDGES, N_SYMBOLS, OPERATIONS, code_to_string
+
+from conftest import complete_table
 
 BAND_MIDPOINTS = (-80.0, -40.0, 0.0, 40.0, 80.0)
 
@@ -82,43 +84,59 @@ def test_operations_naming():
 
 def test_lookup_fitness_negates_accuracy():
     code = (0,) * 6
-    table = LookupTable(entries={code: 94.6})
+    table = complete_table({code: 94.6})
     assert lookup_fitness(table, code) == -94.6
-    zero = LookupTable(entries={code: 0.0})
+    zero = complete_table({code: 0.0})
     assert lookup_fitness(zero, code) == 0.0
     assert lookup_fitness(table, tuple(code)) == lookup_fitness(table, code)
 
 
-def test_lookup_missing_entry_behavior():
-    table = LookupTable(entries={(0,) * 6: 50.0})
-    with pytest.raises(TableError):
-        table.accuracy((1,) * 6)
-    with_default = LookupTable(entries={(0,) * 6: 50.0}, default=10.0)
-    assert with_default.accuracy((1,) * 6) == 10.0
-
-
 def test_table_rejects_out_of_range_accuracy():
-    with pytest.raises(TableError):
-        LookupTable(entries={(0,) * 6: 101.0})
-    with pytest.raises(TableError):
-        LookupTable(entries={(0, 0, 0, 0, 0, 5): 50.0})
-
-
-@pytest.mark.parametrize("entries, default", [
-    ({(0,) * 6: True}, None),
-    ({(0,) * 6: False}, None),
-    ({(0,) * 6: 50.0}, True),
-    ({(0,) * 6: math.nan}, None),
-    ({(0,) * 6: "50"}, None),
-])
-def test_table_rejects_a_bool_or_non_number_accuracy(entries, default):
     with pytest.raises(TableError, match="accuracy must lie in"):
-        LookupTable(entries=entries, default=default)
+        complete_table({(0,) * 6: 101.0})
+    with pytest.raises(TableError, match="invalid architecture code"):
+        complete_table({(0, 0, 0, 0, 0, 5): 50.0})
+
+
+@pytest.mark.parametrize("accuracy", [True, False, math.nan, "50"])
+def test_table_rejects_a_bool_or_non_number_accuracy(accuracy):
+    with pytest.raises(TableError, match="accuracy must lie in"):
+        complete_table({(0,) * 6: accuracy})
+
+
+ALL_CODES = list(itertools.product(range(N_SYMBOLS), repeat=N_EDGES))
+SOME = synthetic_table(4)
+# Every code's line as save_table writes it, in index order.
+LINES = [f"{code_to_string(code)},{acc!r}\n" for code, acc in SOME.entries.items()]
+MISSING = st.one_of(
+    st.sets(st.integers(0, CODE_COUNT - 1), min_size=1, max_size=30),
+    st.builds(lambda lo, k: set(range(lo, min(lo + k, CODE_COUNT))),
+              st.integers(0, CODE_COUNT - 1), st.integers(1, CODE_COUNT)),
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(missing=MISSING)
+def test_a_table_without_every_code_is_refused(missing, tmp_path):
+    expected = (f"{len(missing)} of {CODE_COUNT} codes missing, "
+                f"the first {code_to_string(ALL_CODES[min(missing)])}")
+    entries = SOME.entries
+    for index in missing:
+        del entries[ALL_CODES[index]]
+    with pytest.raises(TableError) as info:
+        LookupTable(entries)
+    assert str(info.value) == expected
+    path = tmp_path / "partial.csv"
+    path.write_text("code,accuracy\n" + "".join(
+        line for index, line in enumerate(LINES) if index not in missing))
+    with pytest.raises(TableError) as info:
+        load_table(path)
+    assert str(info.value) == f"{path}: {expected}"
 
 
 @pytest.mark.parametrize("code", [[0] * 6, np.zeros(6, dtype=int), (0,) * 5, "000000"])
 def test_accuracy_of_a_code_that_is_not_a_six_tuple_is_a_table_error(code):
-    table = LookupTable(entries={(0,) * 6: 50.0}, default=1.0)
+    table = complete_table()
     with pytest.raises(TableError, match="invalid architecture code"):
         table.accuracy(code)
     with pytest.raises(TableError, match="invalid architecture code"):
@@ -126,28 +144,20 @@ def test_accuracy_of_a_code_that_is_not_a_six_tuple_is_a_table_error(code):
 
 
 def test_table_problem_keeps_a_snapshot_of_the_table():
-    table = LookupTable(entries={(0,) * 6: 70.0}, default=12.5)
+    table = complete_table({(0,) * 6: 70.0}, fill=12.5)
     problem = table_problem(table)
     entries = table.entries
     entries[(2,) * 6] = 99.0  # a copy: the table is unchanged
-    assert table.entries == {(0,) * 6: 70.0}
+    assert table.entries[(2,) * 6] == 12.5 and table.entries[(0,) * 6] == 70.0
     with pytest.raises(ValueError):
         table.accuracies[0] = 1.0
-    table.default = 99.0
     table.accuracies = np.zeros(CODE_COUNT)
     assert problem.evaluate(np.full(6, -99.0)) == -70.0
     assert problem.evaluate(np.zeros(6)) == -12.5
 
 
-def test_brute_force_requires_complete_table():
-    with pytest.raises(TableError):
-        brute_force_optimum(LookupTable(entries={(0,) * 6: 50.0}))
-
-
 def test_brute_force_tie_break_and_unique_max():
-    constant = LookupTable(entries={
-        code: 42.0 for code in itertools.product(range(5), repeat=6)
-    })
+    constant = complete_table(fill=42.0)
     code, acc = brute_force_optimum(constant)
     assert code == (0, 0, 0, 0, 0, 0) and acc == 42.0
 
@@ -170,7 +180,6 @@ def synthetic_reference(seed: int) -> dict:
 
 def test_synthetic_table_matches_independent_enumeration():
     table = synthetic_table(seed=99)
-    assert table.complete
     assert table.entries == synthetic_reference(99)
     code, acc = brute_force_optimum(table)
     # independent route: scan the dict without the lexicographic generator
@@ -254,13 +263,14 @@ CODES = st.tuples(*[st.integers(0, N_SYMBOLS - 1)] * N_EDGES)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(entries=st.dictionaries(CODES, st.floats(0.0, 100.0), max_size=40),
+@given(overrides=st.dictionaries(CODES, st.floats(0.0, 100.0), max_size=40),
        dataset=st.sampled_from(["", "cifar10", "a=b c", "caf\xe9"]))
-def test_partial_table_round_trip(entries, dataset, tmp_path):
-    path = tmp_path / "partial.csv"
-    save_table(LookupTable(entries=entries, dataset=dataset, attack="pgd"), path)
+def test_table_of_any_accuracies_round_trip(overrides, dataset, tmp_path):
+    path = tmp_path / "table.csv"
+    table = complete_table(overrides, dataset=dataset, attack="pgd")
+    save_table(table, path)
     loaded = load_table(path)
-    assert loaded.entries == entries
+    assert loaded.entries == table.entries
     assert (loaded.dataset, loaded.attack) == (dataset, "pgd")
 
 

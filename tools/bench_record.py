@@ -33,7 +33,12 @@ no metric of ``BENCHMARK.json`` reads it.
 
 Before the first seed, every checkout collects its own tier-1 suite once
 (``pytest --collect-only``, untimed and not recorded), so that no timed
-run pays the cold start of a fresh checkout. Then every checkout runs the
+run pays the cold start of a fresh checkout. Collecting alone does not
+warm the host: in ``BENCH_28`` the first checkout read 82.7 s in the
+block's first slot and 71.0 s in its last. So the first-named checkout
+then runs the
+whole suite once more, timed but kept apart, under the record's
+``discarded`` key and in no checkout's runs. Then every checkout runs the
 suite twice, with ``--durations=0``: the checkouts in the order given,
 then in reverse (A B B A for two), so that a drift in the host's speed
 over the block weighs on each checkout alike. The record keeps, per
@@ -326,6 +331,7 @@ def main(argv=None) -> int:
     records = {label: {w: {} for w in workloads} for label in labels}
     nd = {label: {} for label in labels}
     tier1: dict = {}
+    discarded: dict = {}
     measured = {label: identity(root) for label, root in args.checkouts}
     envs: dict = {}
 
@@ -356,7 +362,8 @@ def main(argv=None) -> int:
                 "command": "PYTHONPATH=src python " + " ".join(TIER1),
                 "runs": "two per checkout, before the first seed: in the order given, "
                         "then reversed (A B B A), after one untimed --collect-only per "
-                        "checkout",
+                        "checkout and the discarded run",
+                "discarded": discarded or None,
                 "checkouts": {k: tier1.get(k, []) for k in labels},
             },
         }
@@ -364,6 +371,10 @@ def main(argv=None) -> int:
 
     for label, root in args.checkouts:
         warm_tier1(root)
+    label, root = args.checkouts[0]
+    discarded.update(checkout=label, **time_tier1(root))
+    print(f"{label} tier-1, discarded: {discarded}", flush=True)
+    write()
     for label, root in tier1_order(args.checkouts):
         tier1.setdefault(label, []).append(time_tier1(root))
         print(f"{label} tier-1: {tier1[label][-1]}", flush=True)
