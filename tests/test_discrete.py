@@ -91,11 +91,16 @@ def test_lookup_fitness_negates_accuracy():
     assert lookup_fitness(table, tuple(code)) == lookup_fitness(table, code)
 
 
-def test_table_rejects_out_of_range_accuracy():
+@pytest.mark.parametrize("accuracy", [101.0, -0.5, math.inf, -math.inf])
+def test_table_rejects_out_of_range_accuracy(accuracy):
     with pytest.raises(TableError, match="accuracy must lie in"):
-        complete_table({(0,) * 6: 101.0})
+        complete_table({(0,) * 6: accuracy})
+
+
+@pytest.mark.parametrize("code", [(0, 0, 0, 0, 0, 5), (-1, 0, 0, 0, 0, 0), (0,) * 5, (0,) * 7])
+def test_table_rejects_an_entry_whose_key_is_not_a_code(code):
     with pytest.raises(TableError, match="invalid architecture code"):
-        complete_table({(0, 0, 0, 0, 0, 5): 50.0})
+        complete_table({code: 50.0})
 
 
 @pytest.mark.parametrize("accuracy", [True, False, math.nan, "50"])
