@@ -7,15 +7,16 @@ coordinate to a symbol, and fitness is a table lookup (negated accuracy,
 minimization convention). The space is small enough that a brute-force
 enumeration serves as the exact oracle.
 
-Table file format: UTF-8 text, header line ``code,accuracy``, then lines
-``dddddd,float`` with six digits 0-4 (e.g. ``340124,61.25``). Lines
-starting with '#' are comments; ``# dataset=...`` and ``# attack=...``
-comments populate the table metadata.
+Table file format: UTF-8 text (a leading byte-order mark is skipped),
+header line ``code,accuracy``, then lines ``dddddd,float`` with six digits
+0-4 (e.g. ``340124,61.25``). Lines starting with '#' are comments;
+``# dataset=...`` and ``# attack=...`` comments populate the table metadata.
 """
 
 import functools
 import itertools
 import math
+import operator
 from bisect import bisect_right
 
 import numpy as np
@@ -111,10 +112,10 @@ def _checked_accuracy(acc) -> float:
 class LookupTable:
     """Architecture code -> accuracy percentage in [0, 100], for every one of the 15,625 codes.
 
-    ``accuracies`` is one read-only float64 array of the accuracies by
-    code index; ``entries`` is a fresh dict of every code. The constructor
-    and :func:`load_table` refuse input that misses a code with one
-    :class:`TableError` naming how many are missing and the first.
+    ``accuracies`` is a read-only property over one read-only float64 array
+    of the accuracies by code index; ``entries`` is a fresh dict of every
+    code. The constructor and :func:`load_table` refuse input that misses a
+    code with one :class:`TableError` naming how many are missing and the first.
     """
 
     def __init__(self, entries: dict, dataset="", attack=""):
@@ -130,9 +131,13 @@ class LookupTable:
 
     def _set(self, accuracies: np.ndarray, dataset, attack) -> "LookupTable":
         accuracies.flags.writeable = False
-        self.accuracies = accuracies
+        self._accuracies = accuracies
         self.dataset, self.attack = dataset, attack
         return self
+
+    @property
+    def accuracies(self) -> np.ndarray:
+        return self._accuracies
 
     @property
     def entries(self) -> dict:
@@ -169,12 +174,21 @@ def brute_force_optimum(table: LookupTable) -> tuple:
 
 
 def load_table(path) -> LookupTable:
-    """Parse the delimited table format; a TableError names the path, and a bad line's number."""
+    """Parse the delimited table format; a TableError names the path, and a bad line's number.
+
+    save_table's layout (line k is code k, a comma and its accuracy) is read
+    in one pass; any other layout, or a bad line, goes through the line loop.
+    """
+    return _load(path, one_pass=True)
+
+
+def _load(path, one_pass: bool) -> LookupTable:
+    """load_table; with ``one_pass`` false, every line goes through the line loop."""
     codes = _string_index()
     accuracies = [math.nan] * CODE_COUNT
     meta = {"dataset": "", "attack": ""}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
@@ -197,6 +211,8 @@ def load_table(path) -> LookupTable:
                     f"{path}:{lineno}: expected header 'code,accuracy', got {line!r}"
                 )
             header_seen = True
+            if one_pass and (array := _in_index_order(lines[lineno:])) is not None:
+                return LookupTable._of(array, meta["dataset"], meta["attack"])
             continue
         parts = line.split(",")
         if len(parts) != 2:
@@ -217,6 +233,20 @@ def load_table(path) -> LookupTable:
     if not header_seen:
         raise TableError(f"{path}: missing 'code,accuracy' header")
     return LookupTable._of(_every_code(accuracies, f"{path}: "), meta["dataset"], meta["attack"])
+
+
+def _in_index_order(rest: list):
+    """The accuracies if line k is ``<code k>,<accuracy>`` for each k, all in [0, 100]; else None."""
+    prefixes = map(operator.add, _string_index(), itertools.repeat(","))
+    # the prefixes alone prove every code present, valid and unique
+    if len(rest) != CODE_COUNT or not all(map(str.startswith, rest, prefixes)):
+        return None
+    try:
+        array = np.fromiter(map(float, map(operator.itemgetter(slice(N_EDGES + 1, None)), rest)),
+                            float, CODE_COUNT)
+    except ValueError:
+        return None
+    return array if array.min() >= 0.0 and array.max() <= 100.0 else None
 
 
 def save_table(table: LookupTable, path) -> None:

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import itertools
 import math
@@ -19,6 +20,7 @@ from battleopt import (
     table_problem,
     transfer,
 )
+from battleopt import discrete
 from battleopt.core import make_rng
 from battleopt.discrete import CODE_COUNT, N_EDGES, N_SYMBOLS, OPERATIONS, code_to_string
 
@@ -156,7 +158,8 @@ def test_table_problem_keeps_a_snapshot_of_the_table():
     assert table.entries[(2,) * 6] == 12.5 and table.entries[(0,) * 6] == 70.0
     with pytest.raises(ValueError):
         table.accuracies[0] = 1.0
-    table.accuracies = np.zeros(CODE_COUNT)
+    with pytest.raises(AttributeError):
+        table.accuracies = np.zeros(CODE_COUNT)
     assert problem.evaluate(np.full(6, -99.0)) == -70.0
     assert problem.evaluate(np.zeros(6)) == -12.5
 
@@ -301,6 +304,120 @@ def test_save_table_refuses_a_lone_surrogate_and_keeps_the_file(field, tmp_path)
     with pytest.raises(TableError, match=f"^{field} 'a\\\\ud800' would not load back unchanged"):
         save_table(synthetic_table(1, **{field: "a\ud800"}), path)
     assert path.read_bytes() == b"kept"
+
+
+def test_load_table_skips_a_byte_order_mark(tmp_path):
+    table = synthetic_table(3, dataset="c10", attack="pgd")
+    path = tmp_path / "table.csv"
+    save_table(table, path)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    loaded = load_table(path)
+    assert loaded.accuracies.tobytes() == table.accuracies.tobytes()
+    assert (loaded.dataset, loaded.attack) == ("c10", "pgd")
+
+
+@pytest.fixture(scope="module")
+def saved_lines(tmp_path_factory):
+    """The lines save_table writes for a table with both metadata fields and both range ends."""
+    path = tmp_path_factory.mktemp("saved") / "table.csv"
+    ends = {ALL_CODES[7]: 0.0, ALL_CODES[-7]: 100.0}
+    save_table(LookupTable({**SOME.entries, **ends}, dataset="c10", attack="pgd"), path)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("newline, bom", [("\n", b""), ("\r\n", codecs.BOM_UTF8)],
+                         ids=["lf", "crlf-bom"])
+def test_save_table_output_is_read_in_one_pass(newline, bom, saved_lines, tmp_path, monkeypatch):
+    path = tmp_path / "table.csv"
+    path.write_bytes(bom + newline.join(saved_lines + [""]).encode("utf-8"))
+    taken = []
+    in_index_order = discrete._in_index_order
+    monkeypatch.setattr(discrete, "_in_index_order",
+                        lambda rest: taken.append(in_index_order(rest)) or taken[-1])
+    loaded = load_table(path)
+    assert len(taken) == 1 and taken[0] is loaded.accuracies
+    assert (loaded.dataset, loaded.attack) == ("c10", "pgd")
+    # the line loop alone, which the differential tests compare with
+    assert discrete._load(path, one_pass=False).accuracies.tobytes() == loaded.accuracies.tobytes()
+    assert len(taken) == 1
+
+
+def rewrite(template):
+    """An edit that rewrites line k from its code and accuracy by ``template``."""
+    def edit(body, k):
+        code, _, accuracy = body[k].partition(",")
+        body[k] = template.format(code=code, accuracy=accuracy)
+    return edit
+
+
+# One-line edits to save_table's code lines at line k: whitespace, comments
+# and blank lines the line loop reads past, lines it refuses, and accuracies.
+LINE_EDITS = {
+    "leading space": rewrite(" {code},{accuracy}"),
+    "trailing tab": rewrite("{code},{accuracy}\t"),
+    "spaced comma": rewrite("{code} , {accuracy}"),
+    "tab before comma": rewrite("{code}\t,{accuracy}"),
+    "comment": lambda body, k: body.insert(k, "# note"),
+    "late metadata": lambda body, k: body.insert(k, "  #dataset = late"),
+    "blank": lambda body, k: body.insert(k, "   "),
+    "trailing blank": lambda body, k: body.append(""),
+    "trailing comment": lambda body, k: body.append("# attack=late"),
+    "zero commas": rewrite("{code}{accuracy}"),
+    "two commas": rewrite("{code},{accuracy},1"),
+    "empty field": rewrite("{code},,{accuracy}"),
+    "missing": lambda body, k: body.pop(k),
+    "duplicate": lambda body, k: body.insert(k, body[k - 1]),
+    "trailing duplicate": lambda body, k: body.append(body[k]),
+    **{f"code {code}": rewrite(code + ",{accuracy}")
+       for code in ["00000x", "000005", "44444", "4444440"]},
+    # float() reads some of these in its own way; the line loop and the
+    # one pass must agree on each
+    **{f"accuracy {accuracy!r}": rewrite("{code}," + accuracy)
+       for accuracy in ["101", "nan", "abc", "1_0", "+5", "\u0663", "-0.5", "inf", "", " 7 ",
+                        "0", "100", "-0.0", "1e2"]},
+}
+
+
+def assert_reads_as_the_line_loop_alone(text, path):
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(load):
+        """The table's accuracy bytes and metadata, or the TableError's text."""
+        try:
+            table = load(path)
+        except TableError as exc:
+            return str(exc)
+        return table.accuracies.tobytes(), table.dataset, table.attack
+
+    assert outcome(load_table) == outcome(lambda p: discrete._load(p, one_pass=False))
+
+
+@pytest.mark.parametrize("edit", sorted(LINE_EDITS))
+def test_one_edit_deep_in_the_file_reads_as_the_line_loop_alone(edit, saved_lines, tmp_path):
+    start = saved_lines.index("code,accuracy") + 1
+    body = saved_lines[start:]
+    LINE_EDITS[edit](body, 12_345)
+    assert_reads_as_the_line_loop_alone("\n".join(saved_lines[:start] + body + [""]),
+                                        tmp_path / "table.csv")
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_table_reads_as_the_line_loop_alone(data, saved_lines, tmp_path):
+    """save_table's lines under up to three edits or reorderings, LF or CRLF, maybe after a BOM."""
+    start = saved_lines.index("code,accuracy") + 1
+    body = saved_lines[start:]
+    for edit in data.draw(st.lists(st.sampled_from(["shuffle", "reverse", *LINE_EDITS]), max_size=3)):
+        if edit == "shuffle":
+            data.draw(st.randoms(use_true_random=False)).shuffle(body)
+        elif edit == "reverse":
+            body.reverse()
+        else:
+            LINE_EDITS[edit](body, data.draw(st.integers(1, len(body) - 1)))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    bom = data.draw(st.sampled_from(["", "\ufeff"]))
+    assert_reads_as_the_line_loop_alone(bom + newline.join(saved_lines[:start] + body + [""]),
+                                        tmp_path / "table.csv")
 
 
 def test_load_table_accepts_comments_and_counts(tmp_path):
