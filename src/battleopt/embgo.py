@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .core import ConfigurationError, OptimizerConfig, RunResult, resolve_params
-from .levy import DEFAULT_BETA, levy_sample, levy_sigma
+from .levy import DEFAULT_BETA, levy_sample, levy_sampler, levy_sigma
 from .mbgo import MbgoParams, Movement, battle_game, member_sweep
 
 # Not called here (the run loop, the pass loop with its zone test, clamp
@@ -102,10 +102,11 @@ def run_embgo(
     """
     params = resolve_params(params, EmbgoParams)
     draw_sines = partial(_draw_sines, params.independent_r)
-    draw_flight = partial(levy_sample, params.beta, problem.bounds.dim)
+    draw_flight = levy_sampler(params.beta, problem.bounds.dim)
 
     def passes(X):
-        mutate = partial(_mutate, X.mean(axis=0))
+        # X.mean(axis=0) without its wrapper, as stats.population_diversity takes it
+        mutate = partial(_mutate, np.add.reduce(X, 0, np.float64) / len(X))
         move = Movement(params.delta_low, params.delta_high, draw_sines, mutate, draw_flight, _flight)
         return [(move, True)]
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["DEFAULT_BETA", "gamma_fn", "levy_sigma", "levy_sample"]
+__all__ = ["DEFAULT_BETA", "gamma_fn", "levy_sigma", "levy_sample", "levy_sampler"]
 
 DEFAULT_BETA = 1.5
 
@@ -87,18 +87,28 @@ def _levy_sigma(beta: float) -> float:
     return sigma
 
 
+def levy_sampler(beta: float, dim: int):
+    """:func:`levy_sample` as a function of ``rng``: sigma and 1/beta are taken once."""
+    sigma = levy_sigma(beta)
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    exponent = 1.0 / beta
+
+    def sample(rng) -> np.ndarray:
+        u = rng.normal(0.0, sigma, dim)
+        v = rng.normal(0.0, 1.0, dim)
+        return u / np.abs(v) ** exponent
+
+    return sample
+
+
 def levy_sample(beta: float, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Vector of ``dim`` independent heavy-tailed steps.
 
     Draw order is fixed (u vector first, then v) so seeded streams
     reproduce exactly.
     """
-    sigma = levy_sigma(beta)
-    if dim < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
-    u = rng.normal(0.0, sigma, dim)
-    v = rng.normal(0.0, 1.0, dim)
-    return u / np.abs(v) ** (1.0 / beta)
+    return levy_sampler(beta, dim)(rng)
 
 
 def _check_beta(beta: float) -> None:

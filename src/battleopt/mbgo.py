@@ -22,7 +22,6 @@ variant in :mod:`battleopt.embgo`.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -206,8 +205,8 @@ def battle_vs_weaker(x: np.ndarray, direction: np.ndarray, rng: np.random.Genera
 def pick_enemy(i: int, n: int, rng) -> int:
     """Uniform index over the other n - 1 members (never i itself).
 
-    ``rng`` is a Generator or, inside :func:`battle_game`, the loop's
-    :class:`~battleopt.core.Draws`; both give the same index.
+    ``rng`` is a Generator or a :class:`~battleopt.core.Draws`; both give
+    the same index, which :func:`member_sweep`'s planner takes inline.
     """
     j = int(rng.integers(n - 1))
     return j + 1 if j >= i else j
@@ -298,29 +297,32 @@ def member_sweep(problem, passes):
     ``step`` and their order are those of a loop that builds, clamps and
     steps one member at a time with the public operators.
 
-    One planner takes a member's draws and picks its branch: the coin,
-    then delta and the zone test or the enemy and the stronger/weaker
-    test (``F[j] < F[i]``), then the draws of that branch, giving
-    ``(kind, enemy or delta, drawn)``. One row builder makes the clamped
-    candidate of such a plan from the current rows. A member alone is
-    planned, built and stepped.
+    One planner, ``plan(lo, hi)``, takes the draws of a run of members and
+    picks their branches: per member the coin, then delta and the zone
+    test or the enemy and the stronger/weaker test (``F[j] < F[i]``), then
+    the draws of that branch. It reads the best's row and the best-to-worst
+    gap once per run, and draws through ``draws.random`` and
+    ``draws.integers``, bound once per sweep. One row builder makes the
+    clamped candidate of a planned member from the current rows. A member
+    alone is a run of one: planned, built and stepped.
 
     Where 32 N // D reaches 12, runs of 12 to min(64, 32 N // D) consecutive
     members go as a window (see ``_WINDOW_COORDS``), in three steps:
 
     1. Plan every member with the data at the window's start, the zone
        test reading one einsum distance per row.
-    2. Build the candidates as one block, a kind at a time, by the row
-       builder's step functions, then one clamp.
+    2. Build the candidates into one ``(m, D)`` array, a kind at a time by
+       the row builder's step functions, then one clamp.
     3. Step the members in index order. A member is stale if its enemy was
        accepted earlier in the window, or, for a movement, if best or worst
        changed (index or row). A stale member is rechecked, by the exact
        zone test or by ``F[j] < F[i]``, and rebuilt by the row builder. If
        its branch changed, its draws would too: the generator goes back to
-       the state saved at the window's start, the kept members' draws are
-       taken again, and the next window starts at that member. A stronger
-       enemy stays stronger, since steps only ever lower a fitness, so of
-       the battles only a weaker one can change branch.
+       the state saved at the window's start, the planner takes the kept
+       members' draws again with their branches, and the next window starts
+       at that member. A stronger enemy stays stronger, since steps only
+       ever lower a fitness, so of the battles only a weaker one can change
+       branch.
 
     A window is no longer than the members stepped since best or worst last
     changed, so a run in which they change at every step goes one member at
@@ -330,14 +332,14 @@ def member_sweep(problem, passes):
     transformed benchmarks, the three-bar truss, a lookup table; see
     :func:`~battleopt.problems.pure_rows`) a window's block is
     evaluated in one batch call after step 2, and a member that is not
-    stale is stepped with its value from it. Only such an objective sees
-    the candidates of stale members and of members after a rewind, whose
-    batch values are thrown away. Any other objective, a user's included,
-    is called by ``step`` once per candidate, exactly one call per FE.
+    stale is stepped with its value from it; one whose value does not beat
+    ``F[i]`` costs ``step`` its budget unit and nothing else. Only such an
+    objective sees the candidates of stale members and of members after a
+    rewind, whose batch values are thrown away. Any other objective, a
+    user's included, is called by ``step`` once per candidate, exactly one
+    call per FE.
     """
     bounds, rows = problem.bounds, pure_rows(problem)
-    # the stronger-enemy step's draw, one r per dimension, taken as draw(draws)
-    uniforms = operator.methodcaller("random", bounds.dim)
     calm = 0  # members stepped since best or worst last changed
 
     def sweep(F, X, draws, step, left):
@@ -345,7 +347,7 @@ def member_sweep(problem, passes):
         n, dim = X.shape
         cap = _window_cap(n, dim)
         ext = Extremes(F)
-        random = draws.random
+        random, integers = draws.random, draws.integers
         epoch = 0  # changes of best or worst, index or row, in this sweep
         zone_epoch = -1
         xb = gap = None
@@ -374,30 +376,39 @@ def member_sweep(problem, passes):
                 calm += 1
             return True
 
-        def within(i, delta, r=math.nan):
-            """Zone test of member ``i``: ``r``, its window distance, decides unless NaN or near."""
-            xb, gap = zone()
-            radius = gap * delta
-            if _TINY < r < math.inf and abs(r - radius) > _NEAR * radius:
-                return r <= radius
-            return _distance(X[i], xb) <= radius
+        def plan(lo, hi, dist=None, kinds=None):
+            """Members ``lo .. hi - 1``'s ``(kind, enemy or delta, drawn)``, in index order.
 
-        def plan(i, r=math.nan, kind=None):
-            """Member ``i``'s draws and branch: ``(kind, enemy or delta, drawn)``.
-
-            ``r`` is its zone distance in a window, NaN for a member alone.
-            Given ``kind``, the member's draws are taken again after a
-            rewind: the same draws, with the branch as ``kind`` says.
+            ``dist`` holds a window's zone distances; where one is NaN or near
+            the radius, and for a lone member, the test reads :func:`_distance`.
+            Given ``kinds``, the draws are taken again after a rewind, with those branches.
             """
-            if mv is not None and not (coin and random() >= 0.5):
-                a = low + span * random()
-                if kind is None:
-                    kind = _INSIDE if within(i, a, r) else _OUTSIDE
-            else:
-                a = pick_enemy(i, n, draws)
-                if kind is None:
-                    kind = _STRONGER if F[a] < F[i] else _WEAKER
-            return kind, a, take[kind](draws)
+            if mv is not None:
+                xb, gap = zone()
+            planned = []
+            for i in range(lo, hi):
+                if mv is not None and not (coin and random() >= 0.5):
+                    a = low + span * random()
+                    if kinds is not None:
+                        kind = kinds[i - lo]
+                    else:
+                        radius = gap * a
+                        r = math.nan if dist is None else dist[i - lo]
+                        if not (_TINY < r < math.inf and abs(r - radius) > _NEAR * radius):
+                            r = _distance(X[i], xb)
+                        kind = _INSIDE if r <= radius else _OUTSIDE
+                    d = draw_inside(draws) if kind == _INSIDE else draw_outside(draws)
+                else:
+                    a = integers(n - 1)  # pick_enemy's index
+                    if a >= i:
+                        a += 1
+                    if kinds is not None:
+                        kind = kinds[i - lo]
+                    else:
+                        kind = _STRONGER if F[a] < F[i] else _WEAKER
+                    d = random(dim) if kind == _STRONGER else _draw_cosine(draws)
+                planned.append((kind, a, d))
+            return planned
 
         def row(i, kind, a, drawn):
             """Member ``i``'s clamped candidate from the current rows and its plan."""
@@ -415,78 +426,77 @@ def member_sweep(problem, passes):
             return clamp(candidate, bounds)
 
         def block(lo, planned):
-            """The planned members' clamped candidates, in index order, built a kind at a time."""
-            groups = ([], [], [], [])
-            for k, (kind, a, drawn) in enumerate(planned):
-                groups[kind].append((k, a, drawn))
-            xb = X[ext.best]
-            parts, order = [], []
-            for kind, group in enumerate(groups):
-                if not group:
+            """The planned members' clamped candidates, filled into one array a kind at a time."""
+            at = ([], [], [], [])  # the offsets of each kind's members
+            for k, (kind, _, _) in enumerate(planned):
+                at[kind].append(k)
+            out = np.empty((len(planned), dim))
+            xb, members = X[ext.best], X[lo:lo + len(planned)]
+            for kind, ks in enumerate(at):
+                if not ks:
                     continue
-                ks, a, drawn = zip(*group)
-                x = X.take([lo + k for k in ks], 0)
+                got = np.array([planned[k][2] for k in ks])
+                index = np.array(ks)
+                x = members.take(index, 0)
+                if kind <= _WEAKER:
+                    enemies = [planned[k][1] for k in ks]
+                    xe = X.take(enemies, 0)
                 if kind == _STRONGER:
-                    xe = X.take(a, 0)
-                    part = _stronger(x, xe, xe - x, np.array(drawn))
+                    out[index] = _stronger(x, xe, xe - x, got)
                 elif kind == _WEAKER:
-                    xe = X.take(a, 0)
-                    away = [F[lo + k] < F[j] for k, j in zip(ks, a)]
+                    away = [F[lo + k] < F[j] for k, j in zip(ks, enemies)]
                     if all(away):
                         direction = x - xe
                     else:
                         direction = np.where(np.array(away)[:, None], x - xe, xe - x)
-                    part = _weaker(x, direction, np.array(drawn)[:, None])
+                    out[index] = _weaker(x, direction, got[:, None])
                 elif kind == _INSIDE:
-                    part = mv.inside(x, xb, *np.array(drawn).T[:, :, None])
-                else:
-                    part = mv.outside(x, xb, np.moveaxis(np.array(drawn), 0, -2))
-                parts.append(part)
-                order += ks
-            candidates = np.empty((len(order), dim))
-            candidates[order] = clamp(np.concatenate(parts), bounds)
-            return candidates
+                    out[index] = mv.inside(x, xb, *got.T[:, :, None])
+                else:  # the members on the second-to-last axis of each drawn array
+                    out[index] = mv.outside(x, xb, got if got.ndim == 2 else np.moveaxis(got, 0, -2))
+            return clamp(out, bounds)
 
         def window(lo, hi):
             """Members ``lo .. hi - 1``; returns where the next window starts."""
+            nonlocal calm
             saved = draws.save()
             since = epoch
-            dist = [math.nan] * (hi - lo)
+            dist = None
             if mv is not None:
                 diff = X[lo:hi] - zone()[0]
                 dist = np.sqrt(np.einsum("ij,ij->i", diff, diff)).tolist()
-            planned = [plan(i, r) for i, r in enumerate(dist, lo)]
-
+            planned = plan(lo, hi, dist)
             candidates = block(lo, planned)
-            values = rows(candidates).tolist() if rows else [None] * len(planned)
+            values = rows(candidates).tolist() if rows else [None] * (hi - lo)
             moved = set()
             for k, (kind, a, drawn) in enumerate(planned):
                 i = lo + k
-                if kind <= _WEAKER:
-                    stale = a in moved
-                    changed = stale and (F[a] < F[i]) != (kind == _STRONGER)
-                else:
-                    stale = epoch != since
-                    changed = stale and within(i, a) != (kind == _INSIDE)
-                if changed:  # take the kept members' draws again
-                    draws.restore(saved)
-                    for j, (kept, _, _) in enumerate(planned[:k], lo):
-                        plan(j, kind=kept)
-                    return i
-                if stale:
+                if (a in moved if kind <= _WEAKER else epoch != since):  # stale
+                    if kind <= _WEAKER:
+                        changed = (F[a] < F[i]) != (kind == _STRONGER)
+                    else:
+                        xb, gap = zone()
+                        changed = in_safe_zone(X[i], xb, gap * a) != (kind == _INSIDE)
+                    if changed:  # take the kept members' draws again
+                        draws.restore(saved)
+                        plan(lo, i, kinds=[p[0] for p in planned])
+                        return i
                     accepted = stepped(i, row(i, kind, a, drawn))
                 else:
-                    accepted = stepped(i, candidates[k], values[k])
+                    f = values[k]
+                    if f is not None and not f < F[i]:
+                        step(i, None, f)  # not kept: only the budget unit
+                        calm += 1
+                        continue
+                    accepted = stepped(i, candidates[k], f)
                 if accepted:
                     moved.add(i)
             return hi
 
         for mv, fights in passes(X):
             coin = mv is not None and fights
-            # the draw function of each kind
-            take = (uniforms, _draw_cosine)
             if mv is not None:
-                take += (mv.draw_inside, mv.draw_outside)
+                draw_inside, draw_outside = mv.draw_inside, mv.draw_outside
                 low = float(mv.delta_low)
                 span = float(mv.delta_high) - low
             m = min(n, left)
@@ -494,7 +504,7 @@ def member_sweep(problem, passes):
             i = 0
             while i < m:
                 if cap < _WINDOW_MIN or calm < _WINDOW_MIN or m - i < _WINDOW_MIN:
-                    stepped(i, row(i, *plan(i)))
+                    stepped(i, row(i, *plan(i, i + 1)[0]))
                     i += 1
                 else:
                     i = window(i, i + min(cap, calm, m - i))
@@ -521,11 +531,13 @@ def battle_game(problem, config: OptimizerConfig, rng, name: str, sweep) -> RunR
     rebuilt candidates are thrown away. A user's objective is so called
     once per FE. Then, only on strict improvement over ``F[i]``, ``step``
     copies ``candidate`` into ``X[i]`` and the value into ``F[i]``; it
-    returns whether it did. A sweep steps members in index order, at most
-    ``left`` times. Each iteration adds a trace point, ``min(F)``, and a
-    diversity point. The result's best is the row and fitness at
-    :func:`~battleopt.core.best_worst`'s best index (lowest on ties). ``name``
-    labels the configuration errors and selects the population minimum in
+    returns whether it did. It reads ``candidate`` on no other path, so a
+    sweep passes None with an ``f`` that does not beat ``F[i]``. A sweep
+    steps members in index order, at most ``left`` times. Each iteration
+    adds a trace point, ``min(F)``, and a diversity point. The result's
+    best is the row and fitness at :func:`~battleopt.core.best_worst`'s
+    best index (lowest on ties). ``name`` labels the configuration errors
+    and selects the population minimum in
     :data:`~battleopt.core.MIN_POP_SIZE`; ``rng`` defaults to
     ``make_rng(config.seed)``, and one without a ``bit_generator`` is a
     ``TypeError`` before anything is drawn or evaluated.

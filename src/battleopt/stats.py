@@ -28,11 +28,18 @@ def population_diversity(pop, bounds) -> float:
 
     PD = (1 / (N D)) sum_i sum_j |X_ij - mean_j| / (UB_j - LB_j) over
     ``pop``, an (N, D) position array, which lies in [0, 1] for any
-    in-bounds population and is 0 when all members coincide.
+    in-bounds population and is 0 when all members coincide. Anything
+    but a 2-D array of at least one row and ``bounds.dim`` columns is a
+    ``ValueError`` naming its shape. Both means are the float64 sum over
+    the count that ``mean`` computes, integers included, by
+    ``np.add.reduce`` without ``mean``'s wrapper.
     """
-    centroid = pop.mean(axis=0)
+    shape = np.shape(pop)
+    if len(shape) != 2 or shape[0] < 1 or shape[1] != bounds.dim:
+        raise ValueError(f"pop must be an (N, {bounds.dim}) array with N >= 1, got shape {shape}")
+    centroid = np.add.reduce(pop, 0, np.float64) / shape[0]
     normalized = np.abs(pop - centroid) / bounds.span
-    return float(normalized.mean())
+    return float(np.add.reduce(normalized, None) / normalized.size)
 
 
 def _midranks(values) -> np.ndarray:

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from battleopt import (
+    Bounds,
     ConfigurationError,
     EmbgoParams,
     OptimizerConfig,
+    Problem,
     diff_mutation,
     levy_move,
     make_problem,
     run_embgo,
 )
-from battleopt import core, mbgo
+from battleopt import core, embgo, mbgo
 from battleopt.core import best_worst, make_rng
 from battleopt.levy import levy_sample
 
@@ -171,3 +175,32 @@ def test_solves_sphere_to_tight_tolerance():
         config = OptimizerConfig(pop_size=50, budget=20000, seed=seed)
         finals.append(run_embgo(problem, config).final_fitness)
     assert np.median(finals) <= 1e-1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 64),
+    dim=st.integers(1, 32),
+    scale=st.sampled_from([1e-3, 5.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_centroid_is_the_mean_of_the_rows_byte_for_byte(n, dim, scale, seed):
+    """Each iteration's differential-mutation centroid is ``X.mean(axis=0)`` of its X."""
+    seen = []
+
+    def watching(problem, passes):
+        def watched(X):
+            chosen = passes(X)
+            ((move, _),) = chosen
+            seen.append((move.inside.args[0].tobytes(), X.mean(axis=0).tobytes()))
+            return chosen
+
+        return mbgo.member_sweep(problem, watched)
+
+    box = Bounds.cube(-scale, scale, dim)
+    problem = Problem("abs", dim, box, lambda x: float(np.abs(x).sum()))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embgo, "member_sweep", watching)
+        run_embgo(problem, OptimizerConfig(pop_size=n, budget=4 * n, seed=seed))
+    assert len(seen) == 3
+    assert all(centroid == mean for centroid, mean in seen)

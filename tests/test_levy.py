@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as scipy_gamma
 
 from battleopt import gamma_fn, levy_sample, levy_sigma
+from battleopt.levy import levy_sampler
 from battleopt.core import make_rng
 
 from conftest import FixedRng
@@ -110,6 +111,32 @@ def test_sample_rejects_bad_dim_and_beta():
                           (1e-300, "beta=1e-300")):
         with pytest.raises(ValueError, match=message):
             levy_sample(beta, 0, FixedRng())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    beta=st.sampled_from([0.3, 1.0, 1.5, 1.99]),
+    dim=st.integers(1, 40),
+    calls=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_bound_sampler_gives_levy_samples_values_and_generator_state(beta, dim, calls, seed):
+    sample = levy_sampler(beta, dim)
+    bound, plain, written = make_rng(seed), make_rng(seed), make_rng(seed)
+    for _ in range(calls):
+        steps = sample(bound).view(np.int64)
+        np.testing.assert_array_equal(steps, levy_sample(beta, dim, plain).view(np.int64))
+        # the Mantegna step as levy_sample computed it before the sampler was bound
+        u = written.normal(0.0, levy_sigma(beta), dim)
+        v = written.normal(0.0, 1.0, dim)
+        np.testing.assert_array_equal(steps, (u / np.abs(v) ** (1.0 / beta)).view(np.int64))
+    assert bound.bit_generator.state == plain.bit_generator.state == written.bit_generator.state
+
+
+def test_the_bound_sampler_checks_beta_and_dim_when_it_is_bound():
+    for beta, dim in ((2.0, 4), (1.5, 0), (math.nan, 4)):
+        with pytest.raises(ValueError):
+            levy_sampler(beta, dim)
 
 
 def test_tail_and_symmetry_smoke():

@@ -36,9 +36,11 @@ from battleopt import (
     resolve_problem,
     run_embgo,
     run_mbgo,
+    synthetic_table,
+    table_problem,
 )
 from battleopt import core, mbgo
-from battleopt.core import Extremes, clamp
+from battleopt.core import Extremes, clamp, init_population, make_rng
 from battleopt.levy import levy_sample
 from battleopt.mbgo import RADIUS_EPSILON, battle_game
 
@@ -351,3 +353,67 @@ def test_random_configurations(name, n, dim, sweeps, extra, seed, zone, objectiv
     config = OptimizerConfig(pop_size=n, budget=n * (1 + sweeps) + extra % n, seed=seed)
     params = params_for(name, delta_low=zone[0], delta_high=zone[1])
     assert_same_run(name, problem, config, objective, bit_generator, params=params)
+
+
+def test_every_word_a_battle_run_advances_is_drawn_through_the_hooks():
+    """The draw hooks the ``counts`` fixture counts through see every word the generator gives.
+
+    A battle-only MBGO at N = 50 on a table (D = 6) windows, rewinds and
+    batches. Past the initial population, each of its members draws one
+    32-bit enemy (``Draws.integers(49)``, which numpy would retry with a
+    probability below 1e-8) and one double or one per dimension
+    (``Draws.random``). A rewind drops the counts since the window's
+    ``Draws.save``. PCG64 gives a double from one 64-bit word and two
+    32-bit draws from one word, the spare half carried in ``has_uint32``.
+    So the words from the state after the initial population to the final
+    state, counted by stepping a copy of the generator, are the doubles plus
+    the 32-bit draws net of the halves carried in and out. A planner that
+    drew around ``Draws.random`` or ``Draws.integers`` would leave words
+    uncounted.
+    """
+    problem = table_problem(synthetic_table(5))
+    config = OptimizerConfig(pop_size=50, budget=50 + 2000, seed=4)
+    start = make_rng(config.seed)
+    init_population(config.pop_size, problem.bounds, start)
+    start = start.bit_generator.state
+    drawn = {"doubles": 0, "halves": 0}
+    saved, windows = [], []
+    random, integers = core.Draws.random, core.Draws.integers
+    save, restore = core.Draws.save, core.Draws.restore
+
+    def counted_random(self, size=None):
+        drawn["doubles"] += 1 if size is None else int(np.prod(size))
+        return random(self, size)
+
+    def counted_integers(self, high):
+        drawn["halves"] += 1
+        return integers(self, high)
+
+    def counted_save(self):
+        saved.append(dict(drawn))
+        windows.append(1)
+        return save(self)
+
+    def counted_restore(self, state):
+        drawn.update(saved[-1])
+        windows.append(-1)
+        return restore(self, state)
+
+    rng = make_rng(config.seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core.Draws, "random", counted_random)
+        patch.setattr(core.Draws, "integers", counted_integers)
+        patch.setattr(core.Draws, "save", counted_save)
+        patch.setattr(core.Draws, "restore", counted_restore)
+        run_mbgo(problem, config, rng, movement_phase=False)
+    final = rng.bit_generator.state
+    assert windows.count(1) > 0 and windows.count(-1) > 0
+    walker = np.random.PCG64()
+    walker.state = start
+    words = 0
+    while walker.state["state"] != final["state"]:
+        walker.random_raw()
+        words += 1
+    carried = final["has_uint32"] - start["has_uint32"]
+    assert 2 * words == 2 * drawn["doubles"] + drawn["halves"] + carried
+    assert drawn["doubles"] > 0 and drawn["halves"] > 0

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +56,37 @@ def test_diversity_bounded_fuzz():
         positions = rng.uniform(-5.0, 5.0, size=(n, d))
         pd = population_diversity(positions, box)
         assert 0.0 <= pd <= 1.0
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    d=st.integers(1, 32),
+    order=st.sampled_from("CF"),
+    integer=st.booleans(),
+    scale=st.sampled_from([1e-3, 5.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diversity_gives_the_bits_of_the_mean_expression(n, d, order, integer, scale, seed):
+    rng = make_rng(seed)
+    box = Bounds.cube(-scale, scale, d)
+    if integer:
+        positions = rng.integers(-1000, 1001, size=(n, d))
+    else:
+        positions = rng.uniform(-scale, scale, size=(n, d))
+    positions = np.asarray(positions, order=order)
+    # the expression the package used before it called np.add.reduce
+    expected = float((np.abs(positions - positions.mean(axis=0)) / box.span).mean())
+    assert population_diversity(positions, box).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 3), (0, 3), (4, 2), (4, 4), ()])
+def test_diversity_refuses_a_population_of_another_shape(shape):
+    box = Bounds.cube(-1.0, 1.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "Mean of empty slice" before the refusal
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            population_diversity(np.zeros(shape), box)
 
 
 # --- midranks ------------------------------------------------------------------
