@@ -10,18 +10,17 @@ on strict improvement, its diversity is over positions, not personal
 bests, and it returns the global best. PSO takes a sweep's draws at
 once, DE those of several sweeps in one call (see :func:`run_de`), and
 both compute their candidates for windows of rows as arrays. A PSO
-window is exact until one of its particles improves the global best (see
-:func:`run_pso`); a DE row is recomputed when one of its peers was
-replaced after its window was computed (see :func:`run_de`). DE
-evaluates a window's rows in one ``Problem.evaluate_batch`` call when
-the package built the objective and knows it pure
+window is exact up to the first particle that improves the global best
+(see :func:`run_pso`), a DE window up to its first row whose peers were
+replaced after the window was computed (see :func:`run_de`).
+For an objective the package built and knows pure
 (:func:`~battleopt.problems.pure_rows`: the raw and transformed
-benchmarks, the three-bar truss, a lookup table); PSO
-does so only once the global best has held for twice the window's
-particles. Only such an objective sees the rows DE recomputes and the
-PSO rows after a global-best improvement, whose batch values are thrown
-away. Any other objective, a user's included, is called once per
-function evaluation.
+benchmarks, the three-bar truss, a lookup table), and where
+:func:`~battleopt.mbgo._window_cap` opens member-sweep windows, both
+evaluate a window's rows in one ``Problem.evaluate_batch`` call and end
+the window at the first row they cannot keep, throwing away the batch
+values from there on; the next window starts at that row. Any other
+objective, a user's included, is called once per function evaluation.
 Initial populations and random search's samples go through
 ``Problem.evaluate_batch``.
 """
@@ -45,7 +44,7 @@ from .core import (
     make_rng,
     resolve_params,
 )
-from .mbgo import battle_game
+from .mbgo import _WINDOW_MAX, _WINDOW_MIN, _ends_early, _next_width, _window_cap, battle_game
 from .problems import pure_rows
 from .stats import population_diversity
 
@@ -58,17 +57,6 @@ __all__ = ["RANDOM_SEARCH_CHUNK", "DeParams", "PsoParams", "run_de", "run_pso", 
 # Samples random search draws and evaluates per chunk. The stream does
 # not depend on it: one (m, D) uniform draw equals m single draws.
 RANDOM_SEARCH_CHUNK = 256
-
-# The most particles PSO moves in one window of a sweep (see run_pso).
-_PSO_WINDOW = 64
-
-# The rows DE computes trials for at once (see run_de). Timed against 32
-# with several sweeps decoded per call, 9 alternating pairs per shape, as
-# ratios of median run time (table D=6 N=50 / rastrigin:sr D=300 N=50 /
-# sphere D=10 N=3200 / compare's three problems at N=50, 500 FEs):
-# 8: 1.61 / 1.04 / 1.63 / 0.88; 16: 1.09 / 1.02 / 1.21 / 0.89;
-# 64: 1.02 / 0.96 / 0.96 / 1.21. No size wins on all four, so 32 stays.
-_DE_WINDOW = 32
 
 # The most doubles DE draws in one Draws.sweep call, unless a single
 # sweep holds more: 4 sweeps at D=300, N=50, and a whole 5,000-FE run at
@@ -144,17 +132,20 @@ def run_de(
     Trials are then computed for a window of rows at once from the
     loop's position array ``X``, by the same elementwise expressions as
     for one member (mutant, crossover mask, forced gene, clamp), and
-    stepped in index order. A row whose peers include a row accepted
-    since the window was computed is recomputed from the current ``X``
-    and evaluated alone, so every FE is at the point of a per-member
-    loop, in its order, and the run's bits are its. For an objective the
-    package marks pure
-    (:func:`~battleopt.problems.pure_rows`) the window's rows are
-    evaluated first in one ``evaluate_batch`` call, bit-identical to one
-    call per row; a recomputed row's batch value is thrown away. Any other
-    objective is called once per FE, at those points in that order. PSO
-    batches a window only once its global best has held (see
-    :func:`run_pso`).
+    stepped in index order. A row is stale when its peers include a row
+    accepted earlier in the window. Where
+    :func:`~battleopt.mbgo._ends_early` holds (a marked-pure objective,
+    :func:`~battleopt.problems.pure_rows`, and a ``_window_cap(N, D)`` of
+    at least ``_WINDOW_MIN``) a window's rows are evaluated in one
+    ``evaluate_batch`` call, bit-identical to one call per row, and the
+    window ends at its first stale row, whose batch value and those after
+    it are thrown away; the next window, its width from
+    :func:`~battleopt.mbgo._next_width`, starts there with trials from the
+    current ``X``. Elsewhere a stale row is recomputed from the current
+    ``X`` and evaluated alone, in windows of ``_WINDOW_MAX`` rows (for a
+    marked objective its batch value is thrown away); any other objective
+    is called once per FE. Every FE is at the point of a per-member loop,
+    in its order, and the run's bits are its.
     """
     params = resolve_params(params, DeParams)
     F, Cr = params.F, params.Cr
@@ -162,8 +153,10 @@ def run_de(
     rows = pure_rows(problem)
 
     ahead = []  # the drawn (picks, forced, r) of the sweeps to come, last first
+    width = 0  # the next window's rows, carried across sweeps; 0 before the first
 
     def sweep(fit, X, draws, step, left):
+        nonlocal width
         n = len(fit)
         if not ahead:
             # whole sweeps under the cap, never past the budget: a sweep
@@ -185,18 +178,29 @@ def run_de(
             mutant = x + F * (x1 - x) + F * (x2 - x3)
             return clamp(np.where(cross[lo:hi], mutant, x), bounds)
 
-        for lo in range(0, m, _DE_WINDOW):
-            hi = min(lo + _DE_WINDOW, m)
+        cap = _window_cap(n, dim)
+        early = _ends_early(rows, cap)
+        width = width or (min(_WINDOW_MIN, cap) if early else _WINDOW_MAX)
+        lo = 0
+        while lo < m:
+            hi = min(lo + width, m)
             window = trials(lo, hi)
             values = rows(window).tolist() if rows else [None] * (hi - lo)
             moved = set()
+            stop = hi
             for i, row_peers in enumerate(peers[lo:hi].tolist(), lo):
-                if moved and not moved.isdisjoint(row_peers):
+                if moved and not moved.isdisjoint(row_peers):  # stale
+                    if early:
+                        stop = i
+                        break
                     accepted = step(i, trials(i, i + 1)[0])
                 else:
                     accepted = step(i, window[i - lo], values[i - lo])
                 if accepted:
                     moved.add(i)
+            if early:
+                width = _next_width(width, cap, stop < hi)
+            lo = stop
 
     return battle_game(problem, config, rng, "de", sweep)
 
@@ -219,24 +223,23 @@ def run_pso(
     and final state, of m pairs of ``rng.random(dim)`` calls. Particles
     then move in windows: velocity, velocity clamp and position clamp are
     computed for a window at once with the current global best, by the
-    same elementwise expressions as for one particle, and the window's
-    rows are evaluated one at a time in index order. A particle's update
+    same elementwise expressions as for one particle. A particle's update
     reads only its own row and the global best, so the rows stay exact
     until one strictly improves the global best; the window is committed
-    up to that particle and the next one opens just after it. A window is
-    one particle after an improvement and doubles while the best holds,
-    up to ``_PSO_WINDOW``, so a sweep in which every particle improves
-    costs about what a per-particle loop does. ``evaluate`` sees the same
-    points in the same order as that loop, and the run's bits are its.
+    up to that particle and the next one opens just after it. Window
+    widths follow :func:`~battleopt.mbgo._next_width` under
+    ``_window_cap(N, D)``: halved after a window that ended early, doubled
+    after one that did not. ``evaluate`` sees the same points in the same
+    order as that loop, and the run's bits are its.
 
-    For an objective the package marks pure
-    (:func:`~battleopt.problems.pure_rows`) a window is evaluated in one
-    batch call instead once the particles stepped since the global best
-    last improved number at least twice the window's. Its rows are
-    committed with array operations up to the first one below the global
-    best, which also beats its own personal best; the values of the rows
-    after it are thrown away, and those rows are moved again in the next
-    window. Any other objective is called once per FE.
+    Where :func:`~battleopt.mbgo._ends_early` holds (an objective the
+    package marks pure, :func:`~battleopt.problems.pure_rows`, and a cap
+    of at least ``_WINDOW_MIN``) every window is evaluated in one batch
+    call. Its rows are committed with array operations up to the first one
+    below the global best, which also beats its own personal best; the
+    values of the rows after it are thrown away, and those rows are moved
+    again in the next window. Elsewhere the window's rows are evaluated
+    one at a time in index order, one call per FE.
     """
     params = resolve_params(params, PsoParams)
     check_pop_size("pso", config.pop_size)
@@ -262,8 +265,8 @@ def run_pso(
     trace = [(budget.used, gbest_fit)]
     diversity = [(0, population_diversity(positions, bounds))]
     iteration = 0
-    # held: the particles stepped since the global best last improved
-    width, held = 1, 0
+    cap = _window_cap(n, dim)
+    batched, width = _ends_early(rows, cap), min(_WINDOW_MIN, cap)
 
     while not budget.exhausted:
         iteration += 1
@@ -274,39 +277,31 @@ def run_pso(
         r = rng.random((m, 2, dim))
         start = 0
         while start < m:
-            # Particles start:stop move with the current global best; rows
+            # Particles start:end move with the current global best; rows
             # after one that improves it are recomputed in the next window.
-            stop = min(start + width, m)
-            x = positions[start:stop]
+            end = min(start + width, m)
+            x = positions[start:end]
             v = (
-                w * velocities[start:stop]
-                + c1 * r[start:stop, 0] * (pbest[start:stop] - x)
-                + c2 * r[start:stop, 1] * (gbest - x)
+                w * velocities[start:end]
+                + c1 * r[start:end, 0] * (pbest[start:end] - x)
+                + c2 * r[start:end, 1] * (gbest - x)
             )
             # np.clip(v, -v_max, v_max, out=v) without its Python wrapper
             np.minimum(np.maximum(v, -v_max, out=v), v_max, out=v)
             x = clamp(x + v, bounds)
-            # Batch a window only once the best has held for twice its
-            # particles. At once (factor 1) perfbench's rotated-d300 PSO
-            # ran 5-8 % slower per FE on thrown-away rows; at four times,
-            # pop-scaling and arnas-table fell to 0.47x and 0.57x of the
-            # per-particle loop's µs/FE, against 0.44x and 0.53x at two.
-            if rows is not None and held >= 2 * (stop - start):
+            if batched:
                 f = rows(x)
                 wins = np.flatnonzero(f < gbest_fit)
-                improved = len(wins) > 0
-                if improved:
-                    # pbest_fit[i] >= gbest_fit: the row beats its own best too
-                    stop = start + int(wins[0]) + 1
-                    f = f[: stop - start]
+                stop = start + int(wins[0]) + 1 if len(wins) else end
+                f = f[: stop - start]
                 better = f < pbest_fit[start:stop]
                 pbest_fit[start:stop][better] = f[better]
                 pbest[start:stop][better] = x[: stop - start][better]
-                if improved:
+                if len(wins):
+                    # pbest_fit[i] >= gbest_fit: the row beat its own best too
                     gbest_fit = float(f[-1])
                     gbest = x[stop - start - 1].copy()
             else:
-                improved = False
                 for i, xi in enumerate(x, start):
                     f = evaluate(xi)
                     if type(f) is not float or f != f:
@@ -317,14 +312,9 @@ def run_pso(
                         if f < gbest_fit:
                             gbest_fit = float(f)
                             gbest = xi.copy()
-                            improved = True
                             break
                 stop = i + 1
-            if improved:
-                width, held = 1, 0
-            else:
-                width = min(2 * width, _PSO_WINDOW)
-                held += stop - start
+            width = _next_width(width, cap, stop < end)
             velocities[start:stop] = v[: stop - start]
             positions[start:stop] = x[: stop - start]
             start = stop

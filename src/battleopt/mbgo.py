@@ -276,7 +276,17 @@ _STRONGER, _WEAKER, _INSIDE, _OUTSIDE = range(4)
 
 
 def _window_cap(n: int, dim: int) -> int:
-    return min(_WINDOW_MAX, _WINDOW_COORDS * n // dim)
+    return max(1, min(_WINDOW_MAX, _WINDOW_COORDS * n // dim))
+
+
+def _ends_early(rows, cap: int) -> bool:
+    """Whether DE's and PSO's windows are batched and end at the first row they cannot keep."""
+    return rows is not None and cap >= _WINDOW_MIN
+
+
+def _next_width(width: int, cap: int, early: bool) -> int:
+    """Halved after a window that ended early, else doubled; the first is min(_WINDOW_MIN, cap)."""
+    return min(cap, max(_WINDOW_MIN, width // 2) if early else 2 * width)
 
 
 def member_sweep(problem, passes):

@@ -75,12 +75,13 @@ class Problem:
     builds and knows to be pure (see :func:`pure_rows`: the benchmarks,
     raw or ``:srK``, the three-bar truss and a table problem, which has a
     score for every code), whose ``evaluate_batch`` has no per-row Python
-    loop, may be handed candidates whose values are thrown away: MBGO's and
-    EMBGO's windows and DE's evaluate a block of candidates in one
-    ``evaluate_batch`` call, then rebuild and evaluate again the rows
-    that earlier replacements made stale. PSO does so for a window once
-    the global best has held for twice the window's particles, and throws
-    away the rows after the first one that improves it.
+    loop, may be handed candidates whose values are thrown away: MBGO's,
+    EMBGO's and (where 32 N // D is below 12) DE's windows evaluate a block
+    in one ``evaluate_batch`` call, then rebuild and evaluate again the
+    rows that earlier replacements made stale. Where it reaches 12, DE's
+    and PSO's windows end at the first row they cannot keep (a stale DE
+    row, the row after one that improves PSO's global best) and throw away
+    the values from there on.
     """
 
     name: str
@@ -139,11 +140,10 @@ def _mark_pure(evaluate):
 def pure_rows(problem: Problem):
     """``problem.evaluate_batch`` when the package built ``problem.evaluate`` pure, else None.
 
-    MBGO's and EMBGO's windows and DE's evaluate their block of candidates
-    through it in one call when it is not None, and throw away the values
-    of the rows they rebuild; PSO does the same for a window once the
-    global best has held for twice its particles, and throws away the
-    rows after the first that improves it (see :class:`Problem`). The
+    MBGO's, EMBGO's, DE's and PSO's windows evaluate their block of
+    candidates through it in one call when it is not None, and throw away
+    the values of the rows they rebuild, or, for DE and PSO, of the rows
+    from the first they cannot keep (see :class:`Problem`). The
     marked objectives are the benchmarks, raw or ``:srK``, the three-bar
     truss and a table problem, whose table holds every code; none of
     their batches loops over the rows in Python but for a ``math`` tail.

@@ -6,6 +6,7 @@ import pytest
 
 from battleopt import LookupTable, OptimizerConfig, Problem, make_problem, run_random_search
 from battleopt.discrete import N_EDGES, N_SYMBOLS
+from battleopt.problems import _mark_pure
 
 
 class FixedRng:
@@ -100,6 +101,26 @@ def recording(problem, make_objective, batch=True):
     return Problem(problem.name, problem.dim, problem.bounds, evaluate), seen
 
 
+def marked(problem, make_objective):
+    """``problem`` with a fresh ``make_objective()``, which must be pure, marked pure.
+
+    Returns it with the list of the rows of each batch call, the initial
+    population's first. Single calls are not recorded.
+    """
+    objective = make_objective()
+    batches = []
+
+    def evaluate(x):
+        return objective(x)
+
+    def rows(X):
+        batches.append(X.copy())
+        return np.array([objective(x) for x in X], dtype=float)
+
+    evaluate.batch = rows
+    return Problem(problem.name, problem.dim, problem.bounds, _mark_pure(evaluate)), batches
+
+
 def sphere():
     return lambda x: float(np.dot(x, x))
 
@@ -131,6 +152,24 @@ def nonfinite():
             return math.inf
         return float(np.dot(x, x))
 
+    return f
+
+
+def spiky():
+    """A pure objective with NaN, +inf and -inf regions between sphere values."""
+
+    def f(x):
+        k = int(abs(x[0]) * 1000.0) % 11
+        s = float(np.dot(x, x))
+        if k == 0:
+            return math.nan
+        if k == 1:
+            return math.inf
+        if k == 2 and s < 3000.0:
+            return -math.inf
+        return s
+
+    f.batch = lambda X: np.array([f(x) for x in X], dtype=float)
     return f
 
 

@@ -5,18 +5,17 @@ for D = 10) and DE's evaluate their block of candidates through
 ``Problem.evaluate_batch`` in one call when
 :func:`~battleopt.problems.pure_rows` finds the objective marked pure,
 and take each member's value from it unless the member was rebuilt.
-PSO does so for a window only once the global best has held for twice
-the window's particles, and throws away the rows after the first that
-improves it. The same objective without the mark goes member by member.
-Both must give the same ``serialize()``, the same final generator state
-and the same ``fes_used``; only the marked one may see rows whose values
-are thrown away. A user objective, with or without a ``.batch``, is
-never marked.
+Where 32 N // D reaches 12, PSO batches every window and DE ends a
+window at its first stale row; both throw away the values of the rows
+from the first they cannot keep, and start the next window there. The
+same objective without the mark goes member by member. Both must give
+the same ``serialize()``, the same final generator state and the same
+``fes_used``; only the marked one may see rows whose values are thrown
+away. A user objective, with or without a ``.batch``, is never marked.
 """
 
 import dataclasses
 import functools
-import math
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from battleopt import (
     OptimizerConfig,
     decode,
     make_problem,
+    mbgo,
     resolve_problem,
     run_de,
     run_embgo,
@@ -35,7 +35,7 @@ from battleopt import (
 )
 from battleopt.problems import _mark_pure, pure_rows
 
-from conftest import decreasing, recording
+from conftest import decreasing, recording, spiky
 from test_de_sweep import assert_same_run as assert_same_as_de_loop
 from test_member_sweep import assert_same_run as assert_same_as_member_loop
 from test_pso_sweep import assert_same_run as assert_same_as_pso_loop
@@ -148,36 +148,21 @@ def test_de_at_50_members():
 @pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("extra", [1, 13, 29])
 def test_budgets_that_end_mid_window(name, extra):
-    # 256 members: MBGO and EMBGO windows of up to 64, DE's of 32
+    # 256 members: windows of up to 64 for every optimizer
     config = OptimizerConfig(pop_size=256, budget=256 * 3 + extra, seed=8)
     assert_same_run(name, make_problem("ackley", 5), config)
-
-
-def spiky(x):
-    """A pure objective with NaN, +inf and -inf regions between sphere values."""
-    k = int(abs(x[0]) * 1000.0) % 11
-    s = float(np.dot(x, x))
-    if k == 0:
-        return math.nan
-    if k == 1:
-        return math.inf
-    if k == 2 and s < 3000.0:
-        return -math.inf
-    return s
-
-
-spiky.batch = lambda X: np.array([spiky(x) for x in X], dtype=float)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_nan_and_infinite_values_from_a_marked_objective(name):
     base = make_problem("sphere", 3)
-    problem = dataclasses.replace(base, name="spiky", evaluate=spiky)
+    f = spiky()
+    problem = dataclasses.replace(base, name="spiky", evaluate=f)
     config = OptimizerConfig(pop_size=256, budget=256 * 6 + 5, seed=9)
     batches = []
     assert_same_run(name, problem, config, batches)
     # every kind of value goes through the batch path, not only the initial population's
-    values = np.concatenate([spiky.batch(X) for X in batches[1:]])
+    values = np.concatenate([f.batch(X) for X in batches[1:]])
     assert np.isnan(values).any() and np.isposinf(values).any() and np.isneginf(values).any()
 
 
@@ -196,20 +181,20 @@ def test_a_user_objective_keeps_one_call_per_fe_in_de():
     assert_same_as_de_loop(problem, OptimizerConfig(pop_size=50, budget=50 * 9 + 21, seed=3))
 
 
-# --- PSO: a window batched once the global best has held --------------------
+# --- PSO: every window batched where 32 N // D reaches 12 -------------------
 
 
-def test_pso_at_50_particles_throws_away_few_rows():
-    # Over seeds 1-3 the held rule throws away about 3 % of the sweep's
-    # FEs here; with held >= the window, 6 %; batching every window, half.
-    sweep = thrown = 0
+def test_pso_at_50_particles_batches_at_d10_and_not_at_d300():
+    # D=10 (cap 32): every sweep FE is a batch row, and the rows after each
+    # improvement of the global best are thrown away. D=300 (cap 5): no
+    # window is batched, so every sweep FE is a single call.
     for seed in (1, 2, 3):
         config = OptimizerConfig(pop_size=50, budget=3000, seed=seed)
         calls = assert_same_run("pso", resolve_problem("rastrigin:sr", 10), config)
-        assert calls["rows"] > 50 and calls["single"] > 0
-        sweep += config.budget - config.pop_size
-        thrown += thrown_away(calls, config)
-    assert 0 < thrown < 0.05 * sweep
+        assert calls["single"] == 0 and thrown_away(calls, config) > 0
+    config = OptimizerConfig(pop_size=50, budget=50 * 4 + 7, seed=1)
+    calls = assert_same_run("pso", resolve_problem("rastrigin:sr", 300), config)
+    assert calls == {"single": config.budget - 50, "rows": 50}
 
 
 @pytest.mark.parametrize("extra", [0, 1, 37, 399])
@@ -220,13 +205,32 @@ def test_pso_on_sphere_at_400_particles(extra):
     assert calls["rows"] > 400 * 2
 
 
-def test_pso_batches_nothing_while_every_particle_improves():
+def test_pso_batches_every_window_while_every_particle_improves():
     f = decreasing()
     f.batch = lambda X: np.array([f(x) for x in X], dtype=float)
     problem, calls = counting(dataclasses.replace(make_problem("sphere", 4), evaluate=f))
     config = OptimizerConfig(pop_size=300, budget=300 * 4 + 3, seed=8)
     run_pso(problem, config)
-    assert calls == {"single": config.budget - 300, "rows": 300}
+    # Each window keeps only its first row, so widths stay at _WINDOW_MIN, 12:
+    # a sweep batches 288 * 12 + (12 + 11 + ... + 1) = 3,534 rows. The one-row
+    # window at a sweep's end keeps its row, so the next sweep opens at 24, 12
+    # rows more; the last sweep moves 3 particles, 3 + 2 + 1 rows.
+    assert calls == {"single": 0, "rows": 300 + 3 * 3534 + 2 * 12 + 6}
+
+
+@pytest.mark.parametrize("name", ["de", "pso"])
+@pytest.mark.parametrize("n, dim", [(64, 8192), (4, 2048)])
+def test_a_cap_below_one_row(name, n, dim):
+    # 32 N // D is 0 at both shapes; the cap is 1, and each run ends on its budget.
+    # DE batches a marked objective's windows of _WINDOW_MAX rows and recomputes
+    # stale rows, PSO batches none.
+    assert mbgo._window_cap(n, dim) == 1
+    config = OptimizerConfig(pop_size=n, budget=n * 2 + 3, seed=1)
+    calls = assert_same_run(name, make_problem("sphere", dim), config)
+    if name == "pso":
+        assert calls == {"single": n + 3, "rows": n}
+    else:
+        assert calls["rows"] == n + n + 3
 
 
 @pytest.mark.parametrize("n, budget", [(50, 3000), (400, 400 * 5 + 17)])

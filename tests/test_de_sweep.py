@@ -6,10 +6,13 @@ oracle: per member, ``rng.choice(n - 1, 3, replace=False)``,
 Generator, then the mutant, the crossover, the clamp, one evaluation and
 greedy replacement. ``run_de`` must give the same ``serialize()``, leave
 the caller's generator in the same state, and have its ``evaluate`` see
-the same points in the same order, exactly ``budget`` of them.
+the same points in the same order, exactly ``budget`` of them. Under any
+schedule of window widths a run with a marked objective, whose windows
+end at their first stale row, steps the same points too.
 """
 
 import importlib.util
+import itertools
 import math
 from pathlib import Path
 
@@ -34,7 +37,7 @@ from battleopt.core import (
 from battleopt.discrete import synthetic_table, table_problem
 from battleopt.stats import population_diversity
 
-from conftest import RecordingRng, decreasing, nonfinite, plateaus, recording, sphere
+from conftest import RecordingRng, decreasing, marked, nonfinite, plateaus, recording, sphere, spiky
 
 
 def reference_de(problem, config, rng=None, *, params=None):
@@ -280,3 +283,55 @@ def test_random_configurations(n, dim, sweeps, extra, seed, F, Cr, objective, bi
     problem = make_problem("sphere", dim)
     config = OptimizerConfig(pop_size=n, budget=n * (1 + sweeps) + extra % n, seed=seed)
     assert_same_run(problem, config, objective, bit_generator, params=DeParams(F=F, Cr=Cr))
+
+
+def stepped(patch, seen):
+    """Append each candidate DE hands ``step`` to ``seen``: a run's FE points."""
+    game = baselines.battle_game
+
+    def recorded_game(problem, config, rng, name, sweep):
+        def recorded_sweep(fit, X, draws, step, left):
+            def recorded_step(i, candidate, f=None):
+                seen.append(np.array(candidate))
+                return step(i, candidate, f)
+
+            return sweep(fit, X, draws, recorded_step, left)
+
+        return game(problem, config, rng, name, recorded_sweep)
+
+    patch.setattr(baselines, "battle_game", recorded_game)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(4, 40),
+    dim=st.integers(1, 6),
+    sweeps=st.integers(0, 6),
+    extra=st.integers(0, 39),
+    seed=st.integers(0, 2**32 - 1),
+    F=st.sampled_from([0.0, 0.5, 0.8, 1.5]),
+    Cr=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+    objective=st.sampled_from([sphere, plateaus, spiky]),
+)
+def test_any_schedule_of_window_widths(data, n, dim, sweeps, extra, seed, F, Cr, objective):
+    # widths from 1 to N in place of _next_width's, repeated: lengths the rule
+    # never picks (below _WINDOW_MIN, odd, past the sweep's end) included
+    schedule = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6))
+    problem = make_problem("sphere", dim)
+    config = OptimizerConfig(pop_size=n, budget=n * (1 + sweeps) + extra % n, seed=seed)
+    params = DeParams(F=F, Cr=Cr)
+    recorded, ref_seen = recording(problem, objective)
+    rng = np.random.default_rng(seed)
+    ref = (reference_de(recorded, config, rng, params=params).serialize(),
+           repr(rng.bit_generator.state))
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        widths = itertools.cycle(schedule)
+        patch.setattr(baselines, "_next_width", lambda width, cap, early: next(widths))
+        stepped(patch, seen)
+        run, _ = marked(problem, objective)
+        rng = np.random.default_rng(seed)
+        result = run_de(run, config, rng, params=params)
+    assert (result.serialize(), repr(rng.bit_generator.state)) == ref
+    assert np.array(seen).tobytes() == np.array(ref_seen[n:]).tobytes()

@@ -4,9 +4,12 @@
 velocity update, a velocity clamp, a position clamp and an evaluation per
 particle. ``run_pso`` must give the same ``serialize()``, leave the
 caller's generator in the same state, and have its ``evaluate`` see the
-same points in the same order, exactly ``budget`` of them.
+same points in the same order, exactly ``budget`` of them. Under any
+schedule of window widths the same holds, and a batched run's windows,
+each up to its first row below the global best, hold the loop's points.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from battleopt import Bounds, OptimizerConfig, Problem, PsoParams, make_problem, run_pso
+from battleopt import Bounds, OptimizerConfig, Problem, PsoParams, baselines, make_problem, run_pso
 from battleopt.core import (
     EvaluationBudget,
     Individual,
@@ -26,7 +29,7 @@ from battleopt.core import (
 )
 from battleopt.stats import population_diversity
 
-from conftest import decreasing, nonfinite, plateaus, recording, sphere
+from conftest import decreasing, marked, nonfinite, plateaus, recording, sphere, spiky
 
 
 def reference_pso(problem, config, rng=None, *, params=None):
@@ -180,3 +183,55 @@ def test_random_configurations(n, dim, sweeps, extra, seed, w, v_max, objective)
     problem = make_problem("sphere", dim)
     config = OptimizerConfig(pop_size=n, budget=n * (1 + sweeps) + extra % n, seed=seed)
     assert_same_run(problem, config, objective, params=PsoParams(w=w, v_max=v_max))
+
+
+def kept_rows(batches, objective):
+    """A batched run's FE points: the initial population, then each batch's
+    rows up to the first whose value is below the global best."""
+    def values(X):
+        f = np.array([objective(x) for x in X], dtype=float)
+        f[np.isnan(f)] = np.inf
+        return f
+
+    kept, best = list(batches[0]), values(batches[0]).min()
+    for X in batches[1:]:
+        f = values(X)
+        wins = np.flatnonzero(f < best)
+        stop = int(wins[0]) + 1 if len(wins) else len(X)
+        kept.extend(X[:stop])
+        best = min(best, f[stop - 1])
+    return kept
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(4, 40),
+    dim=st.integers(1, 6),
+    sweeps=st.integers(0, 6),
+    extra=st.integers(0, 39),
+    seed=st.integers(0, 2**32 - 1),
+    objective=st.sampled_from([sphere, plateaus, spiky]),
+)
+def test_any_schedule_of_window_widths(data, n, dim, sweeps, extra, seed, objective):
+    # widths from 1 to N in place of _next_width's, repeated: lengths the rule
+    # never picks (below _WINDOW_MIN, odd, past the sweep's end) included
+    schedule = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6))
+    problem = make_problem("sphere", dim)
+    config = OptimizerConfig(pop_size=n, budget=n * (1 + sweeps) + extra % n, seed=seed)
+    recorded, ref_seen = recording(problem, objective)
+    rng = np.random.default_rng(seed)
+    ref = (reference_pso(recorded, config, rng).serialize(), repr(rng.bit_generator.state))
+    for pure in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            widths = itertools.cycle(schedule)
+            patch.setattr(baselines, "_next_width", lambda width, cap, early: next(widths))
+            if pure:
+                run, batches = marked(problem, objective)
+            else:
+                run, seen = recording(problem, objective)
+            rng = np.random.default_rng(seed)
+            assert (run_pso(run, config, rng).serialize(), repr(rng.bit_generator.state)) == ref
+        if pure:
+            seen = kept_rows(batches, objective())
+        assert np.array(seen).tobytes() == np.array(ref_seen).tobytes()
